@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import intervals
+from .dist import critical_value
 from .fit import (FitError, FitResult, InsufficientDataError, SurvivalSample,
                   fit_quasipoisson)
 from .intervals import IntervalEstimate
@@ -23,7 +23,6 @@ __all__ = [
     "RecruitmentSeries",
     "TrendFit",
     "load_recruitment_csv",
-    "load_schedule_csv",
     "load_survival_csv",
     "site_day_fit",
     "predict_sitedays",
@@ -112,12 +111,6 @@ def load_recruitment_csv(path, schedule_path=None) -> RecruitmentSeries:
 def load_survival_csv(path) -> list[SurvivalSample]:
     arr = _read_rows(path, ["time", "event"])
     return [SurvivalSample(t, bool(e)) for t, e in arr]
-
-
-def load_schedule_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    sched = _read_rows(path, ["period", "active_sites"])
-    sched = sched[np.argsort(sched[:, 0])]
-    return sched[:, 0], sched[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +276,7 @@ def _sum_prediction(trend: TrendFit, periods, exposures, level: float,
     else:
         var_future = trend.phi * float(np.sum((trend.mean_rate(periods)) ** 2))
     se_log = math.sqrt(var_mean / total ** 2 + var_future / total ** 2)
-    if crit == "t":
-        c = stats.t.ppf(1 - (1 - level) / 2, df)
-    else:
-        c = stats.norm.ppf(1 - (1 - level) / 2)
+    c = critical_value(level, crit, df)
     return IntervalEstimate(total * math.exp(-c * se_log),
                             total * math.exp(c * se_log),
                             level, "link_pivot", "future_sum")
@@ -392,7 +382,7 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
     n = fit.n_obs
     if band == "subject":
         alpha = 1 - level
-        z = stats.norm.ppf(1 - alpha / 2)
+        z = critical_value(level)
         se_log = fit.se_g_mu("model")
         lam_factor = fit.lam_hat / fit.mu_hat
         mu_lo, mu_hi = fit.mu_hat * math.exp(-z * se_log), fit.mu_hat * math.exp(z * se_log)
@@ -401,7 +391,7 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
         hi = (mu_hi * lam_factor) * (-math.log(alpha / 2)) ** (1 / k)
         return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_observation")
     q = intervals._sum_quantile(fit, p, 1)
-    se = intervals._delta_se(fit, p, 1)
+    se = intervals._delta_se(fit, p, 1, q)
     if band == "repeated":
         if events_future is None or events_future < 1:
             raise ValueError("repeated-experiment band needs events_future >= 1")
@@ -413,7 +403,7 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
         method = "percentile_tolerance"
     else:
         raise ValueError(f"unknown band {band!r}")
-    t = stats.t.ppf(1 - (1 - level) / 2, n - 1)
+    t = critical_value(level, "t", n - 1)
     return IntervalEstimate(q * math.exp(-t * se / q), q * math.exp(t * se / q),
                             level, method, target, content_p=p)
 
@@ -434,7 +424,7 @@ def combine_link_pivots(g_point1: float, se1: float, g_point2: float, se2: float
     if se1 < 0 or se2 < 0:
         raise ValueError("standard errors must be nonnegative")
     se = math.sqrt(se1 ** 2 + se2 ** 2)
-    c = stats.t.ppf(1 - (1 - level) / 2, df) if crit == "t" else stats.norm.ppf(1 - (1 - level) / 2)
+    c = critical_value(level, crit, df)
     center = g_point1 + g_point2
     if link == "log":
         return IntervalEstimate(math.exp(center - c * se), math.exp(center + c * se),

@@ -182,55 +182,27 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _target(fit, args) -> intervals.PredictionTarget:
-    if args.n_future is None:
-        raise ConfigError("n_future is required")
-    return intervals.PredictionTarget(fit.n_obs, float(args.n_future))
-
-
-def cmd_predict(args) -> int:
+def cmd_interval(args) -> int:
+    """predict/tolerance: each requested method of the subcommand's kind from
+    the shared ``intervals.METHODS`` table, with the CLI convention: the
+    ``--se-kind`` SE and the z critical value for the eq2/eq5 limits."""
+    kind = "tolerance" if args.command == "tolerance" else "prediction"
     fit = _fit_from_args(args)
     level = float(args.level)
+    p = float(args.content) if kind == "tolerance" else None
     out = {}
-    for method in args.method:
-        if method == "eq1":
-            iv = intervals.predict_sum_link(fit, _target(fit, args), level,
-                                            se_kind=args.se_kind)
-        elif method == "eq2":
-            iv = intervals.predict_sum_plugci(fit, _target(fit, args), level,
-                                              se_kind=args.se_kind)
-        elif method == "fpivot":
-            iv = intervals.predict_sum_fpivot(fit.mu_hat, fit.n_obs,
-                                              float(args.n_future), fit.k_hat, level)
-        elif method == "fpivot_k1":
-            iv = intervals.predict_sum_fpivot(fit.mu_hat, fit.n_obs,
-                                              float(args.n_future), 1.0, level)
-        elif method == "plugin":
-            iv = intervals.predict_sum_plugin(fit, _target(fit, args), level)
-        elif method == "kris":
-            iv = intervals.predict_count_kris(fit, float(args.n_future), level)
-        else:
-            raise ConfigError(f"unknown prediction method {method!r}")
-        out[method] = _interval_to_dict(iv)
-    _emit(args, out)
-    return EXIT_OK
-
-
-def cmd_tolerance(args) -> int:
-    fit = _fit_from_args(args)
-    level, p, n_fut = float(args.level), float(args.content), float(args.n_future)
-    out = {}
-    for method in args.method:
-        if method == "eq3":
-            iv = intervals.tolerance_delta(fit, p, level, n_fut)
-        elif method == "eq4":
-            iv = intervals.tolerance_nct(fit, p, level, n_fut)
-        elif method == "eq5":
-            iv = intervals.tolerance_plugci(fit, p, level, n_fut,
-                                            se_kind=args.se_kind)
-        else:
-            raise ConfigError(f"unknown tolerance method {method!r}")
-        out[method] = _interval_to_dict(iv)
+    for name in args.method:
+        method = intervals.METHODS.get(name)
+        if method is None or method.kind != kind:
+            raise ConfigError(f"unknown {kind} method {name!r}")
+        if args.n_future is None:
+            raise ConfigError(f"method {name!r} needs --n-future ({fit.family} fit)")
+        for field in method.needs:
+            if getattr(fit, field) is None:
+                raise ConfigError(f"method {name!r} needs {field}, which a "
+                                  f"{fit.family} fit does not provide")
+        iv = method.build(fit, level, float(args.n_future), p, args.se_kind, "z")
+        out[name] = _interval_to_dict(iv)
     _emit(args, out)
     return EXIT_OK
 
@@ -396,10 +368,7 @@ def _build_parser() -> _Parser:
     common(p, {"input", "family", "link", "out"})
     p.set_defaults(func=cmd_fit)
 
-    for name, func, extra in (
-        ("predict", cmd_predict, False),
-        ("tolerance", cmd_tolerance, True),
-    ):
+    for name, extra in (("predict", False), ("tolerance", True)):
         p = sub.add_parser(name)
         p.add_argument("--input")
         p.add_argument("--family", choices=["gamma", "quasipoisson", "binomial", "weibull"])
@@ -413,7 +382,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--content", type=float)
         common(p, {"input", "family", "link", "method", "level", "n_future",
                    "se_kind", "out"} | ({"content"} if extra else set()))
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("curve")
     p.add_argument("--input")

@@ -98,13 +98,7 @@ def _point_total(fit: FitResult, n_future: float) -> float:
 
 def _H_link_pivot(fit: FitResult, n_future: float, se_kind: str):
     se_n, df = _combined_se(fit, n_future, se_kind)
-    if fit.family == "binomial_logit":
-        se_n = math.sqrt(fit.n_obs) * fit.se_g_mu(se_kind) * math.sqrt(
-            1.0 / fit.n_obs + 1.0 / n_future)
-        df = fit.n_obs - 1
-        log_point = fit.mu_hat
-    else:
-        log_point = math.log(_point_total(fit, n_future))
+    log_point = math.log(_point_total(fit, n_future))
 
     def H(c):
         c = np.asarray(c, dtype=float)

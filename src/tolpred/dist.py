@@ -1,5 +1,6 @@
-"""Probability kernel: cdf/pdf/quantile/sampling for the distribution families
-used by the interval constructors, plus the noncentral t.
+"""Probability kernel: cdf/quantile/sampling for the distribution families
+used by the interval constructors, the noncentral t, and the two-sided
+critical values of the normal and Student-t pivots.
 
 All functions are pure; randomness is isolated in :class:`RngStream`, a value
 object whose (seed, stream_id) pair fully determines the draws.
@@ -12,17 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtri, stdtrit
 
 __all__ = [
     "ParameterDomainError",
     "DistSpec",
     "RngStream",
     "cdf",
-    "pdf",
     "quantile",
     "sample",
     "noncentral_t_cdf",
     "noncentral_t_quantile",
+    "critical_value",
 ]
 
 
@@ -42,8 +44,6 @@ FAMILIES = (
     "binomial",
     "weibull",
 )
-
-DISCRETE_FAMILIES = ("poisson", "binomial")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -91,10 +91,6 @@ class DistSpec:
             _require(0.0 <= p["p"] <= 1.0, "binomial p must be in [0,1]")
         elif fam == "weibull":
             _require(p["shape"] > 0 and p["scale"] > 0, "weibull shape/scale must be > 0")
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.family in DISCRETE_FAMILIES
 
     def _frozen(self):
         p = self.params
@@ -147,12 +143,6 @@ def weibull(shape: float, scale: float) -> DistSpec:
 def cdf(spec: DistSpec, x) -> float | np.ndarray:
     """Cumulative distribution function, vectorized over ``x``."""
     return spec._frozen().cdf(x)
-
-
-def pdf(spec: DistSpec, x) -> float | np.ndarray:
-    """Density (or pmf for discrete families)."""
-    fr = spec._frozen()
-    return fr.pmf(x) if spec.is_discrete else fr.pdf(x)
 
 
 def quantile(spec: DistSpec, p) -> float | np.ndarray:
@@ -236,3 +226,11 @@ def noncentral_t_quantile(p, df: float, nc: float) -> float | np.ndarray:
     else:
         out = stats.nct.ppf(p, df, nc)
     return float(out) if out.ndim == 0 else out
+
+
+def critical_value(level: float, crit: str = "z", df: float | None = None) -> float:
+    """Two-sided critical value: the 1-(1-level)/2 quantile of the standard
+    normal (``crit='z'``) or of Student t with ``df`` degrees of freedom
+    (``crit='t'``)."""
+    q = 1 - (1 - level) / 2
+    return stdtrit(df, q) if crit == "t" else ndtri(q)

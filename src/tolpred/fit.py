@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize, special, stats
 
+from .dist import critical_value
+
 __all__ = [
     "FitError",
     "InsufficientDataError",
@@ -98,22 +100,16 @@ class FitResult:
 
     def ci_g_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
         """Wald CI for g{mu} on the link scale."""
-        se = self.se_g_mu(se_kind)
-        g = math.log(self.mu_hat) if self.link == "log" else self.mu_hat
-        c = _crit(crit, level, self.n_obs - 1)
-        return g - c * se, g + c * se
+        half = critical_value(level, crit, self.n_obs - 1) * self.se_g_mu(se_kind)
+        g = np.log(self.mu_hat) if self.link == "log" else self.mu_hat
+        return g - half, g + half
 
     def ci_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
         """Wald CI for mu, transformed back from the link scale."""
-        lo, hi = self.ci_g_mu(level, se_kind, crit)
-        if self.link == "log":
-            return math.exp(lo), math.exp(hi)
-        return lo, hi
-
-
-def _crit(crit: str, level: float, df: int) -> float:
-    q = 1 - (1 - level) / 2
-    return stats.t.ppf(q, df) if crit == "t" else stats.norm.ppf(q)
+        if self.link != "log":
+            return self.ci_g_mu(level, se_kind, crit)
+        half = critical_value(level, crit, self.n_obs - 1) * self.se_g_mu(se_kind)
+        return self.mu_hat * np.exp(-half), self.mu_hat * np.exp(half)
 
 
 def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
@@ -399,12 +395,6 @@ def fit_weibull_censored(data) -> FitResult:
         cov_log_params=cov_ab,
         data=(tuple(t), tuple(ev)),
     )
-
-
-def weibull_survival(fit: FitResult):
-    """Survival function accessor S(t) for a Weibull fit."""
-    lam, k = fit.lam_hat, fit.k_hat
-    return lambda t: np.exp(-((np.asarray(t, dtype=float) / lam) ** k))
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,25 @@ Normal-theory exact and CI-plug-in forms, the link-pivot and CI-plug-in
 prediction intervals for sums, three approximate tolerance intervals
 (delta-method, noncentral-t, CI-plug-in), the F-pivot and plug-in
 comparators, the dispersed-count predictors, and the future-study
-odds-ratio predictor.
+odds-ratio predictor.  ``METHODS`` maps each coverage-table method name to
+its constructor; the coverage lab and the CLI both dispatch through it.
+
+The gamma-path constructors compute elementwise: a ``FitResult`` whose
+numeric fields are per-run arrays yields per-run endpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import special, stats
+from scipy.optimize import brentq
+from scipy.special import ndtri
 
+from .dist import critical_value
 from .fit import FitResult
 
 __all__ = [
@@ -38,11 +46,22 @@ __all__ = [
     "predict_count_kris",
     "predict_or",
     "predict_or_from",
+    "Method",
+    "METHODS",
 ]
+
+
+def _any(cond) -> bool:
+    """Truth of a scalar comparison, or of any element of an array one; a
+    plain comparison stays a plain ``bool`` test."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 @dataclass(frozen=True)
 class IntervalEstimate:
+    """Interval endpoints with their level and construction; the endpoints
+    are per-run arrays when the fit's numeric fields are."""
+
     lower: float
     upper: float
     level: float
@@ -54,7 +73,7 @@ class IntervalEstimate:
     def __post_init__(self):
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must be in (0,1)")
-        if self.lower > self.upper + 1e-12:
+        if _any(self.lower > self.upper + 1e-12):
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
     @property
@@ -84,14 +103,6 @@ class PredictionTarget:
             raise ValueError("future_units must be positive")
 
 
-def _zq(q: float) -> float:
-    return float(stats.norm.ppf(q))
-
-
-def _tq(q: float, df: float) -> float:
-    return float(stats.t.ppf(q, df))
-
-
 def se_from_ci(point: float, lower: float, upper: float, level: float = 0.95,
                crit: str = "z", df: int | None = None, side: str = "symmetric",
                link: str = "log") -> float:
@@ -102,7 +113,7 @@ def se_from_ci(point: float, lower: float, upper: float, level: float = 0.95,
     likelihood-ratio interval): 'lower', 'upper', or 'symmetric' (average).
     """
     g = math.log if link == "log" else (lambda v: v)
-    c = _tq(1 - (1 - level) / 2, df) if crit == "t" else _zq(1 - (1 - level) / 2)
+    c = critical_value(level, crit, df)
     w_lo = g(point) - g(lower)
     w_hi = g(upper) - g(point)
     if side == "lower":
@@ -125,11 +136,11 @@ def normal_exact_prediction(ybar: float, s: float, n: int, level: float,
     if n < 2:
         raise ValueError("need n >= 2")
     if sigma_known is not None:
-        c, sd = _zq(1 - (1 - level) / 2), sigma_known
+        c, sd = critical_value(level), sigma_known
     else:
         if s <= 0:
             raise ValueError("s must be positive")
-        c, sd = _tq(1 - (1 - level) / 2, n - 1), s
+        c, sd = critical_value(level, "t", n - 1), s
     half = c * sd * math.sqrt(1.0 / n + 1.0)
     return IntervalEstimate(ybar - half, ybar + half, level,
                             "normal_exact_prediction", "future_observation")
@@ -147,11 +158,11 @@ def normal_exact_tolerance(ybar: float, s: float, n: int, p: float, level: float
     rootn = math.sqrt(n)
     alpha = 1 - level
     if sided == "two":
-        lo = ybar + stats.nct.ppf(alpha / 2, n - 1, _zq((1 - p) / 2) * rootn) * s / rootn
-        hi = ybar + stats.nct.ppf(1 - alpha / 2, n - 1, _zq((1 + p) / 2) * rootn) * s / rootn
+        lo = ybar + stats.nct.ppf(alpha / 2, n - 1, ndtri((1 - p) / 2) * rootn) * s / rootn
+        hi = ybar + stats.nct.ppf(1 - alpha / 2, n - 1, ndtri((1 + p) / 2) * rootn) * s / rootn
         return IntervalEstimate(lo, hi, level, "normal_exact_tolerance",
                                 "middle_content", sided=sided, content_p=p)
-    nu = -_zq(p) * rootn
+    nu = -ndtri(p) * rootn
     if sided == "upper":
         hi = ybar + stats.nct.ppf(1 - alpha, n - 1, -nu) * s / rootn
         return IntervalEstimate(-math.inf, hi, level, "normal_exact_tolerance",
@@ -167,20 +178,20 @@ def normal_approx_prediction(ybar: float, s: float, n: int, level: float) -> Int
     Conservative relative to the exact form since 1/sqrt(n)+1 > sqrt(1/n+1).
     """
     alpha = 1 - level
-    t = _tq(1 - alpha / 2, n - 1)
+    t = critical_value(level, "t", n - 1)
     mu_lo, mu_hi = ybar - t * s / math.sqrt(n), ybar + t * s / math.sqrt(n)
-    return IntervalEstimate(mu_lo + _zq(alpha / 2) * s, mu_hi + _zq(1 - alpha / 2) * s,
+    return IntervalEstimate(mu_lo + ndtri(alpha / 2) * s, mu_hi + ndtri(1 - alpha / 2) * s,
                             level, "normal_approx_prediction", "future_observation")
 
 
 def normal_approx_tolerance(ybar: float, s: float, n: int, p: float, level: float) -> IntervalEstimate:
     """CI-plug-in tolerance using the chi-square upper limit for sigma."""
     alpha = 1 - level
-    t = _tq(1 - alpha / 2, n - 1)
+    t = critical_value(level, "t", n - 1)
     mu_lo, mu_hi = ybar - t * s / math.sqrt(n), ybar + t * s / math.sqrt(n)
     sigma_up = s * math.sqrt((n - 1) / stats.chi2.ppf(alpha, n - 1))
-    return IntervalEstimate(mu_lo + _zq((1 - p) / 2) * sigma_up,
-                            mu_hi + _zq((1 + p) / 2) * sigma_up,
+    return IntervalEstimate(mu_lo + ndtri((1 - p) / 2) * sigma_up,
+                            mu_hi + ndtri((1 + p) / 2) * sigma_up,
                             level, "normal_approx_tolerance", "middle_content",
                             content_p=p)
 
@@ -196,11 +207,10 @@ def predict_sum_link_from(mu_hat: float, se_g_mu: float, n: int, n_future: float
     if n_future < 1:
         raise ValueError("need at least one future observation")
     se_n = math.sqrt(n) * se_g_mu * math.sqrt(1.0 / n + 1.0 / n_future)
-    c = _tq(1 - (1 - level) / 2, n - 1) if crit == "t" else _zq(1 - (1 - level) / 2)
+    c = critical_value(level, crit, n - 1)
     if link == "log":
-        g = math.log(mu_hat)
-        lo = n_future * math.exp(g - c * se_n)
-        hi = n_future * math.exp(g + c * se_n)
+        lo = n_future * mu_hat * np.exp(-c * se_n)
+        hi = n_future * mu_hat * np.exp(c * se_n)
     else:
         lo = n_future * (mu_hat - c * se_n)
         hi = n_future * (mu_hat + c * se_n)
@@ -225,11 +235,11 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
             se_n = math.sqrt(2.0) * se
         else:
             se_n = se * math.sqrt(1.0 + fit.exposure_total / target.future_units)
-        z = _zq(1 - (1 - level) / 2)
+        z = critical_value(level)
         if link != "log":
             raise ValueError("count prediction implemented for the log link")
-        return IntervalEstimate(lam_total * math.exp(-z * se_n),
-                                lam_total * math.exp(z * se_n),
+        return IntervalEstimate(lam_total * np.exp(-z * se_n),
+                                lam_total * np.exp(z * se_n),
                                 level, "link_pivot", "future_sum")
     return predict_sum_link_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
                                  target.future_units, level, link=link)
@@ -241,12 +251,12 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
 def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
                              n_future: float, level: float) -> IntervalEstimate:
     """Gamma((N-n)k, mu/k) quantiles evaluated at the mu confidence limits."""
-    if mu_lower > mu_upper:
+    if _any(mu_lower > mu_upper):
         raise ValueError("mu CI out of order")
     alpha = 1 - level
     lo = stats.gamma.ppf(alpha / 2, n_future * k, scale=mu_lower / k)
     hi = stats.gamma.ppf(1 - alpha / 2, n_future * k, scale=mu_upper / k)
-    return IntervalEstimate(float(lo), float(hi), level, "ci_plug_prediction", "future_sum")
+    return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_sum")
 
 
 def predict_count_plugci(count_lower: float, count_upper: float,
@@ -282,13 +292,13 @@ def predict_sum_fpivot(ybar: float, n: int, n_future: float, k: float,
                        level: float) -> IntervalEstimate:
     """F-pivot interval ((N-n)*ybar*f_{a/2}, (N-n)*ybar*f_{1-a/2}) with
     df 2(N-n)k and 2nk; exact for exponential data when k=1."""
-    if ybar <= 0 or k <= 0:
+    if _any(ybar <= 0) or _any(k <= 0):
         raise ValueError("ybar and k must be positive")
     alpha = 1 - level
     d1, d2 = 2.0 * n_future * k, 2.0 * n * k
     lo = n_future * ybar * stats.f.ppf(alpha / 2, d1, d2)
     hi = n_future * ybar * stats.f.ppf(1 - alpha / 2, d1, d2)
-    return IntervalEstimate(float(lo), float(hi), level, "f_pivot", "future_sum")
+    return IntervalEstimate(lo, hi, level, "f_pivot", "future_sum")
 
 
 def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
@@ -297,8 +307,8 @@ def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
     alpha = 1 - level
     shape = target.future_units * fit.k_hat
     scale = fit.mu_hat / fit.k_hat
-    return IntervalEstimate(float(stats.gamma.ppf(alpha / 2, shape, scale=scale)),
-                            float(stats.gamma.ppf(1 - alpha / 2, shape, scale=scale)),
+    return IntervalEstimate(stats.gamma.ppf(alpha / 2, shape, scale=scale),
+                            stats.gamma.ppf(1 - alpha / 2, shape, scale=scale),
                             level, "plug_in", "future_sum")
 
 
@@ -311,30 +321,34 @@ def _sum_quantile(fit: FitResult, prob: float, n_future: float,
     mu = fit.mu_hat if mu is None else mu
     k = fit.k_hat if k is None else k
     if fit.family == "gamma":
-        return float(stats.gamma.ppf(prob, n_future * k, scale=mu / k))
+        return stats.gamma.ppf(prob, n_future * k, scale=mu / k)
     if fit.family == "weibull":
         if n_future != 1:
             raise ValueError("weibull sum quantiles only defined for single observations")
-        from scipy.special import gamma as gammafn
-        lam = mu / gammafn(1 + 1 / k)
-        return float(lam * (-math.log1p(-prob)) ** (1 / k))
+        lam = mu / special.gamma(1 + 1 / k)
+        return lam * (-math.log1p(-prob)) ** (1 / k)
     raise ValueError(f"no sum distribution for family {fit.family!r}")
 
 
-def _delta_se(fit: FitResult, prob: float, n_future: float) -> float:
-    """Delta-method SE of the sum quantile via central finite differences."""
+def _delta_se(fit: FitResult, prob: float, n_future: float, q=None):
+    """Delta-method SE of the sum quantile ``q`` (computed when not given).
+
+    Both sum distributions are linear in mu (gamma through scale=mu/k,
+    Weibull through lam=mu/Gamma(1+1/k)), so dq/dmu = q/mu exactly; dq/dk
+    is a central finite difference.
+    """
     mu, k = fit.mu_hat, fit.k_hat
-    h_mu = max(1e-4 * abs(mu), 1e-6)
-    h_k = max(1e-4 * abs(k), 1e-6)
-    d_mu = (_sum_quantile(fit, prob, n_future, mu=mu + h_mu)
-            - _sum_quantile(fit, prob, n_future, mu=mu - h_mu)) / (2 * h_mu)
+    if q is None:
+        q = _sum_quantile(fit, prob, n_future)
+    h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
+    d_mu = q / mu
     d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
            - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
-    var = ((d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2
-           + 2.0 * d_mu * d_k * (fit.cov_mu_k or 0.0))
-    if var < 0:
+    cov = 0.0 if fit.cov_mu_k is None else fit.cov_mu_k
+    var = (d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2 + 2.0 * d_mu * d_k * cov
+    if _any(var < 0):
         raise ValueError("negative delta-method variance; covariance is not PSD")
-    return math.sqrt(var)
+    return np.sqrt(var)
 
 
 def tolerance_delta(fit: FitResult, p: float, level: float, n_future: float,
@@ -344,14 +358,13 @@ def tolerance_delta(fit: FitResult, p: float, level: float, n_future: float,
     Endpoints g^{-1}{ g(q_hat) -/+ t_{n-1} * se } with the quantile SE
     propagated through central finite differences and the (mu, k) covariance.
     """
-    alpha = 1 - level
-    t = _tq(1 - alpha / 2, fit.n_obs - 1)
+    t = critical_value(level, "t", fit.n_obs - 1)
     out = []
     for prob, sign in (((1 - p) / 2, -1.0), ((1 + p) / 2, +1.0)):
         q = _sum_quantile(fit, prob, n_future)
-        se = _delta_se(fit, prob, n_future)
+        se = _delta_se(fit, prob, n_future, q)
         if link == "log":
-            out.append(q * math.exp(sign * t * se / q))
+            out.append(q * np.exp(sign * t * se / q))
         else:
             out.append(q + sign * t * se)
     return IntervalEstimate(out[0], out[1], level, "delta_tolerance",
@@ -367,9 +380,9 @@ def tolerance_nct(fit: FitResult, p: float, level: float,
     center = n_future * fit.mu_hat
     spread = n_future * fit.se_mu
     rho = math.sqrt(n) / math.sqrt(n_future)
-    lo = center + stats.nct.ppf(alpha / 2, n - 1, _zq((1 - p) / 2) * rho) * spread
-    hi = center + stats.nct.ppf(1 - alpha / 2, n - 1, _zq((1 + p) / 2) * rho) * spread
-    return IntervalEstimate(float(lo), float(hi), level, "nct_tolerance",
+    lo = center + stats.nct.ppf(alpha / 2, n - 1, ndtri((1 - p) / 2) * rho) * spread
+    hi = center + stats.nct.ppf(1 - alpha / 2, n - 1, ndtri((1 + p) / 2) * rho) * spread
+    return IntervalEstimate(lo, hi, level, "nct_tolerance",
                             "middle_content", content_p=p)
 
 
@@ -379,16 +392,18 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
                      se_kind: str = "sandwich", crit: str = "z") -> IntervalEstimate:
     """CI-plug-in tolerance (q_{(1-p)/2}(mu_l, k_l), q_{(1+p)/2}(mu_u, k_l)).
 
-    The lower k limit is used because the sum variance decreases in k.
+    The lower k limit is used because the sum variance decreases in k; it is
+    the Wald limit k*exp(-c*se_k/k) at the same critical value ``crit`` as
+    the mean limits.
     """
     if mu_ci is None:
         mu_ci = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo, mu_hi = mu_ci
-    if mu_lo > mu_hi:
+    if _any(mu_lo > mu_hi):
         raise ValueError("mu CI out of order")
     if k_lower is None:
-        z = _zq(1 - (1 - level) / 2)
-        k_lower = fit.k_hat * math.exp(-z * fit.se_k / fit.k_hat)
+        c = critical_value(level, crit, fit.n_obs - 1)
+        k_lower = fit.k_hat * np.exp(-c * fit.se_k / fit.k_hat)
     lo = _sum_quantile(fit, (1 - p) / 2, n_future, mu=mu_lo, k=k_lower)
     hi = _sum_quantile(fit, (1 + p) / 2, n_future, mu=mu_hi, k=k_lower)
     return IntervalEstimate(lo, hi, level, "ci_plug_tolerance",
@@ -426,7 +441,7 @@ def predict_count_kris(fit: FitResult, future_exposure: float,
         hi = max(10.0, 10.0 * lam * future_exposure)
         while f(hi) < 0:
             hi *= 2
-        return float(optimize.brentq(f, 0.0, hi, xtol=1e-10))
+        return float(brentq(f, 0.0, hi, xtol=1e-10))
 
     return IntervalEstimate(root(alpha / 2), root(1 - alpha / 2), level,
                             "kris_peng_count", "future_sum")
@@ -440,7 +455,7 @@ def predict_or_from(log_or: float, se_log_or: float, n: int, m: int,
     """exp( log(rho_hat) +/- t_{n-1} * sqrt(n) * se * sqrt(1/n + 1/m) )."""
     if m < 1:
         raise ValueError("future sample size must be >= 1")
-    half = (_tq(1 - (1 - level) / 2, n - 1)
+    half = (critical_value(level, "t", n - 1)
             * math.sqrt(n) * se_log_or * math.sqrt(1.0 / n + 1.0 / m))
     return IntervalEstimate(math.exp(log_or - half), math.exp(log_or + half),
                             level, "or_prediction", "observable_estimate")
@@ -450,3 +465,47 @@ def predict_or(fit2: FitResult, n: int, m: int, level: float) -> IntervalEstimat
     if fit2.family != "binomial_logit":
         raise ValueError("odds-ratio prediction requires a binomial-logit fit")
     return predict_or_from(fit2.mu_hat, fit2.se_g_mu("model"), n, m, level)
+
+
+# ---------------------------------------------------------------------------
+# method table shared by the coverage lab and the CLI
+
+@dataclass(frozen=True)
+class Method:
+    """One coverage-table method: what it predicts ('prediction' of the
+    future sum or 'tolerance' for the middle content of its distribution),
+    the ``FitResult`` fields it cannot do without, and its constructor
+    ``build(fit, level, n_future, p, se_kind, crit)``.  ``se_kind`` and
+    ``crit`` set the Wald mean limits of eq2 and eq5 and the eq5 shape
+    limit; the other methods carry their own convention."""
+
+    kind: str
+    needs: tuple
+    build: Callable[..., IntervalEstimate]
+
+
+def _target(fit: FitResult, n_future: float) -> PredictionTarget:
+    return PredictionTarget(fit.n_obs, n_future)
+
+
+METHODS = {
+    "eq1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+                  predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind)),
+    "eq2": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+                  predict_sum_plugci(fit, _target(fit, n_future), level,
+                                     se_kind=se_kind, crit=crit)),
+    "fpivot": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
+                     predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level)),
+    "fpivot_k1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+                        predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, 1.0, level)),
+    "plugin": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
+                     predict_sum_plugin(fit, _target(fit, n_future), level)),
+    "kris": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+                   predict_count_kris(fit, n_future, level)),
+    "eq3": Method("tolerance", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_delta(fit, p, level, n_future)),
+    "eq4": Method("tolerance", ("se_mu",), lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_nct(fit, p, level, n_future)),
+    "eq5": Method("tolerance", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_plugci(fit, p, level, n_future, se_kind=se_kind, crit=crit)),
+}

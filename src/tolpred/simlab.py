@@ -3,7 +3,9 @@
 Reproduces the gamma coverage tables (seven interval methods, prediction and
 tolerance targets) and the doubly stochastic Poisson-gamma site process in
 which per-site rates are drawn once and held fixed while exponential
-interarrivals accumulate to a study-level stream.
+interarrivals accumulate to a study-level stream.  Endpoints come from the
+``intervals.METHODS`` constructors, called once per cell on a fit whose
+fields are per-run arrays.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
+from . import dist, intervals
 from .dist import RngStream
-from .fit import gamma_shape_mle
+from .fit import FitResult, gamma_shape_mle
 
 __all__ = [
     "ScenarioSpec",
@@ -42,6 +45,11 @@ METHOD_LABELS = {
     "eq4": "Noncentral-t tolerance",
     "eq5": "CI plug-in tolerance",
 }
+# the lab's convention for the eq2/eq5 mean and shape limits: model-based SE
+# with the t critical value on n-1 df; it reproduces the published coverage
+# columns
+SE_KIND = "model"
+CRIT = "t"
 
 
 @dataclass(frozen=True)
@@ -148,8 +156,8 @@ def _draw_gamma_runs(spec: ScenarioSpec):
 
 
 def _gamma_fit_arrays(y: np.ndarray):
-    """Vectorized intercept-only gamma fits over rows: returns
-    (ybar, k_hat, se_log_model, se_k, ok_mask)."""
+    """Vectorized intercept-only gamma fits over rows: a gamma ``FitResult``
+    whose numeric fields are per-run arrays, and the mask of rows that fit."""
     ybar = y.mean(axis=1)
     s = np.log(ybar) - np.log(y).mean(axis=1)
     ok = s > 0
@@ -159,56 +167,16 @@ def _gamma_fit_arrays(y: np.ndarray):
     n = y.shape[1]
     se_log = 1.0 / np.sqrt(n * k)
     se_k = 1.0 / np.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
-    return ybar, k, se_log, se_k, ok
+    fit = FitResult(family="gamma", link="log", mu_hat=ybar, n_obs=n, k_hat=k,
+                    se_mu=ybar * se_log, se_g_mu_model=se_log, se_k=se_k,
+                    cov_mu_k=0.0)
+    return fit, ok
 
 
-def _interval_endpoints(method: str, level: float, p: float, n: int, n_fut: int,
-                        ybar, k, se_log, se_k):
-    """Vectorized endpoints of one method across runs."""
-    alpha = 1 - level
-    # mean/shape CI limits inside eq2/eq5 use the t critical value with n-1
-    # df; that convention reproduces the published coverage columns
-    t = stats.t.ppf(1 - alpha / 2, n - 1)
-    if method == "eq1":
-        se_n = np.sqrt(n) * se_log * math.sqrt(1.0 / n + 1.0 / n_fut)
-        return (n_fut * ybar * np.exp(-t * se_n), n_fut * ybar * np.exp(t * se_n))
-    if method == "eq2":
-        mu_lo, mu_hi = ybar * np.exp(-t * se_log), ybar * np.exp(t * se_log)
-        return (stats.gamma.ppf(alpha / 2, n_fut * k, scale=mu_lo / k),
-                stats.gamma.ppf(1 - alpha / 2, n_fut * k, scale=mu_hi / k))
-    if method in ("fpivot", "fpivot_k1"):
-        kk = np.ones_like(k) if method == "fpivot_k1" else k
-        return (n_fut * ybar * stats.f.ppf(alpha / 2, 2 * n_fut * kk, 2 * n * kk),
-                n_fut * ybar * stats.f.ppf(1 - alpha / 2, 2 * n_fut * kk, 2 * n * kk))
-    if method == "plugin":
-        return (stats.gamma.ppf(alpha / 2, n_fut * k, scale=ybar / k),
-                stats.gamma.ppf(1 - alpha / 2, n_fut * k, scale=ybar / k))
-    if method == "eq3":
-        se_mu = ybar * se_log
-        out = []
-        for prob, sign in (((1 - p) / 2, -1.0), ((1 + p) / 2, +1.0)):
-            q = stats.gamma.ppf(prob, n_fut * k, scale=ybar / k)
-            h_mu = np.maximum(1e-4 * ybar, 1e-6)
-            h_k = np.maximum(1e-4 * k, 1e-6)
-            d_mu = (stats.gamma.ppf(prob, n_fut * k, scale=(ybar + h_mu) / k)
-                    - stats.gamma.ppf(prob, n_fut * k, scale=(ybar - h_mu) / k)) / (2 * h_mu)
-            d_k = (stats.gamma.ppf(prob, n_fut * (k + h_k), scale=ybar / (k + h_k))
-                   - stats.gamma.ppf(prob, n_fut * (k - h_k), scale=ybar / (k - h_k))) / (2 * h_k)
-            se_q = np.sqrt((d_mu * se_mu) ** 2 + (d_k * se_k) ** 2)
-            out.append(q * np.exp(sign * t * se_q / q))
-        return tuple(out)
-    if method == "eq4":
-        se_mu = ybar * se_log
-        rho = math.sqrt(n) / math.sqrt(n_fut)
-        c_lo = stats.nct.ppf(alpha / 2, n - 1, stats.norm.ppf((1 - p) / 2) * rho)
-        c_hi = stats.nct.ppf(1 - alpha / 2, n - 1, stats.norm.ppf((1 + p) / 2) * rho)
-        return (n_fut * ybar + c_lo * n_fut * se_mu, n_fut * ybar + c_hi * n_fut * se_mu)
-    if method == "eq5":
-        mu_lo, mu_hi = ybar * np.exp(-t * se_log), ybar * np.exp(t * se_log)
-        k_lo = k * np.exp(-t * se_k / k)
-        return (stats.gamma.ppf((1 - p) / 2, n_fut * k_lo, scale=mu_lo / k_lo),
-                stats.gamma.ppf((1 + p) / 2, n_fut * k_lo, scale=mu_hi / k_lo))
-    raise ValueError(f"unknown method {method!r}")
+def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
+    iv = intervals.METHODS[method].build(fit, level, spec.N - spec.n, spec.content_p,
+                                         SE_KIND, CRIT)
+    return iv.lower, iv.upper
 
 
 def _aggregate(spec, covered_by_cell):
@@ -232,18 +200,15 @@ def run_gamma_coverage(spec: ScenarioSpec) -> CoverageReport:
     """
     if spec.data_process != "gamma_fixed":
         raise ValueError("run_gamma_coverage needs a gamma_fixed scenario")
-    n, n_fut = spec.n, spec.N - spec.n
     y, future = _draw_gamma_runs(spec)
-    ybar, k, se_log, se_k, ok = _gamma_fit_arrays(y)
-    q_true_lo = stats.gamma.ppf((1 - spec.content_p) / 2, n_fut * spec.k,
-                                scale=spec.mu / spec.k)
-    q_true_hi = stats.gamma.ppf((1 + spec.content_p) / 2, n_fut * spec.k,
-                                scale=spec.mu / spec.k)
+    fit, ok = _gamma_fit_arrays(y)
+    future_sum = dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k)
+    q_true_lo, q_true_hi = dist.quantile(
+        future_sum, [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
     results = {}
     for method in spec.methods:
         for level in spec.levels:
-            lo, hi = _interval_endpoints(method, level, spec.content_p, n, n_fut,
-                                         ybar, k, se_log, se_k)
+            lo, hi = _endpoints(method, fit, level, spec)
             if method in TOLERANCE_METHODS:
                 covered = (lo <= q_true_lo) & (q_true_hi <= hi)
             else:
@@ -262,7 +227,7 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
     """
     if spec.data_process != "poisson_gamma_sites":
         raise ValueError("run_poisson_gamma needs a poisson_gamma_sites scenario")
-    n, n_fut = spec.n, spec.N - spec.n
+    n = spec.n
     base = RngStream(spec.seed)
     fixed = None
     if spec.fixed_rates:
@@ -278,14 +243,13 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
         gaps = -np.log(gen.random(spec.N)) / total
         y[r] = gaps[:n]
         future[r] = gaps[n:].sum()
-    ybar, k, se_log, se_k, ok = _gamma_fit_arrays(y)
+    fit, ok = _gamma_fit_arrays(y)
     results = {}
     for method in spec.methods:
         if method in TOLERANCE_METHODS:
             raise ValueError("tolerance targets are undefined for the site process")
         for level in spec.levels:
-            lo, hi = _interval_endpoints(method, level, spec.content_p, n, n_fut,
-                                         ybar, k, se_log, se_k)
+            lo, hi = _endpoints(method, fit, level, spec)
             covered = (lo <= future) & (future <= hi)
             results[(method, level)] = (covered, ok & np.isfinite(lo) & np.isfinite(hi))
     return _aggregate(spec, results)

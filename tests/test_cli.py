@@ -177,6 +177,43 @@ def test_unknown_method_rejected(capsys, gamma_csv):
                  "--method", "eq7", "--n-future", "280"]) == 1
 
 
+@pytest.fixture
+def family_csvs(tmp_path, gamma_csv):
+    gen = np.random.default_rng(10)
+    counts = tmp_path / "counts.csv"
+    exposure = gen.uniform(5.0, 15.0, size=12)
+    events = gen.poisson(2.7 * exposure)
+    counts.write_text("events,exposure\n" + "\n".join(
+        f"{x},{e:.6g}" for x, e in zip(events, exposure)) + "\n")
+    binom = tmp_path / "binom.csv"
+    trt = np.repeat([0, 1], 30)
+    y = (gen.random(60) < np.where(trt == 1, 0.6, 0.35)).astype(int)
+    binom.write_text("y,trt\n" + "\n".join(f"{a},{b}" for a, b in zip(y, trt)) + "\n")
+    return {"gamma": gamma_csv[0], "quasipoisson": counts, "binomial": binom}
+
+
+@pytest.mark.parametrize("command, family, method, n_future", [
+    ("predict", "gamma", "fpivot", None),
+    ("tolerance", "gamma", "eq3", None),
+    ("predict", "quasipoisson", "fpivot", "5"),
+    ("predict", "quasipoisson", "plugin", "5"),
+    ("tolerance", "quasipoisson", "eq5", "5"),
+    ("predict", "binomial", "fpivot", "5"),
+    ("tolerance", "binomial", "eq4", "5"),
+])
+def test_unusable_method_is_config_error(capsys, family_csvs, command, family,
+                                         method, n_future):
+    argv = [command, "--family", family, "--input", str(family_csvs[family]),
+            "--method", method]
+    if n_future is not None:
+        argv += ["--n-future", n_future]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and method in err and family in err
+
+
 # ---------------------------------------------------------------------------
 # curve
 

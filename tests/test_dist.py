@@ -62,6 +62,15 @@ def test_standard_normal_975_quantile():
     assert dist.quantile(dist.normal(0, 1), 0.975) == pytest.approx(1.959964, abs=1e-6)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.95, 0.999])
+def test_critical_value_matches_reference_quantiles(level):
+    q = 1 - (1 - level) / 2
+    assert dist.critical_value(level) == pytest.approx(stats.norm.ppf(q), rel=1e-14)
+    for df in (1, 19, 299):
+        assert dist.critical_value(level, "t", df) == pytest.approx(
+            stats.t.ppf(q, df), rel=1e-14)
+
+
 def test_gamma_quantile_recruitment_sum():
     # total-time lower limit for 280 future arrivals at the lower mean limit
     q = dist.quantile(dist.gamma(280 * 5.22, 2.13 / 5.22), 0.025)

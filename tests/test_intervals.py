@@ -306,6 +306,19 @@ def test_plugci_tolerance_monotone_in_k_lower():
     assert wide.upper >= narrow.upper
 
 
+@pytest.mark.parametrize("crit", ["z", "t"])
+def test_plugci_tolerance_shape_limit_at_crit(crit):
+    # the lower shape limit uses the same critical value as the mean limits
+    fr = gamma_fit(seed=41)
+    q = 0.975
+    c = stats.t.ppf(q, fr.n_obs - 1) if crit == "t" else stats.norm.ppf(q)
+    got = tolerance_plugci(fr, 0.5, 0.95, 280, se_kind="model", crit=crit)
+    want = tolerance_plugci(fr, 0.5, 0.95, 280, se_kind="model", crit=crit,
+                            k_lower=fr.k_hat * math.exp(-c * fr.se_k / fr.k_hat))
+    assert got.lower == pytest.approx(want.lower, rel=1e-12)
+    assert got.upper == pytest.approx(want.upper, rel=1e-12)
+
+
 def test_plugci_tolerance_degenerate_is_plugin_pair():
     fr = gamma_fit(seed=40)
     iv = tolerance_plugci(fr, 0.5, 0.95, 280, mu_ci=(fr.mu_hat, fr.mu_hat),

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from tolpred import simlab
+from tolpred import intervals, simlab
+from tolpred.fit import fit_gamma_intercept
 from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table,
                             run_gamma_coverage, run_poisson_gamma)
 
@@ -151,6 +153,34 @@ def test_tolerance_coverage_orders():
     rep = run_gamma_coverage(spec)
     for m in ("eq4", "eq5"):
         assert 0.85 < rep.cell(m, 0.95).observed <= 1.0
+
+
+def test_lab_endpoints_are_the_table_run_by_run():
+    # one array call per cell equals the same table entry called on each
+    # run's scalar fit in the lab convention (model SE, t critical value),
+    # and the reported coverage is the coverage of those scalar intervals
+    spec = gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95),
+                      n_runs=200, seed=3)
+    n_fut, p = spec.N - spec.n, spec.content_p
+    y, future = simlab._draw_gamma_runs(spec)
+    fit, ok = simlab._gamma_fit_arrays(y)
+    assert ok.all()
+    fits = [fit_gamma_intercept(row) for row in y]
+    q_lo, q_hi = stats.gamma.ppf([(1 - p) / 2, (1 + p) / 2], n_fut * spec.k,
+                                 scale=spec.mu / spec.k)
+    report = run_gamma_coverage(spec)
+    for name in spec.methods:
+        method = intervals.METHODS[name]
+        for level in spec.levels:
+            lo, hi = simlab._endpoints(name, fit, level, spec)
+            runs = [method.build(f, level, n_fut, p, "model", "t") for f in fits]
+            np.testing.assert_allclose(lo, [iv.lower for iv in runs], rtol=1e-12)
+            np.testing.assert_allclose(hi, [iv.upper for iv in runs], rtol=1e-12)
+            if method.kind == "tolerance":
+                covered = [iv.lower <= q_lo and q_hi <= iv.upper for iv in runs]
+            else:
+                covered = [iv.contains(x) for iv, x in zip(runs, future)]
+            assert report.cell(name, level).observed == np.mean(covered)
 
 
 def test_wrong_process_rejected():
