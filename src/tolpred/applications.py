@@ -87,9 +87,12 @@ def _read_rows(path, columns):
         rows = []
         for i, row in enumerate(reader, start=2):
             try:
-                rows.append([float(row[c]) for c in columns])
+                vals = [float(row[c]) for c in columns]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: unparseable row at line {i}") from exc
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}: non-finite value at line {i}")
+            rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -118,9 +118,12 @@ def _read_values_csv(path, column="value") -> np.ndarray:
             vals = []
             for i, row in enumerate(reader, start=2):
                 try:
-                    vals.append(float(row[column]))
+                    val = float(row[column])
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{path}: unparseable row at line {i}") from exc
+                if not math.isfinite(val):
+                    raise ParseError(f"{path}: non-finite value at line {i}")
+                vals.append(val)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not vals:
@@ -138,7 +141,7 @@ def _fit_from_args(args) -> FitResult:
         return fit_quasipoisson(arr[:, 0], arr[:, 1], link=args.link or "log")
     if fam == "binomial":
         arr = applications._read_rows(args.input, ["y", "trt"])
-        return fit_binomial_logit(arr[:, 0].astype(int), arr[:, 1].astype(int))
+        return fit_binomial_logit(arr[:, 0], arr[:, 1])
     if fam == "weibull":
         return fit_weibull_censored(applications.load_survival_csv(args.input))
     raise ConfigError(f"unknown family {fam!r}")
@@ -166,7 +169,10 @@ def _interval_to_dict(iv: intervals.IntervalEstimate) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in the output: {exc}") from exc
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")
     else:
@@ -443,6 +449,10 @@ def main(argv=None) -> int:
         for key, default in _DEFAULTS.items():
             if getattr(args, key, "missing") is None:
                 setattr(args, key, default)
+        for key in ("level", "content"):
+            val = getattr(args, key, None)
+            if val is not None and not 0.0 < float(val) < 1.0:
+                raise ConfigError(f"--{key} must be in (0, 1), got {val}")
         for req in ("input", "family"):
             if hasattr(args, req) and getattr(args, req) is None \
                     and args.command not in ("simulate", "recruit", "survival"):

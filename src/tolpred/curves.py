@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
+from scipy.optimize import brentq
+from scipy.special import fdtr, gammaincinv, ndtr, ndtri, stdtr
 
 from .fit import FitResult
 
@@ -86,10 +87,6 @@ def _combined_se(fit: FitResult, n_future: float, se_kind: str):
     return se_n, n - 1
 
 
-def _ref_cdf(x, df):
-    return stats.norm.cdf(x) if df is None else stats.t.cdf(x, df)
-
-
 def _point_total(fit: FitResult, n_future: float) -> float:
     if fit.family == "binomial_logit":
         return math.exp(fit.mu_hat)
@@ -104,7 +101,8 @@ def _H_link_pivot(fit: FitResult, n_future: float, se_kind: str):
         c = np.asarray(c, dtype=float)
         if np.any(c <= 0):
             raise ValueError("hypothesis must be positive under the log link")
-        return _ref_cdf((np.log(c) - log_point) / se_n, df)
+        z = (np.log(c) - log_point) / se_n
+        return ndtr(z) if df is None else stdtr(df, z)
 
     return H
 
@@ -117,7 +115,7 @@ def _H_f_pivot(fit: FitResult, n_future: float, k: float | None = None):
         c = np.asarray(c, dtype=float)
         if np.any(c <= 0):
             raise ValueError("hypothesis must be positive")
-        return stats.f.cdf(c / (n_future * ybar), 2.0 * n_future * k, 2.0 * n * k)
+        return fdtr(2.0 * n_future * k, 2.0 * n * k, c / (n_future * ybar))
 
     return H
 
@@ -127,15 +125,15 @@ def _ci_plug_parametric(fit: FitResult, n_future: float, se_kind: str,
     """Hypothesis values c(h) whose CI-plug-in p-value equals h: the h-quantile
     of the sum distribution at the Wald mean limit matched to h."""
     se = fit.se_g_mu(se_kind)
-    z = stats.norm.ppf(h_grid)
+    z = ndtri(h_grid)
     if fit.family == "gamma":
         mu = fit.mu_hat * np.exp(z * se)
         k = fit.k_hat
-        return stats.gamma.ppf(h_grid, n_future * k, scale=mu / k)
+        return gammaincinv(n_future * k, h_grid) * (mu / k)
     if fit.family == "quasipoisson":
         lam = fit.mu_hat * np.exp(z * se)
         phi = fit.dispersion_scale
-        return stats.gamma.ppf(h_grid, lam * n_future / phi, scale=phi)
+        return gammaincinv(lam * n_future / phi, h_grid) * phi
     raise ValueError(f"no sum distribution for family {fit.family!r}")
 
 
@@ -215,7 +213,7 @@ def _invert_H(H_fun, h: float, point: float) -> float:
             raise RuntimeError("p-value function never reaches its upper tail")
     if lo == hi:
         return lo
-    return float(optimize.brentq(f, lo, hi, xtol=1e-12 * max(1.0, point)))
+    return float(brentq(f, lo, hi, xtol=1e-12 * max(1.0, point)))
 
 
 def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,
@@ -236,8 +234,8 @@ def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,
         if threshold <= 0:
             raise ValueError("odds-ratio threshold must be positive")
         se_n = math.sqrt(n) * se * math.sqrt(1.0 / n + 1.0 / m)
-        return float(stats.t.cdf((log_or - math.log(threshold)) / se_n, n - 1))
+        return float(stdtr(n - 1, (log_or - math.log(threshold)) / se_n))
     if statistic_scale == "z_statistic":
         stat = (log_or / (se * math.sqrt(n / m)) - threshold) / math.sqrt(m / n + 1.0)
-        return float(stats.t.cdf(stat, n - 1))
+        return float(stdtr(n - 1, stat))
     raise ValueError(f"unknown statistic scale {statistic_scale!r}")

@@ -2,6 +2,10 @@
 used by the interval constructors, the noncentral t, and the two-sided
 critical values of the normal and Student-t pivots.
 
+The kernel is ``scipy.special``: each cdf and quantile is the ufunc that
+SciPy's distribution objects evaluate, on the same arguments, so results
+are theirs bit for bit without loading SciPy's statistics package.
+
 All functions are pure; randomness is isolated in :class:`RngStream`, a value
 object whose (seed, stream_id) pair fully determines the draws.
 """
@@ -12,8 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri, stdtrit
+from scipy.special import (bdtr, bdtrik, chdtr, expm1, fdtr, fdtri, gammainc,
+                           gammaincinv, log1p, nctdtr, nctdtrit, ndtr, ndtri,
+                           pdtr, pdtrik, stdtr, stdtrit)
 
 __all__ = [
     "ParameterDomainError",
@@ -32,18 +37,46 @@ class ParameterDomainError(ValueError):
     """A distribution parameter or function argument is outside its domain."""
 
 
-FAMILIES = (
-    "normal",
-    "student_t",
-    "noncentral_t",
-    "chi_square",
-    "f",
-    "gamma",
-    "exponential",
-    "poisson",
-    "binomial",
-    "weibull",
-)
+def _discrete(cdf_at, inverse):
+    """(cdf, quantile) of an integer-valued family from its cdf at integers
+    and the real-valued inverse; the quantile is scipy's ceil-and-step."""
+    def cdf_(x, p):
+        k = np.floor(x)
+        return np.where(k < 0, 0.0, cdf_at(np.maximum(k, 0.0), p))[()]
+
+    def quantile_(q, p):
+        k = np.ceil(inverse(q, p))
+        below = np.maximum(k - 1, 0.0)
+        return np.where(cdf_at(below, p) >= q, below, k)
+
+    return cdf_, quantile_
+
+
+# family -> (cdf(x, params), quantile(q, params)); the families on [0, inf)
+# see x clipped at 0, where their cdf is 0
+_KERNEL = {
+    "normal": (lambda x, p: ndtr((x - p["mean"]) / p["sd"]),
+               lambda q, p: ndtri(q) * p["sd"] + p["mean"]),
+    "student_t": (lambda x, p: stdtr(p["df"], x), lambda q, p: stdtrit(p["df"], q)),
+    "noncentral_t": (lambda x, p: nctdtr(p["df"], p["nc"], x),
+                     lambda q, p: nctdtrit(p["df"], p["nc"], q)),
+    "chi_square": (lambda x, p: chdtr(p["df"], np.maximum(x, 0.0)),
+                   lambda q, p: 2 * gammaincinv(p["df"] / 2, q)),
+    "f": (lambda x, p: fdtr(p["df1"], p["df2"], np.maximum(x, 0.0)),
+          lambda q, p: fdtri(p["df1"], p["df2"], q)),
+    "gamma": (lambda x, p: gammainc(p["shape"], np.maximum(x, 0.0) / p["scale"]),
+              lambda q, p: gammaincinv(p["shape"], q) * p["scale"]),
+    "exponential": (lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["mean"])),
+                    lambda q, p: -log1p(-q) * p["mean"]),
+    "poisson": _discrete(lambda k, p: pdtr(k, p["lam"]),
+                         lambda q, p: pdtrik(q, p["lam"])),
+    # bdtrik is NaN at p=0, where all the mass sits at 0
+    "binomial": _discrete(lambda k, p: bdtr(np.minimum(k, p["n"]), int(p["n"]), p["p"]),
+                          lambda q, p: np.nan_to_num(bdtrik(q, int(p["n"]), p["p"]))),
+    "weibull": (lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["scale"]) ** p["shape"]),
+                lambda q, p: (-log1p(-q)) ** (1.0 / p["shape"]) * p["scale"]),
+}
+FAMILIES = tuple(_KERNEL)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -92,31 +125,6 @@ class DistSpec:
         elif fam == "weibull":
             _require(p["shape"] > 0 and p["scale"] > 0, "weibull shape/scale must be > 0")
 
-    def _frozen(self):
-        p = self.params
-        fam = self.family
-        if fam == "normal":
-            return stats.norm(p["mean"], p["sd"])
-        if fam == "student_t":
-            return stats.t(p["df"])
-        if fam == "noncentral_t":
-            return stats.nct(p["df"], p["nc"])
-        if fam == "chi_square":
-            return stats.chi2(p["df"])
-        if fam == "f":
-            return stats.f(p["df1"], p["df2"])
-        if fam == "gamma":
-            return stats.gamma(p["shape"], scale=p["scale"])
-        if fam == "exponential":
-            return stats.expon(scale=p["mean"])
-        if fam == "poisson":
-            return stats.poisson(p["lam"])
-        if fam == "binomial":
-            return stats.binom(int(p["n"]), p["p"])
-        if fam == "weibull":
-            return stats.weibull_min(p["shape"], scale=p["scale"])
-        raise ParameterDomainError(fam)
-
 
 # convenience constructors
 
@@ -142,7 +150,7 @@ def weibull(shape: float, scale: float) -> DistSpec:
 
 def cdf(spec: DistSpec, x) -> float | np.ndarray:
     """Cumulative distribution function, vectorized over ``x``."""
-    return spec._frozen().cdf(x)
+    return _KERNEL[spec.family][0](np.asarray(x, dtype=float), spec.params)
 
 
 def quantile(spec: DistSpec, p) -> float | np.ndarray:
@@ -150,7 +158,7 @@ def quantile(spec: DistSpec, p) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ParameterDomainError("quantile probability must be in (0,1)")
-    out = spec._frozen().ppf(p)
+    out = _KERNEL[spec.family][1](p, spec.params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,9 +217,7 @@ def noncentral_t_cdf(x, df: float, nc: float) -> float | np.ndarray:
     """Noncentral-t cdf; reduces exactly to the central t at nc=0."""
     if df <= 0:
         raise ParameterDomainError("df must be > 0")
-    if nc == 0.0:
-        return stats.t.cdf(x, df)
-    return stats.nct.cdf(x, df, nc)
+    return stdtr(df, x) if nc == 0.0 else nctdtr(df, nc, x)
 
 
 def noncentral_t_quantile(p, df: float, nc: float) -> float | np.ndarray:
@@ -221,10 +227,7 @@ def noncentral_t_quantile(p, df: float, nc: float) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ParameterDomainError("probability must be in (0,1)")
-    if nc == 0.0:
-        out = stats.t.ppf(p, df)
-    else:
-        out = stats.nct.ppf(p, df, nc)
+    out = stdtrit(df, p) if nc == 0.0 else nctdtrit(df, nc, p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
+from scipy.optimize import brentq, minimize_scalar
 
 from .dist import critical_value
 
@@ -275,13 +276,16 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log",
 def fit_binomial_logit(y, trt, continuity: bool = False) -> FitResult:
     """Two-arm binomial fit; mu_hat is the log odds ratio (treated vs control).
 
-    Closed-form 2x2 MLE; SE = sqrt(1/a+1/b+1/c+1/d).  A zero cell raises
-    SeparationError unless ``continuity`` adds the 0.5 correction.
+    Closed-form 2x2 MLE; SE = sqrt(1/a+1/b+1/c+1/d).  ``y`` and ``trt`` must
+    be 0/1 (FitError otherwise).  A zero cell raises SeparationError unless
+    ``continuity`` adds the 0.5 correction.
     """
-    y = np.asarray(y, dtype=int)
-    trt = np.asarray(trt, dtype=int)
+    y, trt = np.asarray(y), np.asarray(trt)
     if y.shape != trt.shape:
         raise FitError("y and trt lengths differ")
+    if not np.all(np.isin(y, (0, 1)) & np.isin(trt, (0, 1))):
+        raise FitError("binomial y and trt must be 0 or 1")
+    y, trt = y.astype(int), trt.astype(int)
     if not (np.any(trt == 1) and np.any(trt == 0)):
         raise InsufficientDataError("both arms must contain subjects")
     a = float(np.sum((trt == 1) & (y == 1)))
@@ -436,7 +440,7 @@ def _gamma_profile_deviance(y: np.ndarray, mu: float | None, k: float | None,
     if k is None:  # profile over k at fixed mu: mu fixed, k maximized
         def neg(logk):
             return -_gamma_loglik(y, mu, math.exp(logk))
-        res = optimize.minimize_scalar(neg, bracket=(math.log(k_hat) - 1, math.log(k_hat) + 1))
+        res = minimize_scalar(neg, bracket=(math.log(k_hat) - 1, math.log(k_hat) + 1))
         lp = -res.fun
     else:  # fixed k: mu profile-MLE is ybar for every k
         lp = _gamma_loglik(y, mu_hat, k)
@@ -452,7 +456,7 @@ def profile_lr_ci(fit: FitResult, param: str, level: float):
     if fit.family != "gamma":
         raise FitError("profile LR CI implemented for gamma fits")
     y = np.asarray(fit.data[0], dtype=float)
-    target = stats.chi2.ppf(level, 1)
+    target = 2 * special.gammaincinv(0.5, level)
     mu_hat, k_hat = fit.mu_hat, fit.k_hat
 
     if param == "mu":
@@ -475,8 +479,8 @@ def profile_lr_ci(fit: FitResult, param: str, level: float):
             if x_new <= 0:
                 x_new = x / 2 if direction < 0 else x * 2
             if dev(x_new) > 0:
-                return float(optimize.brentq(dev, min(x_new, x), max(x_new, x),
-                                             xtol=1e-12, rtol=1e-10))
+                return float(brentq(dev, min(x_new, x), max(x_new, x),
+                                   xtol=1e-12, rtol=1e-10))
             x = x_new
             step *= 1.6
         raise NonConvergenceError("profile deviance never crossed the target")

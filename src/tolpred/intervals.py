@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
-from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy import special
+from scipy.special import fdtri, gammaincinv, nctdtrit, ndtr, ndtri
 
 from .dist import critical_value
 from .fit import FitResult
@@ -158,16 +157,16 @@ def normal_exact_tolerance(ybar: float, s: float, n: int, p: float, level: float
     rootn = math.sqrt(n)
     alpha = 1 - level
     if sided == "two":
-        lo = ybar + stats.nct.ppf(alpha / 2, n - 1, ndtri((1 - p) / 2) * rootn) * s / rootn
-        hi = ybar + stats.nct.ppf(1 - alpha / 2, n - 1, ndtri((1 + p) / 2) * rootn) * s / rootn
+        lo = ybar + nctdtrit(n - 1, ndtri((1 - p) / 2) * rootn, alpha / 2) * s / rootn
+        hi = ybar + nctdtrit(n - 1, ndtri((1 + p) / 2) * rootn, 1 - alpha / 2) * s / rootn
         return IntervalEstimate(lo, hi, level, "normal_exact_tolerance",
                                 "middle_content", sided=sided, content_p=p)
     nu = -ndtri(p) * rootn
     if sided == "upper":
-        hi = ybar + stats.nct.ppf(1 - alpha, n - 1, -nu) * s / rootn
+        hi = ybar + nctdtrit(n - 1, -nu, 1 - alpha) * s / rootn
         return IntervalEstimate(-math.inf, hi, level, "normal_exact_tolerance",
                                 "population_percentile", sided=sided, content_p=p)
-    lo = ybar + stats.nct.ppf(alpha, n - 1, nu) * s / rootn
+    lo = ybar + nctdtrit(n - 1, nu, alpha) * s / rootn
     return IntervalEstimate(lo, math.inf, level, "normal_exact_tolerance",
                             "population_percentile", sided=sided, content_p=p)
 
@@ -189,7 +188,7 @@ def normal_approx_tolerance(ybar: float, s: float, n: int, p: float, level: floa
     alpha = 1 - level
     t = critical_value(level, "t", n - 1)
     mu_lo, mu_hi = ybar - t * s / math.sqrt(n), ybar + t * s / math.sqrt(n)
-    sigma_up = s * math.sqrt((n - 1) / stats.chi2.ppf(alpha, n - 1))
+    sigma_up = s * math.sqrt((n - 1) / (2 * gammaincinv((n - 1) / 2, alpha)))
     return IntervalEstimate(mu_lo + ndtri((1 - p) / 2) * sigma_up,
                             mu_hi + ndtri((1 + p) / 2) * sigma_up,
                             level, "normal_approx_tolerance", "middle_content",
@@ -254,8 +253,8 @@ def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
     if _any(mu_lower > mu_upper):
         raise ValueError("mu CI out of order")
     alpha = 1 - level
-    lo = stats.gamma.ppf(alpha / 2, n_future * k, scale=mu_lower / k)
-    hi = stats.gamma.ppf(1 - alpha / 2, n_future * k, scale=mu_upper / k)
+    lo = gammaincinv(n_future * k, alpha / 2) * (mu_lower / k)
+    hi = gammaincinv(n_future * k, 1 - alpha / 2) * (mu_upper / k)
     return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_sum")
 
 
@@ -267,8 +266,8 @@ def predict_count_plugci(count_lower: float, count_upper: float,
         raise ValueError("count CI out of order")
     alpha = 1 - level
     phi = dispersion_scale
-    lo = stats.gamma.ppf(alpha / 2, count_lower / phi, scale=phi)
-    hi = stats.gamma.ppf(1 - alpha / 2, count_upper / phi, scale=phi)
+    lo = gammaincinv(count_lower / phi, alpha / 2) * phi
+    hi = gammaincinv(count_upper / phi, 1 - alpha / 2) * phi
     return IntervalEstimate(float(lo), float(hi), level, "ci_plug_prediction", "future_sum")
 
 
@@ -296,8 +295,8 @@ def predict_sum_fpivot(ybar: float, n: int, n_future: float, k: float,
         raise ValueError("ybar and k must be positive")
     alpha = 1 - level
     d1, d2 = 2.0 * n_future * k, 2.0 * n * k
-    lo = n_future * ybar * stats.f.ppf(alpha / 2, d1, d2)
-    hi = n_future * ybar * stats.f.ppf(1 - alpha / 2, d1, d2)
+    lo = n_future * ybar * fdtri(d1, d2, alpha / 2)
+    hi = n_future * ybar * fdtri(d1, d2, 1 - alpha / 2)
     return IntervalEstimate(lo, hi, level, "f_pivot", "future_sum")
 
 
@@ -307,8 +306,8 @@ def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
     alpha = 1 - level
     shape = target.future_units * fit.k_hat
     scale = fit.mu_hat / fit.k_hat
-    return IntervalEstimate(stats.gamma.ppf(alpha / 2, shape, scale=scale),
-                            stats.gamma.ppf(1 - alpha / 2, shape, scale=scale),
+    return IntervalEstimate(gammaincinv(shape, alpha / 2) * scale,
+                            gammaincinv(shape, 1 - alpha / 2) * scale,
                             level, "plug_in", "future_sum")
 
 
@@ -321,7 +320,7 @@ def _sum_quantile(fit: FitResult, prob: float, n_future: float,
     mu = fit.mu_hat if mu is None else mu
     k = fit.k_hat if k is None else k
     if fit.family == "gamma":
-        return stats.gamma.ppf(prob, n_future * k, scale=mu / k)
+        return gammaincinv(n_future * k, prob) * (mu / k)
     if fit.family == "weibull":
         if n_future != 1:
             raise ValueError("weibull sum quantiles only defined for single observations")
@@ -380,8 +379,8 @@ def tolerance_nct(fit: FitResult, p: float, level: float,
     center = n_future * fit.mu_hat
     spread = n_future * fit.se_mu
     rho = math.sqrt(n) / math.sqrt(n_future)
-    lo = center + stats.nct.ppf(alpha / 2, n - 1, ndtri((1 - p) / 2) * rho) * spread
-    hi = center + stats.nct.ppf(1 - alpha / 2, n - 1, ndtri((1 + p) / 2) * rho) * spread
+    lo = center + nctdtrit(n - 1, ndtri((1 - p) / 2) * rho, alpha / 2) * spread
+    hi = center + nctdtrit(n - 1, ndtri((1 + p) / 2) * rho, 1 - alpha / 2) * spread
     return IntervalEstimate(lo, hi, level, "nct_tolerance",
                             "middle_content", content_p=p)
 
@@ -420,30 +419,29 @@ def kris_count_cdf(x, lam: float, e_obs: float, e_future: float,
     x = np.asarray(x, dtype=float)
     num = lam * e_future * e_obs - e_obs * x
     den = np.sqrt(dispersion_scale * (e_future * e_obs * (lam * e_obs + x)))
-    out = 1.0 - stats.norm.cdf(num / den)
+    out = 1.0 - ndtr(num / den)
     return float(out) if out.ndim == 0 else out
 
 
 def predict_count_kris(fit: FitResult, future_exposure: float,
                        level: float) -> IntervalEstimate:
-    """Prediction interval for a future count by inverting the dispersed
-    joint-sampling pivot."""
+    """Prediction interval for a future count from the dispersed
+    joint-sampling pivot, in closed form: squared, both cdf equations read
+    a*x^2 - b*(2*a*L + z^2*phi)*x + a*b*L*(L*b - z^2*phi) = 0 (a, b the
+    observed and future exposures, L the rate, phi the dispersion scale, z
+    the critical value); the limits are its roots, the lower one clamped at
+    0 when the cdf at 0 already reaches alpha/2."""
     if fit.family != "quasipoisson":
         raise ValueError("count prediction requires a quasi-Poisson fit")
-    lam, e_obs = fit.mu_hat, fit.exposure_total
-    if lam <= 0 or e_obs <= 0 or future_exposure <= 0:
+    lam, a, b = fit.mu_hat, fit.exposure_total, future_exposure
+    if lam <= 0 or a <= 0 or b <= 0:
         raise ValueError("rate and exposures must be positive")
-    phi = fit.dispersion_scale
-    alpha = 1 - level
-
-    def root(target):
-        f = lambda x: kris_count_cdf(x, lam, e_obs, future_exposure, phi) - target
-        hi = max(10.0, 10.0 * lam * future_exposure)
-        while f(hi) < 0:
-            hi *= 2
-        return float(brentq(f, 0.0, hi, xtol=1e-10))
-
-    return IntervalEstimate(root(alpha / 2), root(1 - alpha / 2), level,
+    z2phi = critical_value(level) ** 2 * fit.dispersion_scale
+    # larger root times a, summed without cancellation; smaller root = c/big
+    big = 0.5 * (b * (2 * a * lam + z2phi)
+                 + math.sqrt(z2phi * b * (4 * a * lam * b + z2phi * b + 4 * a * a * lam)))
+    c = a * b * lam * (lam * b - z2phi)
+    return IntervalEstimate(max(c / big, 0.0), big / a, level,
                             "kris_peng_count", "future_sum")
 
 

@@ -124,6 +124,35 @@ def test_degenerate_data_is_fit_error(capsys, tmp_path):
                  "--method", "eq2", "--n-future", "280"]) == 3
 
 
+GAMMA_ROWS = "value\n1.2\n2.3\n0.7\n3.1\n"
+ZERO_LOWER_ROWS = "events,exposure\n0,10\n3,10\n0,10\n5,10\n0,10\n1,10\n"
+
+
+@pytest.mark.parametrize("rows, argv, code", [
+    ("value\n1.2\n2.3\nnan\n3.1\n", ["fit", "--family", "gamma"], 2),
+    ("events,exposure\n3,10\n4,inf\n", ["fit", "--family", "quasipoisson"], 2),
+    (GAMMA_ROWS, ["tolerance", "--family", "gamma", "--method", "eq3", "eq4", "eq5",
+                  "--n-future", "5", "--content", "1.2"], 1),
+    (GAMMA_ROWS, ["predict", "--family", "gamma", "--n-future", "5", "--level", "1.5"], 1),
+    ("y,trt\n1,1\n0,1\n1,1\n2,0\n0,0\n1,0\n0,0\n1,1\n0,1\n",
+     ["fit", "--family", "binomial"], 3),
+    ("value\n1e308\n1.5e308\n", ["fit", "--family", "gamma"], 3),  # NaN fit
+    (ZERO_LOWER_ROWS, ["predict", "--family", "quasipoisson", "--method", "kris",
+                       "--n-future", "2"], 0),
+], ids=["nan_cell", "inf_cell", "content_1.2", "level_1.5", "binomial_y2",
+        "nonfinite_output", "kris_zero_lower"])
+def test_input_and_output_are_finite_or_typed_errors(capsys, tmp_path, rows, argv, code):
+    path = tmp_path / "in.csv"
+    path.write_text(rows)
+    with np.errstate(all="ignore"):
+        got = main(argv + ["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert got == code
+    assert "NaN" not in out and "Infinity" not in out and "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["kris"]["lower"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # config merging
 

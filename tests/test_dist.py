@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
+import tolpred
 from tolpred import dist
 from tolpred.dist import DistSpec, ParameterDomainError, RngStream
 
@@ -85,6 +90,13 @@ def test_poisson_quantile_brute_force():
     cum = np.cumsum(pmf)
     expected = int(np.searchsorted(cum, 0.5))
     assert dist.quantile(spec, 0.5) == expected
+    # the binomial quantile takes the same ceil-and-step path
+    for n, pr in ((10, 0.3), (1, 0.5), (40, 0.97), (12, 0.0), (12, 1.0)):
+        spec = DistSpec("binomial", {"n": n, "p": pr})
+        pmf = [math.comb(n, i) * pr ** i * (1 - pr) ** (n - i) for i in range(n + 1)]
+        cum = np.cumsum(pmf)
+        for q in (0.01, 0.2, 0.5, 0.8, 0.99):
+            assert dist.quantile(spec, q) == min(int(np.searchsorted(cum, q)), n)
 
 
 def test_quantile_domain_errors():
@@ -100,6 +112,43 @@ def test_cdf_quantile_roundtrip(spec):
     p = np.arange(0.01, 1.0, 0.01)
     back = dist.cdf(spec, dist.quantile(spec, p))
     assert_allclose(back, p, atol=1e-9)
+
+
+def _stats_oracle(spec):
+    p = spec.params
+    return {
+        "normal": lambda: stats.norm(p["mean"], p["sd"]),
+        "student_t": lambda: stats.t(p["df"]),
+        "noncentral_t": lambda: stats.nct(p["df"], p["nc"]),
+        "chi_square": lambda: stats.chi2(p["df"]),
+        "f": lambda: stats.f(p["df1"], p["df2"]),
+        "gamma": lambda: stats.gamma(p["shape"], scale=p["scale"]),
+        "exponential": lambda: stats.expon(scale=p["mean"]),
+        "weibull": lambda: stats.weibull_min(p["shape"], scale=p["scale"]),
+    }[spec.family]()
+
+
+@pytest.mark.parametrize("spec", CONTINUOUS_SPECS,
+                         ids=[s.family + str(i) for i, s in enumerate(CONTINUOUS_SPECS)])
+def test_kernel_equals_scipy_stats(spec):
+    # the special-function kernel is exactly what scipy.stats evaluates
+    ref = _stats_oracle(spec)
+    p = np.arange(0.01, 1.0, 0.01)
+    q = dist.quantile(spec, p)
+    assert_array_equal(q, ref.ppf(p))
+    x = np.concatenate([q, [-1.0, 0.0]])
+    assert_array_equal(dist.cdf(spec, x), ref.cdf(x))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(tolpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tolpred; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_f_reciprocal_symmetry():

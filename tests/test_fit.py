@@ -173,6 +173,15 @@ def test_binomial_one_arm_missing():
         fit_binomial_logit([1, 0, 1], [1, 1, 1])
 
 
+def test_binomial_outcomes_must_be_binary():
+    # without its odd fifth row each 2x2 table has no zero cell
+    for y, trt in (([1, 0, 1, 0, 2, 1, 0], [1, 1, 0, 0, 1, 1, 0]),
+                   ([1, 0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 2, 1, 0]),
+                   ([1, 0, 1, 0, 0.5, 1, 0], [1, 1, 0, 0, 1, 1, 0])):
+        with pytest.raises(FitError, match="0 or 1"):
+            fit_binomial_logit(y, trt)
+
+
 # ---------------------------------------------------------------------------
 # Weibull with censoring
 

@@ -372,6 +372,26 @@ def test_kris_count_interval_brackets_point():
     assert iv.lower < 2.69 * 104.29 < iv.upper
 
 
+@pytest.mark.parametrize("case", ["regular", "zero_lower"])
+def test_kris_limits_solve_cdf_equations(case):
+    from tolpred.intervals import kris_count_cdf
+    if case == "regular":
+        fr, e_future = qp_fit(), 104.29
+    else:
+        # cdf(0) = 0.34 here, so no count solves cdf = alpha/2
+        fr = fit_quasipoisson([0, 3, 0, 5, 0, 1], [10.0] * 6)
+        e_future = 2.0
+    iv = predict_count_kris(fr, e_future, 0.95)
+    cdf = lambda x: kris_count_cdf(x, fr.mu_hat, fr.exposure_total, e_future,
+                                   fr.dispersion_scale)
+    assert abs(cdf(iv.upper) - 0.975) <= 1e-10
+    if case == "regular":
+        assert abs(cdf(iv.lower) - 0.025) <= 1e-10
+    else:
+        assert iv.lower == 0.0 and cdf(0.0) >= 0.025
+    assert iv.lower < fr.mu_hat * e_future < iv.upper
+
+
 def test_kris_requires_quasipoisson():
     with pytest.raises(ValueError):
         predict_count_kris(gamma_fit(), 100.0, 0.95)
