@@ -27,7 +27,6 @@ __all__ = [
     "site_day_fit",
     "predict_sitedays",
     "fit_trend",
-    "predict_rate_at",
     "predict_sum_rate",
     "predict_sum_interarrival",
     "solve_target_window",
@@ -283,15 +282,6 @@ def _sum_prediction(trend: TrendFit, periods, exposures, level: float,
     return IntervalEstimate(total * math.exp(-c * se_log),
                             total * math.exp(c * se_log),
                             level, "link_pivot", "future_sum")
-
-
-def predict_rate_at(trend: TrendFit, l, level: float,
-                    exposure: float | None = None) -> IntervalEstimate:
-    """Prediction interval for one future period's count (log-link pivot)."""
-    if trend.kind != "rate":
-        raise ValueError("predict_rate_at applies to rate trends")
-    e = trend.exposure_per_period if exposure is None else exposure
-    return _sum_prediction(trend, [l], [e], level, "z", None)
 
 
 def predict_sum_rate(trend: TrendFit, l_range, level: float,

@@ -188,25 +188,37 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _table_method(args, fit: FitResult, name: str) -> intervals.Method:
+    """The ``intervals.METHODS`` entry that ``--method name`` selects for
+    predict, tolerance or curve, checked usable on ``fit``."""
+    if args.command == "curve":
+        method = intervals.METHODS.get(curves.CURVE_METHODS.get(name))
+    else:
+        method = intervals.METHODS.get(name)
+        kind = "tolerance" if args.command == "tolerance" else "prediction"
+        if method is not None and method.kind != kind:
+            method = None
+    if method is None:
+        raise ConfigError(f"unknown {args.command} method {name!r}")
+    if args.n_future is None:
+        raise ConfigError(f"method {name!r} needs --n-future ({fit.family} fit)")
+    for field in method.needs:
+        if getattr(fit, field) is None:
+            raise ConfigError(f"method {name!r} needs {field}, which a "
+                              f"{fit.family} fit does not provide")
+    return method
+
+
 def cmd_interval(args) -> int:
     """predict/tolerance: each requested method of the subcommand's kind from
     the shared ``intervals.METHODS`` table, with the CLI convention: the
     ``--se-kind`` SE and the z critical value for the eq2/eq5 limits."""
-    kind = "tolerance" if args.command == "tolerance" else "prediction"
     fit = _fit_from_args(args)
     level = float(args.level)
-    p = float(args.content) if kind == "tolerance" else None
+    p = float(args.content) if args.command == "tolerance" else None
     out = {}
     for name in args.method:
-        method = intervals.METHODS.get(name)
-        if method is None or method.kind != kind:
-            raise ConfigError(f"unknown {kind} method {name!r}")
-        if args.n_future is None:
-            raise ConfigError(f"method {name!r} needs --n-future ({fit.family} fit)")
-        for field in method.needs:
-            if getattr(fit, field) is None:
-                raise ConfigError(f"method {name!r} needs {field}, which a "
-                                  f"{fit.family} fit does not provide")
+        method = _table_method(args, fit, name)
         iv = method.build(fit, level, float(args.n_future), p, args.se_kind, "z")
         out[name] = _interval_to_dict(iv)
     _emit(args, out)
@@ -220,6 +232,8 @@ CURVE_COLORS = {"link_pivot": "#1f77b4", "ci_plug": "#d62728",
 
 def cmd_curve(args) -> int:
     fit = _fit_from_args(args)
+    for method in args.method:
+        _table_method(args, fit, method)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
@@ -228,7 +242,7 @@ def cmd_curve(args) -> int:
                                    se_kind=args.se_kind)
         path = out_dir / f"curve_{method}.csv"
         table.write_csv(path)
-        series.append((table.grid, table.C, CURVE_COLORS.get(method, "#000000")))
+        series.append((table.grid, table.C, CURVE_COLORS[method]))
     if args.svg:
         write_svg_lines(out_dir / "curves.svg", series,
                         xlabel="hypothesised total", ylabel="confidence curve")
@@ -459,6 +473,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{req} is required")
         if args.command in ("recruit", "survival") and getattr(args, "input", None) is None:
             raise ConfigError("--input is required")
+        val = getattr(args, "n_future", None)
+        if val is not None:
+            # future exposure for quasi-Poisson fits, a number of future units otherwise
+            exposure, n = args.family == "quasipoisson", float(val)
+            if not (math.isfinite(n) and (n > 0 if exposure else n >= 1)):
+                raise ConfigError(f"--n-future must be finite and "
+                                  f"{'positive' if exposure else 'at least 1'} "
+                                  f"for a {args.family} fit, got {val}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@ The upper p-value function H(c) of a hypothesised future total c is a proper
 cdf over hypotheses; its alpha/2 and 1-alpha/2 crossings are the two-sided
 1-alpha interval endpoints, and the confidence curve C equals H below the
 point prediction and 1-H above it (0.5 exactly at the point prediction).
+Each curve method is an ``intervals.METHODS`` pivot: H is its ``pvalue``
+and the curve's interval is its ``build``.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import fdtr, gammaincinv, ndtr, ndtri, stdtr
+from scipy.special import stdtr
 
 from .fit import FitResult
+from .intervals import METHODS, Method
 
 __all__ = [
     "CurveTable",
@@ -25,7 +27,9 @@ __all__ = [
     "success_confidence",
 ]
 
-CURVE_METHODS = ("link_pivot", "ci_plug", "f_pivot", "f_pivot_k1", "or_prediction")
+# curve method -> the ``intervals.METHODS`` entry whose pivot it draws
+CURVE_METHODS = {"link_pivot": "eq1", "ci_plug": "eq2", "f_pivot": "fpivot",
+                 "f_pivot_k1": "fpivot_k1", "or_prediction": "eq1"}
 
 
 @dataclass(frozen=True)
@@ -72,105 +76,28 @@ class CurveTable:
 
 
 # ---------------------------------------------------------------------------
-# pivot plumbing: each method yields (H(c) callable, point estimate)
+# each curve method reads its p-value function off its ``intervals.METHODS``
+# entry
 
-def _combined_se(fit: FitResult, n_future: float, se_kind: str):
-    """Link-scale SE of the pivot and its reference distribution.
-
-    Gamma/Weibull sums and odds ratios use Student t with n-1 df; dispersed
-    counts use the standard normal with the equal-variance future term.
-    """
-    n = fit.n_obs
-    if fit.family == "quasipoisson":
-        return math.sqrt(2.0) * fit.se_g_mu(se_kind), None  # z reference
-    se_n = math.sqrt(n) * fit.se_g_mu(se_kind) * math.sqrt(1.0 / n + 1.0 / n_future)
-    return se_n, n - 1
+def _method(name: str) -> Method:
+    if name not in CURVE_METHODS:
+        raise ValueError(f"unknown curve method {name!r}")
+    return METHODS[CURVE_METHODS[name]]
 
 
-def _point_total(fit: FitResult, n_future: float) -> float:
-    if fit.family == "binomial_logit":
-        return math.exp(fit.mu_hat)
-    return n_future * fit.mu_hat
-
-
-def _H_link_pivot(fit: FitResult, n_future: float, se_kind: str):
-    se_n, df = _combined_se(fit, n_future, se_kind)
-    log_point = math.log(_point_total(fit, n_future))
-
-    def H(c):
-        c = np.asarray(c, dtype=float)
-        if np.any(c <= 0):
-            raise ValueError("hypothesis must be positive under the log link")
-        z = (np.log(c) - log_point) / se_n
-        return ndtr(z) if df is None else stdtr(df, z)
-
-    return H
-
-
-def _H_f_pivot(fit: FitResult, n_future: float, k: float | None = None):
-    k = fit.k_hat if k is None else k
-    ybar, n = fit.mu_hat, fit.n_obs
-
-    def H(c):
-        c = np.asarray(c, dtype=float)
-        if np.any(c <= 0):
-            raise ValueError("hypothesis must be positive")
-        return fdtr(2.0 * n_future * k, 2.0 * n * k, c / (n_future * ybar))
-
-    return H
-
-
-def _ci_plug_parametric(fit: FitResult, n_future: float, se_kind: str,
-                        h_grid: np.ndarray):
-    """Hypothesis values c(h) whose CI-plug-in p-value equals h: the h-quantile
-    of the sum distribution at the Wald mean limit matched to h."""
-    se = fit.se_g_mu(se_kind)
-    z = ndtri(h_grid)
-    if fit.family == "gamma":
-        mu = fit.mu_hat * np.exp(z * se)
-        k = fit.k_hat
-        return gammaincinv(n_future * k, h_grid) * (mu / k)
-    if fit.family == "quasipoisson":
-        lam = fit.mu_hat * np.exp(z * se)
-        phi = fit.dispersion_scale
-        return gammaincinv(lam * n_future / phi, h_grid) * phi
-    raise ValueError(f"no sum distribution for family {fit.family!r}")
-
-
-def _H_ci_plug(fit: FitResult, n_future: float, se_kind: str):
-    h_ref = np.concatenate([[1e-9], np.linspace(1e-5, 1 - 1e-5, 4001), [1 - 1e-9]])
-    c_ref = _ci_plug_parametric(fit, n_future, se_kind, h_ref)
-
-    def H(c):
-        c = np.asarray(c, dtype=float)
-        if np.any(c <= 0):
-            raise ValueError("hypothesis must be positive")
-        # monotone interpolation of h against log c
-        out = np.interp(np.log(c), np.log(c_ref), h_ref)
-        return float(out) if out.ndim == 0 else out
-
-    return H
-
-
-def _pivot(fit: FitResult, method: str, n_future: float, se_kind: str):
-    if method == "link_pivot":
-        return _H_link_pivot(fit, n_future, se_kind)
-    if method == "ci_plug":
-        return _H_ci_plug(fit, n_future, se_kind)
-    if method == "f_pivot":
-        return _H_f_pivot(fit, n_future)
-    if method == "f_pivot_k1":
-        return _H_f_pivot(fit, n_future, k=1.0)
-    if method == "or_prediction":
-        return _H_link_pivot(fit, n_future, se_kind)
-    raise ValueError(f"unknown curve method {method!r}")
+def _hypotheses(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if np.any(c <= 0):
+        raise ValueError("hypothesised totals must be positive")
+    return c
 
 
 def pvalue_upper(fit: FitResult, hypothesis: float, method: str,
                  n_future: float, se_kind: str = "sandwich") -> float:
     """Upper p-value of H0: future total <= hypothesis; 0.5 at the point
     prediction by construction."""
-    return float(_pivot(fit, method, n_future, se_kind)(hypothesis))
+    H, _ = _method(method).pvalue(fit, n_future, se_kind)
+    return float(H(_hypotheses(hypothesis)))
 
 
 def build_curve(fit: FitResult, method: str, n_future: float,
@@ -178,17 +105,17 @@ def build_curve(fit: FitResult, method: str, n_future: float,
                 se_kind: str = "sandwich") -> CurveTable:
     """Tabulate H, 1-H, the confidence curve, and the confidence density.
 
-    The auto grid spans the 99.8% interval (H crossings at 0.001 and 0.999),
-    log-spaced since every target here lives on the positive half-line.
+    The auto grid spans the method's 99.8% interval (its H crossings at
+    0.001 and 0.999), log-spaced since every target here lives on the
+    positive half-line.
     """
-    H_fun = _pivot(fit, method, n_future, se_kind)
-    point = _point_total(fit, n_future)
+    entry = _method(method)
+    H_fun, point = entry.pvalue(fit, n_future, se_kind)
     if grid is None:
-        lo = _invert_H(H_fun, 0.001, point)
-        hi = _invert_H(H_fun, 0.999, point)
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
+        iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
+        grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
     else:
-        grid = np.asarray(grid, dtype=float)
+        grid = _hypotheses(grid)
     H = np.asarray(H_fun(grid), dtype=float)
     H_minus = 1.0 - H
     C = np.where(grid <= point, H, H_minus)
@@ -198,22 +125,6 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     meta = {"method": method, "point_estimate": float(point),
             "n_future": float(n_future), "negative_density_clamped": clamped}
     return CurveTable(grid, H, H_minus, C, density, meta)
-
-
-def _invert_H(H_fun, h: float, point: float) -> float:
-    f = lambda c: float(H_fun(c)) - h
-    lo, hi = point, point
-    while f(lo) > 0:
-        lo /= 2
-        if lo < 1e-300:
-            raise RuntimeError("p-value function never reaches its lower tail")
-    while f(hi) < 0:
-        hi *= 2
-        if hi > 1e300:
-            raise RuntimeError("p-value function never reaches its upper tail")
-    if lo == hi:
-        return lo
-    return float(brentq(f, lo, hi, xtol=1e-12 * max(1.0, point)))
 
 
 def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,

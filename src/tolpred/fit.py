@@ -167,6 +167,9 @@ def fit_gamma_intercept(data, link: str = "log", se_kind: str = "both") -> FitRe
     se_log_sand = math.sqrt(float(np.sum((y - ybar) ** 2))) / (n * ybar)
     # observed information for k at the MLE: n*(trigamma(k) - 1/k)
     se_k = 1.0 / math.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
+    if not all(map(math.isfinite, (ybar, k, se_log_model, se_log_sand, se_k))):
+        raise FitError("gamma fit is not finite: the mean, shape or an SE "
+                       "overflows double precision")
     return FitResult(
         family="gamma",
         link=link,

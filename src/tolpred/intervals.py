@@ -5,7 +5,8 @@ prediction intervals for sums, three approximate tolerance intervals
 (delta-method, noncentral-t, CI-plug-in), the F-pivot and plug-in
 comparators, the dispersed-count predictors, and the future-study
 odds-ratio predictor.  ``METHODS`` maps each coverage-table method name to
-its constructor; the coverage lab and the CLI both dispatch through it.
+its constructor and, for the pivots, its upper p-value function; the
+coverage lab, the CLI and the confidence curves all dispatch through it.
 
 The gamma-path constructors compute elementwise: a ``FitResult`` whose
 numeric fields are per-run arrays yields per-run endpoints.
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.special import fdtri, gammaincinv, nctdtrit, ndtr, ndtri
+from scipy.special import fdtr, fdtri, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
 
 from .dist import critical_value
 from .fit import FitResult
@@ -198,14 +199,50 @@ def normal_approx_tolerance(ybar: float, s: float, n: int, p: float, level: floa
 # ---------------------------------------------------------------------------
 # link-pivot prediction for sums
 
+def _combined_se(se: float, n: int, n_future: float) -> float:
+    """Link-scale SE of a future estimate against the observed one,
+    sqrt(n) * se * sqrt(1/n + 1/n_future), for n_future >= 1 future units."""
+    if n_future < 1:
+        raise ValueError("need at least one future observation")
+    return math.sqrt(n) * se * math.sqrt(1.0 / n + 1.0 / n_future)
+
+
+def _link_pivot(fit: FitResult, n_future: float, se_kind: str,
+                variance: str = "equal"):
+    """Point prediction, combined link-scale SE and reference df (None: the
+    standard normal) of a fit's log-link pivot.
+
+    Sums of ``n_future`` observations and future odds ratios use
+    sqrt(n) * se * sqrt(1/n + 1/n_future) on t_{n-1}; quasi-Poisson counts
+    over future exposure use sqrt(2) * se (``variance='scaled'``:
+    se * sqrt(1 + E_obs/E_future)) on z.
+    """
+    se = fit.se_g_mu(se_kind)
+    if fit.family == "quasipoisson":
+        if variance == "equal":
+            se_n = math.sqrt(2.0) * se
+        else:
+            se_n = se * math.sqrt(1.0 + fit.exposure_total / n_future)
+        return fit.mu_hat * n_future, se_n, None
+    point = math.exp(fit.mu_hat) if fit.family == "binomial_logit" else n_future * fit.mu_hat
+    return point, _combined_se(se, fit.n_obs, n_future), fit.n_obs - 1
+
+
+def _link_pvalue(fit: FitResult, n_future: float, se_kind: str):
+    """Upper p-value function of the link pivot and its point prediction."""
+    point, se_n, df = _link_pivot(fit, n_future, se_kind)
+    log_point = math.log(point)
+    if df is None:
+        return (lambda c: ndtr((np.log(c) - log_point) / se_n)), point
+    return (lambda c: stdtr(df, (np.log(c) - log_point) / se_n)), point
+
+
 def predict_sum_link_from(mu_hat: float, se_g_mu: float, n: int, n_future: float,
                           level: float, link: str = "log",
                           crit: str = "t") -> IntervalEstimate:
     """(N-n) * g^{-1}{ g(mu_hat) +/- t_{n-1} * se_n } with the combined SE
     se_n = sqrt(n) * se(g{mu_hat}) * sqrt(1/n + 1/(N-n))."""
-    if n_future < 1:
-        raise ValueError("need at least one future observation")
-    se_n = math.sqrt(n) * se_g_mu * math.sqrt(1.0 / n + 1.0 / n_future)
+    se_n = _combined_se(se_g_mu, n, n_future)
     c = critical_value(level, crit, n - 1)
     if link == "log":
         lo = n_future * mu_hat * np.exp(-c * se_n)
@@ -225,23 +262,17 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
     quasi-Poisson exposure targets ``target.future_units`` is future
     exposure; the pivot is standard normal and the default future-variance
     term replicates sqrt(se^2 + se^2) (``variance='scaled'`` uses
-    se^2 * E_obs/E_future instead).
+    se^2 * E_obs/E_future instead).  See ``_link_pivot``.
     """
-    if fit.family == "quasipoisson":
-        se = fit.se_g_mu(se_kind)
-        lam_total = fit.mu_hat * target.future_units
-        if variance == "equal":
-            se_n = math.sqrt(2.0) * se
-        else:
-            se_n = se * math.sqrt(1.0 + fit.exposure_total / target.future_units)
-        z = critical_value(level)
-        if link != "log":
+    if link != "log":
+        if fit.family == "quasipoisson":
             raise ValueError("count prediction implemented for the log link")
-        return IntervalEstimate(lam_total * np.exp(-z * se_n),
-                                lam_total * np.exp(z * se_n),
-                                level, "link_pivot", "future_sum")
-    return predict_sum_link_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
-                                 target.future_units, level, link=link)
+        return predict_sum_link_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
+                                     target.future_units, level, link=link)
+    point, se_n, df = _link_pivot(fit, target.future_units, se_kind, variance)
+    c = critical_value(level) if df is None else critical_value(level, "t", df)
+    return IntervalEstimate(point * np.exp(-c * se_n), point * np.exp(c * se_n),
+                            level, "link_pivot", "future_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +315,24 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
     raise ValueError(f"no sum distribution for family {fit.family!r}")
 
 
+def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
+    """Upper p-value function of the CI-plug-in prediction and its point
+    prediction.  H interpolates, against log c, the table c(h): the
+    h-quantile of the sum distribution at the Wald mean limit
+    mu_hat * exp(ndtri(h) * se)."""
+    h_ref = np.concatenate([[1e-9], np.linspace(1e-5, 1 - 1e-5, 4001), [1 - 1e-9]])
+    mu = fit.mu_hat * np.exp(ndtri(h_ref) * fit.se_g_mu(se_kind))
+    if fit.family == "gamma":
+        c_ref = gammaincinv(n_future * fit.k_hat, h_ref) * (mu / fit.k_hat)
+    elif fit.family == "quasipoisson":
+        phi = fit.dispersion_scale
+        c_ref = gammaincinv(mu * n_future / phi, h_ref) * phi
+    else:
+        raise ValueError(f"no sum distribution for family {fit.family!r}")
+    log_c_ref = np.log(c_ref)
+    return (lambda c: np.interp(np.log(c), log_c_ref, h_ref)), n_future * fit.mu_hat
+
+
 # ---------------------------------------------------------------------------
 # comparators
 
@@ -298,6 +347,15 @@ def predict_sum_fpivot(ybar: float, n: int, n_future: float, k: float,
     lo = n_future * ybar * fdtri(d1, d2, alpha / 2)
     hi = n_future * ybar * fdtri(d1, d2, 1 - alpha / 2)
     return IntervalEstimate(lo, hi, level, "f_pivot", "future_sum")
+
+
+def _fpivot_pvalue(fit: FitResult, n_future: float, se_kind: str,
+                   k: float | None = None):
+    """Upper p-value function of the F pivot (shape ``k``, default k_hat)
+    and its point prediction."""
+    k = fit.k_hat if k is None else k
+    d1, d2, point = 2.0 * n_future * k, 2.0 * fit.n_obs * k, n_future * fit.mu_hat
+    return (lambda c: fdtr(d1, d2, c / point)), point
 
 
 def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
@@ -451,10 +509,7 @@ def predict_count_kris(fit: FitResult, future_exposure: float,
 def predict_or_from(log_or: float, se_log_or: float, n: int, m: int,
                     level: float) -> IntervalEstimate:
     """exp( log(rho_hat) +/- t_{n-1} * sqrt(n) * se * sqrt(1/n + 1/m) )."""
-    if m < 1:
-        raise ValueError("future sample size must be >= 1")
-    half = (critical_value(level, "t", n - 1)
-            * math.sqrt(n) * se_log_or * math.sqrt(1.0 / n + 1.0 / m))
+    half = critical_value(level, "t", n - 1) * _combined_se(se_log_or, n, m)
     return IntervalEstimate(math.exp(log_or - half), math.exp(log_or + half),
                             level, "or_prediction", "observable_estimate")
 
@@ -472,33 +527,49 @@ def predict_or(fit2: FitResult, n: int, m: int, level: float) -> IntervalEstimat
 class Method:
     """One coverage-table method: what it predicts ('prediction' of the
     future sum or 'tolerance' for the middle content of its distribution),
-    the ``FitResult`` fields it cannot do without, and its constructor
-    ``build(fit, level, n_future, p, se_kind, crit)``.  ``se_kind`` and
-    ``crit`` set the Wald mean limits of eq2 and eq5 and the eq5 shape
-    limit; the other methods carry their own convention."""
+    the ``FitResult`` fields it cannot do without, its constructor
+    ``build(fit, level, n_future, p, se_kind, crit)`` and, for the pivots
+    whose intervals are crossings of an upper p-value function,
+    ``pvalue(fit, n_future, se_kind) -> (H, point)`` with H defined on
+    positive hypothesised totals.  ``se_kind`` and ``crit`` set the Wald
+    mean limits of eq2 and eq5 and the eq5 shape limit; the other methods
+    carry their own convention."""
 
     kind: str
     needs: tuple
     build: Callable[..., IntervalEstimate]
+    pvalue: Callable | None = None
 
 
 def _target(fit: FitResult, n_future: float) -> PredictionTarget:
     return PredictionTarget(fit.n_obs, n_future)
 
 
+def _eq1(fit, level, n_future, p, se_kind, crit):
+    """The link pivot; on a binomial-logit fit it predicts the odds ratio a
+    future study of ``n_future`` subjects will observe."""
+    if fit.family == "binomial_logit":
+        return predict_or_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
+                               n_future, level)
+    return predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind)
+
+
 METHODS = {
-    "eq1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
-                  predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind)),
+    "eq1": Method("prediction", (), _eq1, _link_pvalue),
     "eq2": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
                   predict_sum_plugci(fit, _target(fit, n_future), level,
-                                     se_kind=se_kind, crit=crit)),
+                                     se_kind=se_kind, crit=crit), _plugci_pvalue),
     "fpivot": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
-                     predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level)),
+                     predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level),
+                     _fpivot_pvalue),
     "fpivot_k1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
-                        predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, 1.0, level)),
+                        predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, 1.0, level),
+                        lambda fit, n_future, se_kind: _fpivot_pvalue(fit, n_future,
+                                                                      se_kind, 1.0)),
     "plugin": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_plugin(fit, _target(fit, n_future), level)),
-    "kris": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+    "kris": Method("prediction", ("exposure_total",),
+                   lambda fit, level, n_future, p, se_kind, crit:
                    predict_count_kris(fit, n_future, level)),
     "eq3": Method("tolerance", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
                   tolerance_delta(fit, p, level, n_future)),

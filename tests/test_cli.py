@@ -6,7 +6,7 @@ import pytest
 
 from tolpred import applications, intervals
 from tolpred.cli import main
-from tolpred.fit import fit_gamma_intercept
+from tolpred.fit import fit_binomial_logit, fit_gamma_intercept
 
 
 @pytest.fixture
@@ -136,11 +136,20 @@ ZERO_LOWER_ROWS = "events,exposure\n0,10\n3,10\n0,10\n5,10\n0,10\n1,10\n"
     (GAMMA_ROWS, ["predict", "--family", "gamma", "--n-future", "5", "--level", "1.5"], 1),
     ("y,trt\n1,1\n0,1\n1,1\n2,0\n0,0\n1,0\n0,0\n1,1\n0,1\n",
      ["fit", "--family", "binomial"], 3),
-    ("value\n1e308\n1.5e308\n", ["fit", "--family", "gamma"], 3),  # NaN fit
+    ("value\n1e308\n1.5e308\n", ["fit", "--family", "gamma"], 3),  # overflowing fit
     (ZERO_LOWER_ROWS, ["predict", "--family", "quasipoisson", "--method", "kris",
                        "--n-future", "2"], 0),
+    (GAMMA_ROWS, ["predict", "--family", "gamma", "--n-future", "nan"], 1),
+    (GAMMA_ROWS, ["predict", "--family", "gamma", "--n-future", "inf"], 1),
+    (GAMMA_ROWS, ["tolerance", "--family", "gamma", "--method", "eq3",
+                  "--n-future", "0.5"], 1),
+    (GAMMA_ROWS, ["curve", "--family", "gamma", "--n-future", "-3"], 1),
+    # quasi-Poisson --n-future is future exposure: below 1 is allowed
+    (ZERO_LOWER_ROWS, ["predict", "--family", "quasipoisson", "--method", "kris",
+                       "--n-future", "0.5"], 0),
 ], ids=["nan_cell", "inf_cell", "content_1.2", "level_1.5", "binomial_y2",
-        "nonfinite_output", "kris_zero_lower"])
+        "nonfinite_output", "kris_zero_lower", "n_future_nan", "n_future_inf",
+        "n_future_0.5", "n_future_-3", "exposure_0.5"])
 def test_input_and_output_are_finite_or_typed_errors(capsys, tmp_path, rows, argv, code):
     path = tmp_path / "in.csv"
     path.write_text(rows)
@@ -207,7 +216,7 @@ def test_unknown_method_rejected(capsys, gamma_csv):
 
 
 @pytest.fixture
-def family_csvs(tmp_path, gamma_csv):
+def family_csvs(tmp_path, gamma_csv, survival_csv):
     gen = np.random.default_rng(10)
     counts = tmp_path / "counts.csv"
     exposure = gen.uniform(5.0, 15.0, size=12)
@@ -218,7 +227,8 @@ def family_csvs(tmp_path, gamma_csv):
     trt = np.repeat([0, 1], 30)
     y = (gen.random(60) < np.where(trt == 1, 0.6, 0.35)).astype(int)
     binom.write_text("y,trt\n" + "\n".join(f"{a},{b}" for a, b in zip(y, trt)) + "\n")
-    return {"gamma": gamma_csv[0], "quasipoisson": counts, "binomial": binom}
+    return {"gamma": gamma_csv[0], "quasipoisson": counts, "binomial": binom,
+            "weibull": survival_csv}
 
 
 @pytest.mark.parametrize("command, family, method, n_future", [
@@ -229,6 +239,12 @@ def family_csvs(tmp_path, gamma_csv):
     ("tolerance", "quasipoisson", "eq5", "5"),
     ("predict", "binomial", "fpivot", "5"),
     ("tolerance", "binomial", "eq4", "5"),
+    ("curve", "quasipoisson", "f_pivot", "5"),
+    ("curve", "binomial", "f_pivot", "5"),
+    ("curve", "gamma", "f_pivot", None),
+    ("predict", "gamma", "kris", "5"),
+    ("predict", "binomial", "kris", "5"),
+    ("predict", "weibull", "kris", "5"),
 ])
 def test_unusable_method_is_config_error(capsys, family_csvs, command, family,
                                          method, n_future):
@@ -241,6 +257,19 @@ def test_unusable_method_is_config_error(capsys, family_csvs, command, family,
     assert code == 1
     assert "Traceback" not in err
     assert err.count("\n") == 1 and method in err and family in err
+
+
+def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):
+    path = family_csvs["binomial"]
+    code, out = run(capsys, "predict", "--family", "binomial", "--input", str(path),
+                    "--method", "eq1", "--n-future", "600")
+    assert code == 0
+    got = json.loads(out)["eq1"]
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    fit = fit_binomial_logit(rows[:, 0], rows[:, 1])
+    want = intervals.predict_or(fit, fit.n_obs, 600, 0.95)
+    assert (got["lower"], got["upper"]) == pytest.approx((want.lower, want.upper), rel=1e-12)
+    assert got["method"] == "or_prediction" and got["target"] == "observable_estimate"
 
 
 # ---------------------------------------------------------------------------

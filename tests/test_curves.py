@@ -7,7 +7,7 @@ from scipy import stats
 from tolpred import curves, dist, intervals
 from tolpred.curves import build_curve, pvalue_upper, success_confidence
 from tolpred.dist import RngStream
-from tolpred.fit import FitResult, fit_gamma_intercept
+from tolpred.fit import FitResult, fit_gamma_intercept, fit_quasipoisson
 
 
 def gamma_fit(n=20, seed=1, k=4.0, mu=2.5):
@@ -86,14 +86,29 @@ def test_curve_invariants(method):
         assert table.C[i_max] == pytest.approx(0.5, abs=0.05)
 
 
-def test_curve_crossings_match_interval():
-    fr = gamma_fit(seed=3)
-    table = build_curve(fr, "link_pivot", 280)
-    lo, hi = table.interval_at(0.95)
-    iv = intervals.predict_sum_link(fr, intervals.PredictionTarget(fr.n_obs, 280), 0.95)
-    step = np.max(np.diff(table.grid))
-    assert abs(lo - iv.lower) < step
-    assert abs(hi - iv.upper) < step
+def qp_fit():
+    events = [12, 7, 9, 15, 4, 11, 8, 10]
+    exposure = [3.1, 2.4, 2.9, 3.8, 1.6, 3.3, 2.2, 3.0]
+    return fit_quasipoisson(events, exposure)
+
+
+@pytest.mark.parametrize("family, method, n_future", [
+    ("gamma", "link_pivot", 280), ("gamma", "ci_plug", 280),
+    ("gamma", "f_pivot", 280), ("gamma", "f_pivot_k1", 280),
+    ("gamma", "or_prediction", 280), ("quasipoisson", "link_pivot", 12.5),
+    ("quasipoisson", "ci_plug", 12.5), ("binomial", "or_prediction", 600),
+])
+def test_curve_crossings_match_interval(family, method, n_future):
+    fr = {"gamma": lambda: gamma_fit(seed=3), "quasipoisson": qp_fit,
+          "binomial": or_fit}[family]()
+    table = build_curve(fr, method, n_future)
+    entry = intervals.METHODS[curves.CURVE_METHODS[method]]
+    # the auto grid spans the method's own 99.8% interval
+    wide = entry.build(fr, 0.998, n_future, None, "sandwich", "z")
+    np.testing.assert_allclose([table.grid[0], table.grid[-1]],
+                               [wide.lower, wide.upper], rtol=1e-12)
+    iv = entry.build(fr, 0.95, n_future, None, "sandwich", "z")
+    np.testing.assert_allclose(table.interval_at(0.95), [iv.lower, iv.upper], rtol=1e-5)
 
 
 def test_curve_level_nesting():

@@ -74,6 +74,12 @@ def test_gamma_errors():
         fit_gamma_intercept([1.0, -1.0, 2.0])
 
 
+def test_gamma_overflow_is_fit_error():
+    # the sample sum overflows: the mean is inf and the shape and SEs NaN
+    with np.errstate(all="ignore"), pytest.raises(FitError, match="not finite"):
+        fit_gamma_intercept([1e308, 1.5e308])
+
+
 def test_gamma_shape_mle_score_solved():
     y = gamma_sample(200, seed=7)
     k = float(gamma_shape_mle(y))
