@@ -206,6 +206,9 @@ def _table_method(args, fit: FitResult, name: str) -> intervals.Method:
         if getattr(fit, field) is None:
             raise ConfigError(f"method {name!r} needs {field}, which a "
                               f"{fit.family} fit does not provide")
+    if method.families is not None and fit.family not in method.families:
+        raise ConfigError(f"method {name!r} has no sum distribution for a "
+                          f"{fit.family} fit")
     return method
 
 

@@ -113,6 +113,9 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     H_fun, point = entry.pvalue(fit, n_future, se_kind)
     if grid is None:
         iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
+        if iv.lower <= 0:
+            raise ValueError("the 99.8% interval reaches totals <= 0, which a "
+                             "log-spaced grid cannot span; pass a grid")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
     else:
         grid = _hypotheses(grid)

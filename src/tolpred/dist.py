@@ -166,19 +166,30 @@ def quantile(spec: DistSpec, p) -> float | np.ndarray:
 class RngStream:
     """Reproducible random stream keyed by (seed, stream_id).
 
-    Distinct stream_ids yield statistically independent substreams
-    (numpy SeedSequence spawning keys).
+    A root stream (integer ``stream_id``) draws from numpy's
+    ``SeedSequence((seed, stream_id))``.  ``substream(i)`` is child ``i`` of
+    its stream's seed sequence in numpy's spawn tree (``spawn_key``), and
+    its ``stream_id`` is the tuple ``(root id, *spawn key)``, so every node
+    of the tree has its own id and statistically independent draws.  The
+    child index travels in the spawn key, not in a longer entropy tuple:
+    numpy pads short entropy with zeros, so ``SeedSequence((s, 0, 0))``
+    equals ``SeedSequence((s, 0))`` and child 0 would replay its root.
     """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int | tuple = 0
+
+    @property
+    def _path(self) -> tuple:
+        return self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
+        root, *key = self._path
+        return np.random.default_rng(np.random.SeedSequence((self.seed, root),
+                                                            spawn_key=key))
 
     def substream(self, idx: int) -> "RngStream":
-        # flat keying: (seed, stream_id) pairs never collide across substreams
-        return RngStream(self.seed, self.stream_id * 1_000_003 + idx + 1)
+        return RngStream(self.seed, (*self._path, idx))
 
     def uniforms(self, count: int) -> np.ndarray:
         return self.generator().random(count)

@@ -167,9 +167,13 @@ def fit_gamma_intercept(data, link: str = "log", se_kind: str = "both") -> FitRe
     se_log_sand = math.sqrt(float(np.sum((y - ybar) ** 2))) / (n * ybar)
     # observed information for k at the MLE: n*(trigamma(k) - 1/k)
     se_k = 1.0 / math.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
-    if not all(map(math.isfinite, (ybar, k, se_log_model, se_log_sand, se_k))):
-        raise FitError("gamma fit is not finite: the mean, shape or an SE "
-                       "overflows double precision")
+    loglik = _gamma_loglik(y, ybar, k)
+    if not all(map(math.isfinite, (ybar, k, se_log_model, se_log_sand, se_k, loglik))):
+        raise FitError("gamma fit is not finite: the mean, shape, an SE or the "
+                       "log-likelihood overflows double precision")
+    if not min(se_log_model, se_log_sand, se_k) > 0:
+        raise FitError("gamma fit has a zero SE: the spread of the data "
+                       "underflows double precision")
     return FitResult(
         family="gamma",
         link=link,
@@ -181,7 +185,7 @@ def fit_gamma_intercept(data, link: str = "log", se_kind: str = "both") -> FitRe
         se_k=se_k,
         cov_mu_k=0.0,  # mean and shape are information-orthogonal at the MLE
         n_obs=n,
-        loglik=_gamma_loglik(y, ybar, k),
+        loglik=loglik,
         data=(tuple(y),),
     )
 

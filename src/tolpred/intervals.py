@@ -210,7 +210,7 @@ def _combined_se(se: float, n: int, n_future: float) -> float:
 def _link_pivot(fit: FitResult, n_future: float, se_kind: str,
                 variance: str = "equal"):
     """Point prediction, combined link-scale SE and reference df (None: the
-    standard normal) of a fit's log-link pivot.
+    standard normal) of a fit's link pivot.
 
     Sums of ``n_future`` observations and future odds ratios use
     sqrt(n) * se * sqrt(1/n + 1/n_future) on t_{n-1}; quasi-Poisson counts
@@ -229,12 +229,14 @@ def _link_pivot(fit: FitResult, n_future: float, se_kind: str,
 
 
 def _link_pvalue(fit: FitResult, n_future: float, se_kind: str):
-    """Upper p-value function of the link pivot and its point prediction."""
+    """Upper p-value function of the link pivot, on the fit's link scale,
+    and its point prediction."""
     point, se_n, df = _link_pivot(fit, n_future, se_kind)
+    cdf = ndtr if df is None else (lambda x: stdtr(df, x))
+    if fit.link == "identity":
+        return (lambda c: cdf((c / n_future - fit.mu_hat) / se_n)), point
     log_point = math.log(point)
-    if df is None:
-        return (lambda c: ndtr((np.log(c) - log_point) / se_n)), point
-    return (lambda c: stdtr(df, (np.log(c) - log_point) / se_n)), point
+    return (lambda c: cdf((np.log(c) - log_point) / se_n)), point
 
 
 def predict_sum_link_from(mu_hat: float, se_g_mu: float, n: int, n_future: float,
@@ -254,9 +256,12 @@ def predict_sum_link_from(mu_hat: float, se_g_mu: float, n: int, n_future: float
 
 
 def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
-                     link: str = "log", se_kind: str = "sandwich",
+                     se_kind: str = "sandwich",
                      variance: str = "equal") -> IntervalEstimate:
-    """Link-pivot prediction interval for the sum of future observations.
+    """Link-pivot prediction interval for the sum of future observations,
+    on the fit's link scale: g^{-1}{ g(point) -/+ c * se_n } for the log
+    link (the log odds ratio for binomial-logit fits) and
+    ``target.future_units`` * (mu_hat -/+ c * se_n) for the identity link.
 
     Gamma/Weibull/odds-ratio targets use a Student t with n-1 df.  For
     quasi-Poisson exposure targets ``target.future_units`` is future
@@ -264,15 +269,14 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
     term replicates sqrt(se^2 + se^2) (``variance='scaled'`` uses
     se^2 * E_obs/E_future instead).  See ``_link_pivot``.
     """
-    if link != "log":
-        if fit.family == "quasipoisson":
-            raise ValueError("count prediction implemented for the log link")
-        return predict_sum_link_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
-                                     target.future_units, level, link=link)
     point, se_n, df = _link_pivot(fit, target.future_units, se_kind, variance)
     c = critical_value(level) if df is None else critical_value(level, "t", df)
-    return IntervalEstimate(point * np.exp(-c * se_n), point * np.exp(c * se_n),
-                            level, "link_pivot", "future_sum")
+    if fit.link == "identity":
+        n_future = target.future_units
+        lo, hi = n_future * (fit.mu_hat - c * se_n), n_future * (fit.mu_hat + c * se_n)
+    else:
+        lo, hi = point * np.exp(-c * se_n), point * np.exp(c * se_n)
+    return IntervalEstimate(lo, hi, level, "link_pivot", "future_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +535,16 @@ class Method:
     ``build(fit, level, n_future, p, se_kind, crit)`` and, for the pivots
     whose intervals are crossings of an upper p-value function,
     ``pvalue(fit, n_future, se_kind) -> (H, point)`` with H defined on
-    positive hypothesised totals.  ``se_kind`` and ``crit`` set the Wald
-    mean limits of eq2 and eq5 and the eq5 shape limit; the other methods
-    carry their own convention."""
+    positive hypothesised totals.  ``families`` lists the fit families the
+    constructor has a formula for (None: any fit with the needed fields).
+    ``se_kind`` and ``crit`` set the Wald mean limits of eq2 and eq5 and the
+    eq5 shape limit; the other methods carry their own convention."""
 
     kind: str
     needs: tuple
     build: Callable[..., IntervalEstimate]
     pvalue: Callable | None = None
+    families: tuple | None = None
 
 
 def _target(fit: FitResult, n_future: float) -> PredictionTarget:
@@ -558,7 +564,8 @@ METHODS = {
     "eq1": Method("prediction", (), _eq1, _link_pvalue),
     "eq2": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
                   predict_sum_plugci(fit, _target(fit, n_future), level,
-                                     se_kind=se_kind, crit=crit), _plugci_pvalue),
+                                     se_kind=se_kind, crit=crit), _plugci_pvalue,
+                  families=("gamma", "quasipoisson")),
     "fpivot": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level),
                      _fpivot_pvalue),

@@ -50,6 +50,9 @@ METHOD_LABELS = {
 # columns
 SE_KIND = "model"
 CRIT = "t"
+# runs drawn per generator: block b of a scenario holds runs
+# b*BLOCK .. (b+1)*BLOCK - 1
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -139,19 +142,49 @@ class CoverageReport:
         return any(c.n_failed > 0.001 * self.spec.n_runs for c in self.cells)
 
 
+def _blocks(seed: int, n_runs: int):
+    """(generator, runs) for each block of ``BLOCK`` runs.  Block b draws
+    from ``RngStream(seed).substream(b)``, and every block draws as if full
+    and is then cut to ``runs``, so run r depends only on (seed, r)."""
+    base = RngStream(seed)
+    for b, start in enumerate(range(0, n_runs, BLOCK)):
+        yield base.substream(b).generator(), slice(start, min(start + BLOCK, n_runs))
+
+
 def _draw_gamma_runs(spec: ScenarioSpec):
-    """Per-run substreams: row r of the data matrix depends only on
-    (seed, run index), so cells reproduce regardless of batching."""
+    """The (n_runs, n) gamma samples and the realized future totals."""
     n, n_fut = spec.n, spec.N - spec.n
-    base = RngStream(spec.seed)
+    scale = spec.mu / spec.k
     y = np.empty((spec.n_runs, n))
     future = np.empty(spec.n_runs)
-    scale = spec.mu / spec.k
-    for r in range(spec.n_runs):
-        gen = base.substream(r).generator()
-        y[r] = gen.gamma(spec.k, scale, size=n)
+    for gen, runs in _blocks(spec.seed, spec.n_runs):
+        m = runs.stop - runs.start
+        y[runs] = gen.gamma(spec.k, scale, size=(BLOCK, n))[:m]
         # the future total of n_fut iid gammas is itself gamma distributed
-        future[r] = gen.gamma(n_fut * spec.k, scale)
+        future[runs] = gen.gamma(n_fut * spec.k, scale, size=BLOCK)[:m]
+    return y, future
+
+
+def _draw_site_runs(spec: ScenarioSpec):
+    """The first n study-level interarrivals of each run and the sum of the
+    remaining N - n.  Per-trial site rates come from the run's block; fixed
+    rates are drawn once from a root stream of their own."""
+    n = spec.n
+    fixed = None
+    if spec.fixed_rates:
+        # root stream 1: apart from the blocks, which are children of root 0
+        fixed = RngStream(spec.seed, 1).generator().gamma(spec.alpha, spec.beta,
+                                                          size=spec.n_sites)
+    y = np.empty((spec.n_runs, n))
+    future = np.empty(spec.n_runs)
+    for gen, runs in _blocks(spec.seed, spec.n_runs):
+        m = runs.stop - runs.start
+        lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
+                                                       size=(BLOCK, spec.n_sites))
+        total = lam.sum(axis=-1, keepdims=True)[:m]
+        gaps = -np.log(gen.random((BLOCK, spec.N))[:m]) / total
+        y[runs] = gaps[:, :n]
+        future[runs] = gaps[:, n:].sum(axis=1)
     return y, future
 
 
@@ -227,22 +260,7 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
     """
     if spec.data_process != "poisson_gamma_sites":
         raise ValueError("run_poisson_gamma needs a poisson_gamma_sites scenario")
-    n = spec.n
-    base = RngStream(spec.seed)
-    fixed = None
-    if spec.fixed_rates:
-        fixed = base.substream(0).generator().gamma(spec.alpha, spec.beta,
-                                                    size=spec.n_sites)
-    y = np.empty((spec.n_runs, n))
-    future = np.empty(spec.n_runs)
-    for r in range(spec.n_runs):
-        gen = base.substream(r + 1).generator()
-        lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
-                                                       size=spec.n_sites)
-        total = float(lam.sum())
-        gaps = -np.log(gen.random(spec.N)) / total
-        y[r] = gaps[:n]
-        future[r] = gaps[n:].sum()
+    y, future = _draw_site_runs(spec)
     fit, ok = _gamma_fit_arrays(y)
     results = {}
     for method in spec.methods:

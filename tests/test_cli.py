@@ -147,9 +147,12 @@ ZERO_LOWER_ROWS = "events,exposure\n0,10\n3,10\n0,10\n5,10\n0,10\n1,10\n"
     # quasi-Poisson --n-future is future exposure: below 1 is allowed
     (ZERO_LOWER_ROWS, ["predict", "--family", "quasipoisson", "--method", "kris",
                        "--n-future", "0.5"], 0),
+    # the spread underflows: a zero sandwich SE and an infinite log-likelihood
+    ("value\n1e-320\n3e-320\n1e-310\n", ["predict", "--family", "gamma",
+                                          "--method", "eq1", "--n-future", "5"], 3),
 ], ids=["nan_cell", "inf_cell", "content_1.2", "level_1.5", "binomial_y2",
         "nonfinite_output", "kris_zero_lower", "n_future_nan", "n_future_inf",
-        "n_future_0.5", "n_future_-3", "exposure_0.5"])
+        "n_future_0.5", "n_future_-3", "exposure_0.5", "subnormal_fit"])
 def test_input_and_output_are_finite_or_typed_errors(capsys, tmp_path, rows, argv, code):
     path = tmp_path / "in.csv"
     path.write_text(rows)
@@ -194,6 +197,21 @@ def test_predict_matches_library(capsys, gamma_csv):
     assert payload["eq1"]["lower"] == pytest.approx(want.lower, rel=1e-9)
     assert payload["eq1"]["upper"] == pytest.approx(want.upper, rel=1e-9)
     assert payload["eq2"]["lower"] < payload["eq1"]["lower"]
+
+
+def test_eq1_follows_the_fit_link(capsys, gamma_csv):
+    # an identity-link fit carries identity-scale SEs, so its link pivot is
+    # the identity one
+    path, vals = gamma_csv
+    code, out = run(capsys, "predict", "--family", "gamma", "--link", "identity",
+                    "--input", str(path), "--method", "eq1", "--n-future", "280")
+    assert code == 0
+    got = json.loads(out)["eq1"]
+    fit = fit_gamma_intercept(vals, link="identity")
+    want = intervals.predict_sum_link_from(fit.mu_hat, fit.se_g_mu("sandwich"), 20, 280,
+                                           0.95, link="identity")
+    assert (got["lower"], got["upper"]) == pytest.approx((want.lower, want.upper),
+                                                         rel=1e-9)
 
 
 def test_tolerance_matches_library(capsys, gamma_csv):
@@ -245,18 +263,26 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
     ("predict", "gamma", "kris", "5"),
     ("predict", "binomial", "kris", "5"),
     ("predict", "weibull", "kris", "5"),
+    ("predict", "binomial", "eq2", "5"),
+    ("predict", "weibull", "eq2", "5"),
+    ("curve", "binomial", "ci_plug", "5"),
+    ("curve", "weibull", "ci_plug", "5"),
 ])
-def test_unusable_method_is_config_error(capsys, family_csvs, command, family,
-                                         method, n_future):
+def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
+                                         family, method, n_future):
     argv = [command, "--family", family, "--input", str(family_csvs[family]),
             "--method", method]
     if n_future is not None:
         argv += ["--n-future", n_future]
+    out_dir = tmp_path / "plots"
+    if command == "curve":
+        argv += ["--out-dir", str(out_dir)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
     assert err.count("\n") == 1 and method in err and family in err
+    assert not out_dir.exists()
 
 
 def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):

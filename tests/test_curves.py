@@ -97,10 +97,14 @@ def qp_fit():
     ("gamma", "f_pivot", 280), ("gamma", "f_pivot_k1", 280),
     ("gamma", "or_prediction", 280), ("quasipoisson", "link_pivot", 12.5),
     ("quasipoisson", "ci_plug", 12.5), ("binomial", "or_prediction", 600),
+    ("gamma_identity", "link_pivot", 280),
 ])
 def test_curve_crossings_match_interval(family, method, n_future):
     fr = {"gamma": lambda: gamma_fit(seed=3), "quasipoisson": qp_fit,
-          "binomial": or_fit}[family]()
+          "binomial": or_fit,
+          "gamma_identity": lambda: fit_gamma_intercept(
+              dist.sample(dist.gamma(4.0, 2.5 / 4.0), RngStream(3), 20),
+              link="identity")}[family]()
     table = build_curve(fr, method, n_future)
     entry = intervals.METHODS[curves.CURVE_METHODS[method]]
     # the auto grid spans the method's own 99.8% interval

@@ -255,3 +255,22 @@ def test_substream_distinct():
     base = RngStream(3, 0)
     ids = {base.substream(i).stream_id for i in range(1000)}
     assert len(ids) == 1000
+
+
+def test_substream_keys_do_not_collide():
+    # a flat id stream_id*1_000_003 + idx + 1 gave both of these 1_000_004
+    a = RngStream(3, 0).substream(1_000_003).uniforms(8)
+    b = RngStream(3, 1).substream(0).uniforms(8)
+    assert not np.array_equal(a, b)
+
+
+def test_substream_is_a_child_of_its_root():
+    # root streams draw from SeedSequence((seed, stream_id)); children sit in
+    # numpy's spawn tree, so child 0 does not replay its root, as a child
+    # keyed by a zero-padded longer entropy tuple would
+    root = RngStream(3)
+    want = np.random.default_rng(np.random.SeedSequence((3, 0))).random(8)
+    assert_allclose(root.uniforms(8), want, rtol=0)
+    child = np.random.default_rng(np.random.SeedSequence((3, 0)).spawn(1)[0])
+    assert_allclose(root.substream(0).uniforms(8), child.random(8), rtol=0)
+    assert not np.array_equal(root.substream(0).uniforms(8), root.uniforms(8))

@@ -76,6 +76,22 @@ def test_runs_are_prefix_stable():
     np.testing.assert_array_equal(f1, f2[:40])
 
 
+@pytest.mark.parametrize("draw, spec", [
+    (simlab._draw_gamma_runs, gamma_spec),
+    (simlab._draw_site_runs, site_spec),
+    (simlab._draw_site_runs, lambda **kw: site_spec(fixed_rates=True, **kw)),
+], ids=["gamma", "sites", "sites_fixed_rates"])
+def test_runs_are_prefix_stable_across_blocks(draw, spec):
+    # runs are drawn BLOCK at a time; a budget that ends mid-block draws the
+    # same runs as one that fills it and goes on to later blocks
+    assert 1000 < simlab.BLOCK < 2500
+    y1, f1 = draw(spec(n_runs=1000))
+    y2, f2 = draw(spec(n_runs=2500))
+    np.testing.assert_array_equal(y1, y2[:1000])
+    np.testing.assert_array_equal(f1, f2[:1000])
+    assert not np.array_equal(y2[:1000], y2[simlab.BLOCK:simlab.BLOCK + 1000])
+
+
 def test_single_run_reproducible_boolean():
     a = run_gamma_coverage(gamma_spec(n_runs=1))
     b = run_gamma_coverage(gamma_spec(n_runs=1))
