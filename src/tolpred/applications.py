@@ -78,20 +78,23 @@ class RecruitmentSeries:
 
 
 def _read_rows(path, columns):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"missing columns {sorted(missing)} in {path}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                vals = [float(row[c]) for c in columns]
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: unparseable row at line {i}") from exc
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}: non-finite value at line {i}")
-            rows.append(vals)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = set(columns) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"missing columns {sorted(missing)} in {path}")
+            rows = []
+            for i, row in enumerate(reader, start=2):
+                try:
+                    vals = [float(row[c]) for c in columns]
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: unparseable row at line {i}") from exc
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"{path}: non-finite value at line {i}")
+                rows.append(vals)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -375,14 +378,10 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
     n = fit.n_obs
     if band == "subject":
         alpha = 1 - level
-        z = critical_value(level)
-        se_log = fit.se_g_mu("model")
-        lam_factor = fit.lam_hat / fit.mu_hat
-        mu_lo, mu_hi = fit.mu_hat * math.exp(-z * se_log), fit.mu_hat * math.exp(z * se_log)
-        k = fit.k_hat
-        lo = (mu_lo * lam_factor) * (-math.log1p(-alpha / 2)) ** (1 / k)
-        hi = (mu_hi * lam_factor) * (-math.log(alpha / 2)) ** (1 / k)
-        return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_observation")
+        mu_lo, mu_hi = fit.ci_mu(level, "model", "z")
+        return IntervalEstimate(intervals._sum_quantile(fit, alpha / 2, 1, mu=mu_lo),
+                                intervals._sum_quantile(fit, 1 - alpha / 2, 1, mu=mu_hi),
+                                level, "ci_plug_prediction", "future_observation")
     q = intervals._sum_quantile(fit, p, 1)
     se = intervals._delta_se(fit, p, 1, q)
     if band == "repeated":

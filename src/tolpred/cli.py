@@ -36,10 +36,6 @@ class ConfigError(Exception):
     pass
 
 
-class ParseError(Exception):
-    pass
-
-
 class BudgetError(Exception):
     pass
 
@@ -109,33 +105,11 @@ def _merge(args: argparse.Namespace, config_keys: set) -> None:
             setattr(args, key, val)
 
 
-def _read_values_csv(path, column="value") -> np.ndarray:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {column!r}")
-            vals = []
-            for i, row in enumerate(reader, start=2):
-                try:
-                    val = float(row[column])
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}: unparseable row at line {i}") from exc
-                if not math.isfinite(val):
-                    raise ParseError(f"{path}: non-finite value at line {i}")
-                vals.append(val)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not vals:
-        raise ParseError(f"{path}: no data rows")
-    return np.asarray(vals)
-
-
 def _fit_from_args(args) -> FitResult:
     fam = args.family
     if fam == "gamma":
-        return fit_gamma_intercept(_read_values_csv(args.input),
-                                   link=args.link or "log")
+        arr = applications._read_rows(args.input, ["value"])
+        return fit_gamma_intercept(arr[:, 0], link=args.link or "log")
     if fam == "quasipoisson":
         arr = applications._read_rows(args.input, ["events", "exposure"])
         return fit_quasipoisson(arr[:, 0], arr[:, 1], link=args.link or "log")
@@ -494,7 +468,7 @@ def main(argv=None) -> int:
     except (FitError, ArithmeticError, np.linalg.LinAlgError, ParameterDomainError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

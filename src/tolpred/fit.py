@@ -25,6 +25,7 @@ __all__ = [
     "FitResult",
     "SurvivalSample",
     "KaplanMeier",
+    "fit_gamma_rows",
     "fit_gamma_intercept",
     "fit_quasipoisson",
     "fit_binomial_logit",
@@ -117,7 +118,9 @@ def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
     """ML shape of a gamma sample (vectorized over the leading axis of 2-D input).
 
     Solves log(k) - digamma(k) = log(mean) - mean(log) by Newton from the
-    Greenwood-Durand moment start; globally convergent in practice.
+    Greenwood-Durand moment start; globally convergent in practice.  Each
+    row stops after the step taken at its first residual within ``tol``, so
+    its shape does not depend on the other rows.
     """
     y = np.asarray(y, dtype=float)
     axis = -1
@@ -125,12 +128,13 @@ def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
     if np.any(s <= 0):
         raise DegenerateDataError("all observations equal; gamma shape diverges")
     k = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    active = np.ones(np.shape(s), dtype=bool)
     for _ in range(max_iter):
         f = np.log(k) - special.digamma(k) - s
         fp = 1.0 / k - special.polygamma(1, k)
-        step = f / fp
-        k = k - step
-        if np.max(np.abs(f)) <= tol:
+        k = np.where(active, k - f / fp, k)
+        active &= ~(np.abs(f) <= tol)
+        if not active.any():
             break
     return k
 
@@ -146,35 +150,31 @@ def _gamma_loglik(y: np.ndarray, mu: float, k: float) -> float:
     )
 
 
-def fit_gamma_intercept(data, link: str = "log", se_kind: str = "both") -> FitResult:
-    """Intercept-only gamma fit: mu_hat is the sample mean exactly; k_hat is
-    the ML shape.
+def fit_gamma_rows(y, link: str = "log"):
+    """Intercept-only gamma fits of the rows of a 2-D array: a gamma
+    ``FitResult`` whose numeric fields are per-row arrays, and the mask of
+    rows that fit.
 
-    The sandwich SE of log(mu_hat) is the GEE-independence form
-    sqrt(sum((y-ybar)^2))/(n*ybar); the model-based SE is 1/sqrt(n*k_hat).
+    mu_hat is the row mean exactly and k_hat the ML shape.  The model-based
+    SE of log(mu_hat) is 1/sqrt(n*k_hat), the sandwich SE the
+    GEE-independence form sqrt(sum((y-ybar)^2))/(n*ybar), and the SE of
+    k_hat comes from the observed information n*(trigamma(k) - 1/k).  A row
+    fits when log(ybar) > mean(log y) and every SE is finite and positive;
+    the fields of the other rows are meaningless.
     """
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise InsufficientDataError("need at least 2 observations")
-    if np.any(y <= 0):
-        raise FitError("gamma data must be strictly positive")
-    if np.ptp(y) == 0:
-        raise DegenerateDataError("all observations equal")
-    n = y.size
-    ybar = float(y.mean())
-    k = float(gamma_shape_mle(y))
-    se_log_model = 1.0 / math.sqrt(n * k)
-    se_log_sand = math.sqrt(float(np.sum((y - ybar) ** 2))) / (n * ybar)
-    # observed information for k at the MLE: n*(trigamma(k) - 1/k)
-    se_k = 1.0 / math.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
-    loglik = _gamma_loglik(y, ybar, k)
-    if not all(map(math.isfinite, (ybar, k, se_log_model, se_log_sand, se_k, loglik))):
-        raise FitError("gamma fit is not finite: the mean, shape, an SE or the "
-                       "log-likelihood overflows double precision")
-    if not min(se_log_model, se_log_sand, se_k) > 0:
-        raise FitError("gamma fit has a zero SE: the spread of the data "
-                       "underflows double precision")
-    return FitResult(
+    y = np.asarray(y, dtype=float)
+    n = y.shape[1]
+    ybar = y.mean(axis=1)
+    s = np.log(ybar) - np.log(y).mean(axis=1)
+    ok = s > 0
+    k = np.full(ybar.shape, np.nan)
+    k[ok] = gamma_shape_mle(y[ok])
+    se_log_model = 1.0 / np.sqrt(n * k)
+    se_log_sand = np.sqrt(np.sum((y - ybar[:, None]) ** 2, axis=1)) / (n * ybar)
+    se_k = 1.0 / np.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
+    for se in (se_log_model, se_log_sand, se_k):
+        ok &= (se > 0) & (se < np.inf)
+    fit = FitResult(
         family="gamma",
         link=link,
         mu_hat=ybar,
@@ -185,9 +185,33 @@ def fit_gamma_intercept(data, link: str = "log", se_kind: str = "both") -> FitRe
         se_k=se_k,
         cov_mu_k=0.0,  # mean and shape are information-orthogonal at the MLE
         n_obs=n,
-        loglik=loglik,
-        data=(tuple(y),),
     )
+    return fit, ok
+
+
+def fit_gamma_intercept(data, link: str = "log") -> FitResult:
+    """Intercept-only gamma fit of one sample: the one-row case of
+    :func:`fit_gamma_rows`, with its log-likelihood and data attached."""
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 1 or y.size < 2:
+        raise InsufficientDataError("need at least 2 observations")
+    if np.any(y <= 0):
+        raise FitError("gamma data must be strictly positive")
+    if np.ptp(y) == 0:
+        raise DegenerateDataError("all observations equal")
+    rows, ok = fit_gamma_rows(y[None, :], link)
+    row = {name: float(getattr(rows, name)[0]) for name in (
+        "mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")}
+    loglik = _gamma_loglik(y, row["mu_hat"], row["k_hat"])
+    if not (ok[0] and math.isfinite(loglik)):
+        raise FitError("gamma fit is not finite: the shape, the mean, an SE or "
+                       "the log-likelihood leaves the range of double precision")
+    return replace(rows, **row, loglik=loglik, data=(tuple(y),))
+
+
+# smallest quasi-Poisson dispersion reported: keeps phi_hat, and the SEs and
+# count intervals built from it, positive when the counts fit exactly
+PHI_FLOOR = 1e-8
 
 
 def _poisson_deviance(x: np.ndarray, mu: np.ndarray) -> float:
@@ -196,8 +220,7 @@ def _poisson_deviance(x: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (x - mu)))
 
 
-def fit_quasipoisson(events, exposure, regressors=None, link: str = "log",
-                     phi_floor: float = 1e-8) -> FitResult:
+def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> FitResult:
     """Quasi-Poisson fit of event counts with exposure offsets.
 
     Intercept-only: lambda_hat = sum(events)/sum(exposure) exactly and
@@ -219,7 +242,7 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log",
         mu = lam * e
         p = 1
         dev = _poisson_deviance(x, mu)
-        phi = max(dev / max(n - p, 1), phi_floor)
+        phi = max(dev / max(n - p, 1), PHI_FLOOR)
         se_log_model = math.sqrt(phi / x.sum())
         se_log_sand = math.sqrt(float(np.sum((x - mu) ** 2))) / x.sum()
         return FitResult(
@@ -265,7 +288,7 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log",
     mu = e * h(eta)
     p = 2
     dev = _poisson_deviance(x, mu)
-    phi = max(dev / max(n - p, 1), phi_floor)
+    phi = max(dev / max(n - p, 1), PHI_FLOOR)
     cov = phi * np.linalg.inv(X.T @ (((e * hp(eta)) ** 2 / mu)[:, None] * X))
     return FitResult(
         family="quasipoisson",

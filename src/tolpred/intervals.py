@@ -412,11 +412,11 @@ def _delta_se(fit: FitResult, prob: float, n_future: float, q=None):
     return np.sqrt(var)
 
 
-def tolerance_delta(fit: FitResult, p: float, level: float, n_future: float,
-                    link: str = "log") -> IntervalEstimate:
+def tolerance_delta(fit: FitResult, p: float, level: float,
+                    n_future: float) -> IntervalEstimate:
     """Delta-method percentile tolerance interval for the middle 100p%.
 
-    Endpoints g^{-1}{ g(q_hat) -/+ t_{n-1} * se } with the quantile SE
+    Endpoints exp{ log(q_hat) -/+ t_{n-1} * se/q_hat } with the quantile SE
     propagated through central finite differences and the (mu, k) covariance.
     """
     t = critical_value(level, "t", fit.n_obs - 1)
@@ -424,10 +424,7 @@ def tolerance_delta(fit: FitResult, p: float, level: float, n_future: float,
     for prob, sign in (((1 - p) / 2, -1.0), ((1 + p) / 2, +1.0)):
         q = _sum_quantile(fit, prob, n_future)
         se = _delta_se(fit, prob, n_future, q)
-        if link == "log":
-            out.append(q * np.exp(sign * t * se / q))
-        else:
-            out.append(q + sign * t * se)
+        out.append(q * np.exp(sign * t * se / q))
     return IntervalEstimate(out[0], out[1], level, "delta_tolerance",
                             "middle_content", content_p=p)
 
@@ -572,7 +569,8 @@ METHODS = {
     "fpivot_k1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
                         predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, 1.0, level),
                         lambda fit, n_future, se_kind: _fpivot_pvalue(fit, n_future,
-                                                                      se_kind, 1.0)),
+                                                                      se_kind, 1.0),
+                        families=("gamma",)),
     "plugin": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_plugin(fit, _target(fit, n_future), level)),
     "kris": Method("prediction", ("exposure_total",),

@@ -4,8 +4,8 @@ Reproduces the gamma coverage tables (seven interval methods, prediction and
 tolerance targets) and the doubly stochastic Poisson-gamma site process in
 which per-site rates are drawn once and held fixed while exponential
 interarrivals accumulate to a study-level stream.  Endpoints come from the
-``intervals.METHODS`` constructors, called once per cell on a fit whose
-fields are per-run arrays.
+``intervals.METHODS`` constructors, called once per cell on the
+``fit.fit_gamma_rows`` fit of all runs, whose fields are per-run arrays.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import special
 
 from . import dist, intervals
 from .dist import RngStream
-from .fit import FitResult, gamma_shape_mle
+from .fit import FitResult, fit_gamma_rows
 
 __all__ = [
     "ScenarioSpec",
@@ -188,24 +187,6 @@ def _draw_site_runs(spec: ScenarioSpec):
     return y, future
 
 
-def _gamma_fit_arrays(y: np.ndarray):
-    """Vectorized intercept-only gamma fits over rows: a gamma ``FitResult``
-    whose numeric fields are per-run arrays, and the mask of rows that fit."""
-    ybar = y.mean(axis=1)
-    s = np.log(ybar) - np.log(y).mean(axis=1)
-    ok = s > 0
-    k = np.full(y.shape[0], np.nan)
-    if np.any(ok):
-        k[ok] = gamma_shape_mle(y[ok])
-    n = y.shape[1]
-    se_log = 1.0 / np.sqrt(n * k)
-    se_k = 1.0 / np.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
-    fit = FitResult(family="gamma", link="log", mu_hat=ybar, n_obs=n, k_hat=k,
-                    se_mu=ybar * se_log, se_g_mu_model=se_log, se_k=se_k,
-                    cov_mu_k=0.0)
-    return fit, ok
-
-
 def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
     iv = intervals.METHODS[method].build(fit, level, spec.N - spec.n, spec.content_p,
                                          SE_KIND, CRIT)
@@ -234,7 +215,7 @@ def run_gamma_coverage(spec: ScenarioSpec) -> CoverageReport:
     if spec.data_process != "gamma_fixed":
         raise ValueError("run_gamma_coverage needs a gamma_fixed scenario")
     y, future = _draw_gamma_runs(spec)
-    fit, ok = _gamma_fit_arrays(y)
+    fit, ok = fit_gamma_rows(y)
     future_sum = dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k)
     q_true_lo, q_true_hi = dist.quantile(
         future_sum, [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
@@ -261,7 +242,7 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
     if spec.data_process != "poisson_gamma_sites":
         raise ValueError("run_poisson_gamma needs a poisson_gamma_sites scenario")
     y, future = _draw_site_runs(spec)
-    fit, ok = _gamma_fit_arrays(y)
+    fit, ok = fit_gamma_rows(y)
     results = {}
     for method in spec.methods:
         if method in TOLERANCE_METHODS:

@@ -88,9 +88,17 @@ def test_unknown_choice_is_config_error(capsys, gamma_csv):
     assert main(["fit", "--family", "lognormal", "--input", str(path)]) == 1
 
 
-def test_missing_input_file(capsys, tmp_path):
-    assert main(["fit", "--family", "gamma",
-                 "--input", str(tmp_path / "nope.csv")]) == 2
+@pytest.mark.parametrize("argv", [
+    ["fit", "--family", "gamma"], ["fit", "--family", "quasipoisson"],
+    ["fit", "--family", "binomial"], ["fit", "--family", "weibull"],
+    ["survival"], ["recruit"],
+], ids=["fit-gamma", "fit-quasipoisson", "fit-binomial", "fit-weibull",
+        "survival", "recruit"])
+def test_missing_input_file(capsys, tmp_path, argv):
+    assert main(argv + ["--input", str(tmp_path / "nope.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "cannot read" in err
 
 
 def test_empty_csv(capsys, tmp_path):
@@ -267,6 +275,9 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
     ("predict", "weibull", "eq2", "5"),
     ("curve", "binomial", "ci_plug", "5"),
     ("curve", "weibull", "ci_plug", "5"),
+    ("predict", "quasipoisson", "fpivot_k1", "60"),
+    ("predict", "binomial", "fpivot_k1", "60"),
+    ("predict", "weibull", "fpivot_k1", "60"),
 ])
 def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
                                          family, method, n_future):

@@ -80,6 +80,38 @@ def test_gamma_overflow_is_fit_error():
         fit_gamma_intercept([1e308, 1.5e308])
 
 
+ROW_ARRAYS = ("mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")
+
+
+@pytest.mark.parametrize("link", ["log", "identity"])
+def test_gamma_rows_are_the_scalar_fits(link):
+    gen = np.random.default_rng(11)
+    for rows, n in ((1, 2), (9, 3), (40, 20), (25, 79)):
+        y = gen.gamma(gen.uniform(0.3, 6.0, size=(rows, 1)), 2.0, size=(rows, n))
+        rf, ok = fit.fit_gamma_rows(y, link)
+        assert ok.all()
+        for i, row in enumerate(y):
+            want = fit_gamma_intercept(row, link)
+            for name in ("family", "link", "n_obs", "cov_mu_k"):
+                assert getattr(rf, name) == getattr(want, name), name
+            for name in ROW_ARRAYS:
+                assert getattr(rf, name)[i] == getattr(want, name), name
+            sand = math.sqrt(np.sum((row - row.mean()) ** 2)) / (n * row.mean())
+            assert rf.se_g_mu_sandwich[i] == (sand if link == "log" else row.mean() * sand)
+        if rows < 3:
+            continue
+        # a constant row and one whose spread underflows are masked; the
+        # other rows of the same array fit as before
+        bad = y.copy()
+        bad[0] = 2.5
+        bad[-1] = np.linspace(1e-320, 3e-310, n)
+        with np.errstate(all="ignore"):
+            rf2, ok2 = fit.fit_gamma_rows(bad, link)
+        assert not ok2[0] and not ok2[-1] and ok2[1:-1].all()
+        for name in ROW_ARRAYS:
+            assert np.array_equal(getattr(rf2, name)[1:-1], getattr(rf, name)[1:-1])
+
+
 def test_gamma_shape_mle_score_solved():
     y = gamma_sample(200, seed=7)
     k = float(gamma_shape_mle(y))

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from tolpred import intervals, simlab
-from tolpred.fit import fit_gamma_intercept
+from tolpred.fit import fit_gamma_intercept, fit_gamma_rows
 from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table,
                             run_gamma_coverage, run_poisson_gamma)
 
@@ -179,7 +179,7 @@ def test_lab_endpoints_are_the_table_run_by_run():
                       n_runs=200, seed=3)
     n_fut, p = spec.N - spec.n, spec.content_p
     y, future = simlab._draw_gamma_runs(spec)
-    fit, ok = simlab._gamma_fit_arrays(y)
+    fit, ok = fit_gamma_rows(y)
     assert ok.all()
     fits = [fit_gamma_intercept(row) for row in y]
     q_lo, q_hi = stats.gamma.ppf([(1 - p) / 2, (1 + p) / 2], n_fut * spec.k,
