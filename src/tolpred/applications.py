@@ -383,7 +383,7 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
                                 intervals._sum_quantile(fit, 1 - alpha / 2, 1, mu=mu_hi),
                                 level, "ci_plug_prediction", "future_observation")
     q = intervals._sum_quantile(fit, p, 1)
-    se = intervals._delta_se(fit, p, 1, q)
+    se = intervals._delta_se(fit, p, 1)
     if band == "repeated":
         if events_future is None or events_future < 1:
             raise ValueError("repeated-experiment band needs events_future >= 1")

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,16 @@ def _table_method(args, fit: FitResult, name: str) -> intervals.Method:
     return method
 
 
+@contextmanager
+def _unsupported_as_config(fit: FitResult, name: str):
+    """Report a method that has no formula for this fit and target as a
+    configuration error."""
+    try:
+        yield
+    except intervals.UnsupportedTargetError as exc:
+        raise ConfigError(f"method {name!r} on a {fit.family} fit: {exc}") from exc
+
+
 def cmd_interval(args) -> int:
     """predict/tolerance: each requested method of the subcommand's kind from
     the shared ``intervals.METHODS`` table, with the CLI convention: the
@@ -196,7 +207,8 @@ def cmd_interval(args) -> int:
     out = {}
     for name in args.method:
         method = _table_method(args, fit, name)
-        iv = method.build(fit, level, float(args.n_future), p, args.se_kind, "z")
+        with _unsupported_as_config(fit, name):
+            iv = method.build(fit, level, float(args.n_future), p, args.se_kind, "z")
         out[name] = _interval_to_dict(iv)
     _emit(args, out)
     return EXIT_OK
@@ -211,14 +223,16 @@ def cmd_curve(args) -> int:
     fit = _fit_from_args(args)
     for method in args.method:
         _table_method(args, fit, method)
+    tables = []   # every table is built before --out-dir is created
+    for method in args.method:
+        with _unsupported_as_config(fit, method):
+            tables.append(curves.build_curve(fit, method, float(args.n_future),
+                                             se_kind=args.se_kind))
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
-    for method in args.method:
-        table = curves.build_curve(fit, method, float(args.n_future),
-                                   se_kind=args.se_kind)
-        path = out_dir / f"curve_{method}.csv"
-        table.write_csv(path)
+    for method, table in zip(args.method, tables):
+        table.write_csv(out_dir / f"curve_{method}.csv")
         series.append((table.grid, table.C, CURVE_COLORS[method]))
     if args.svg:
         write_svg_lines(out_dir / "curves.svg", series,

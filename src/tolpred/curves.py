@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .fit import FitResult
-from .intervals import METHODS, Method
+from .intervals import METHODS, Method, UnsupportedTargetError
 
 __all__ = [
     "CurveTable",
@@ -114,8 +114,8 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     if grid is None:
         iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
         if iv.lower <= 0:
-            raise ValueError("the 99.8% interval reaches totals <= 0, which a "
-                             "log-spaced grid cannot span; pass a grid")
+            raise UnsupportedTargetError("the 99.8% interval reaches totals <= 0, "
+                                         "which a log-spaced grid cannot span; pass a grid")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
     else:
         grid = _hypotheses(grid)

@@ -69,6 +69,11 @@ class FitResult:
     ``phi_hat`` is deviance/(n-p); ``dispersion_scale`` is its square root,
     the value statistical packages report as "Scale" and the convention the
     dispersed-count interval formulas take as input.
+
+    ``_memo`` keeps what the interval constructors derive from the fit
+    alone, never from the level or the SE convention: the unit-scale sum
+    quantiles and the delta-method quantile SEs, keyed by
+    ``(kind, prob, n_future)``.  ``dataclasses.replace`` starts an empty one.
     """
 
     family: str
@@ -89,6 +94,7 @@ class FitResult:
     coef: np.ndarray | None = None             # regression fits
     cov_coef: np.ndarray | None = None
     data: tuple | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dispersion_scale(self) -> float | None:

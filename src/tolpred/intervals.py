@@ -9,7 +9,10 @@ its constructor and, for the pivots, its upper p-value function; the
 coverage lab, the CLI and the confidence curves all dispatch through it.
 
 The gamma-path constructors compute elementwise: a ``FitResult`` whose
-numeric fields are per-run arrays yields per-run endpoints.
+numeric fields are per-run arrays yields per-run endpoints.  Every
+sum-distribution quantile goes through ``_sum_quantile``, which keeps the
+quantiles at the fitted shape in the fit's memo, so constructors and levels
+that need the same one share it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .dist import critical_value
 from .fit import FitResult
 
 __all__ = [
+    "UnsupportedTargetError",
     "IntervalEstimate",
     "PredictionTarget",
     "se_from_ci",
@@ -57,6 +61,11 @@ def _any(cond) -> bool:
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
+class UnsupportedTargetError(ValueError):
+    """The method has no formula for this fit and target; another method or
+    target is needed, not other data."""
+
+
 @dataclass(frozen=True)
 class IntervalEstimate:
     """Interval endpoints with their level and construction; the endpoints
@@ -73,6 +82,10 @@ class IntervalEstimate:
     def __post_init__(self):
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must be in (0,1)")
+        # per-run arrays keep their NaN rows: the lab masks failed fits
+        for end in (self.lower, self.upper):
+            if not isinstance(end, np.ndarray) and math.isnan(end):
+                raise FloatingPointError(f"NaN endpoint in ({self.lower}, {self.upper})")
         if _any(self.lower > self.upper + 1e-12):
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
@@ -288,8 +301,8 @@ def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
     if _any(mu_lower > mu_upper):
         raise ValueError("mu CI out of order")
     alpha = 1 - level
-    lo = gammaincinv(n_future * k, alpha / 2) * (mu_lower / k)
-    hi = gammaincinv(n_future * k, 1 - alpha / 2) * (mu_upper / k)
+    lo = _unit_quantile("gamma", alpha / 2, n_future, k) * (mu_lower / k)
+    hi = _unit_quantile("gamma", 1 - alpha / 2, n_future, k) * (mu_upper / k)
     return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_sum")
 
 
@@ -312,7 +325,10 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
     then sum-distribution quantiles at the limits."""
     mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     if fit.family == "gamma":
-        return predict_sum_plugci_gamma(mu_lo, mu_hi, fit.k_hat, target.future_units, level)
+        alpha, n_future = 1 - level, target.future_units
+        return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
+                                _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
+                                level, "ci_plug_prediction", "future_sum")
     if fit.family == "quasipoisson":
         ef = target.future_units
         return predict_count_plugci(mu_lo * ef, mu_hi * ef, fit.dispersion_scale, level)
@@ -364,52 +380,68 @@ def _fpivot_pvalue(fit: FitResult, n_future: float, se_kind: str,
 
 def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
                        level: float) -> IntervalEstimate:
-    """Central quantile interval of the plug-in Gamma((N-n)k_hat, mu_hat/k_hat)."""
-    alpha = 1 - level
-    shape = target.future_units * fit.k_hat
-    scale = fit.mu_hat / fit.k_hat
-    return IntervalEstimate(gammaincinv(shape, alpha / 2) * scale,
-                            gammaincinv(shape, 1 - alpha / 2) * scale,
+    """Central quantile interval of the plug-in sum distribution,
+    Gamma((N-n)k_hat, mu_hat/k_hat) for a gamma fit (one observation of a
+    Weibull fit)."""
+    alpha, n_future = 1 - level, target.future_units
+    return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future),
+                            _sum_quantile(fit, 1 - alpha / 2, n_future),
                             level, "plug_in", "future_sum")
 
 
 # ---------------------------------------------------------------------------
 # tolerance intervals for the sum distribution
 
+def _unit_quantile(family: str, prob: float, n_future: float, k: float) -> float:
+    """Quantile of the sum (or single-observation) distribution at unit
+    scale: Gamma(n_future * k, 1), or Weibull(1, k) for one observation."""
+    if family == "gamma":
+        return gammaincinv(n_future * k, prob)
+    if family == "weibull":
+        if n_future != 1:
+            raise UnsupportedTargetError(
+                "weibull sum quantiles only defined for single observations")
+        return (-math.log1p(-prob)) ** (1 / k)
+    raise ValueError(f"no sum distribution for family {family!r}")
+
+
 def _sum_quantile(fit: FitResult, prob: float, n_future: float,
                   mu: float | None = None, k: float | None = None) -> float:
-    """Quantile of the sum (or single-observation) distribution at (mu, k)."""
+    """Quantile of the sum (or single-observation) distribution at (mu, k):
+    the unit-scale quantile times the scale mu/k (gamma) or mu/Gamma(1+1/k)
+    (Weibull).  At the fitted shape the unit-scale quantile depends on
+    neither mu nor the level, so each fit computes it once."""
     mu = fit.mu_hat if mu is None else mu
-    k = fit.k_hat if k is None else k
-    if fit.family == "gamma":
-        return gammaincinv(n_future * k, prob) * (mu / k)
-    if fit.family == "weibull":
-        if n_future != 1:
-            raise ValueError("weibull sum quantiles only defined for single observations")
-        lam = mu / special.gamma(1 + 1 / k)
-        return lam * (-math.log1p(-prob)) ** (1 / k)
-    raise ValueError(f"no sum distribution for family {fit.family!r}")
+    if k is None:
+        k, key = fit.k_hat, ("quantile", prob, n_future)
+        if key not in fit._memo:
+            fit._memo[key] = _unit_quantile(fit.family, prob, n_future, k)
+        q = fit._memo[key]
+    else:
+        q = _unit_quantile(fit.family, prob, n_future, k)
+    return q * (mu / k if fit.family == "gamma" else mu / special.gamma(1 + 1 / k))
 
 
-def _delta_se(fit: FitResult, prob: float, n_future: float, q=None):
-    """Delta-method SE of the sum quantile ``q`` (computed when not given).
+def _delta_se(fit: FitResult, prob: float, n_future: float):
+    """Delta-method SE of the sum quantile at the fit, computed once per fit.
 
     Both sum distributions are linear in mu (gamma through scale=mu/k,
     Weibull through lam=mu/Gamma(1+1/k)), so dq/dmu = q/mu exactly; dq/dk
     is a central finite difference.
     """
-    mu, k = fit.mu_hat, fit.k_hat
-    if q is None:
-        q = _sum_quantile(fit, prob, n_future)
-    h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
-    d_mu = q / mu
-    d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
-           - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
-    cov = 0.0 if fit.cov_mu_k is None else fit.cov_mu_k
-    var = (d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2 + 2.0 * d_mu * d_k * cov
-    if _any(var < 0):
-        raise ValueError("negative delta-method variance; covariance is not PSD")
-    return np.sqrt(var)
+    key = ("delta_se", prob, n_future)
+    if key not in fit._memo:
+        mu, k = fit.mu_hat, fit.k_hat
+        h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
+        d_mu = _sum_quantile(fit, prob, n_future) / mu
+        d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
+               - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
+        cov = 0.0 if fit.cov_mu_k is None else fit.cov_mu_k
+        var = (d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2 + 2.0 * d_mu * d_k * cov
+        if _any(var < 0):
+            raise ValueError("negative delta-method variance; covariance is not PSD")
+        fit._memo[key] = np.sqrt(var)
+    return fit._memo[key]
 
 
 def tolerance_delta(fit: FitResult, p: float, level: float,
@@ -423,7 +455,7 @@ def tolerance_delta(fit: FitResult, p: float, level: float,
     out = []
     for prob, sign in (((1 - p) / 2, -1.0), ((1 + p) / 2, +1.0)):
         q = _sum_quantile(fit, prob, n_future)
-        se = _delta_se(fit, prob, n_future, q)
+        se = _delta_se(fit, prob, n_future)
         out.append(q * np.exp(sign * t * se / q))
     return IntervalEstimate(out[0], out[1], level, "delta_tolerance",
                             "middle_content", content_p=p)

@@ -342,3 +342,15 @@ def test_fixture_shape():
     assert np.all(s.future_sites == 20.0)
     again = app.make_recruitment_fixture()
     assert_allclose(s.events, again.events)
+
+
+def test_weibull_plugin_is_the_fitted_weibull_quantile_interval():
+    # the plug-in interval of one future observation from a Weibull fit is
+    # the central interval of Weibull(lam_hat, k_hat), not a gamma one
+    fr = weibull_fit()
+    iv = intervals.METHODS["plugin"].build(fr, 0.9, 1, None, "model", "t")
+    from scipy import stats
+    want = stats.weibull_min.ppf([0.05, 0.95], fr.k_hat, scale=fr.lam_hat)
+    assert (iv.lower, iv.upper) == pytest.approx(tuple(want), rel=1e-10)
+    with pytest.raises(intervals.UnsupportedTargetError):
+        intervals.METHODS["plugin"].build(fr, 0.9, 5, None, "model", "t")

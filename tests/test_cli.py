@@ -253,8 +253,10 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
     trt = np.repeat([0, 1], 30)
     y = (gen.random(60) < np.where(trt == 1, 0.6, 0.35)).astype(int)
     binom.write_text("y,trt\n" + "\n".join(f"{a},{b}" for a, b in zip(y, trt)) + "\n")
+    near_zero = tmp_path / "near_zero.csv"
+    near_zero.write_text("value\n0.2\n3.0\n0.5\n")
     return {"gamma": gamma_csv[0], "quasipoisson": counts, "binomial": binom,
-            "weibull": survival_csv}
+            "weibull": survival_csv, "gamma_near_zero": near_zero}
 
 
 @pytest.mark.parametrize("command, family, method, n_future", [
@@ -278,11 +280,21 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
     ("predict", "quasipoisson", "fpivot_k1", "60"),
     ("predict", "binomial", "fpivot_k1", "60"),
     ("predict", "weibull", "fpivot_k1", "60"),
+    # Weibull quantiles exist for single observations only
+    ("tolerance", "weibull", "eq3", "5"),
+    ("tolerance", "weibull", "eq5", "5"),
+    ("predict", "weibull", "plugin", "5"),
+    # the identity link pivot's 99.8% interval reaches totals <= 0, which
+    # the log-spaced curve grid cannot span
+    ("curve", "gamma_near_zero", "link_pivot", "5"),
 ])
 def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
                                          family, method, n_future):
-    argv = [command, "--family", family, "--input", str(family_csvs[family]),
-            "--method", method]
+    argv = [command, "--input", str(family_csvs[family]), "--method", method]
+    if family == "gamma_near_zero":
+        family = "gamma"
+        argv += ["--link", "identity"]
+    argv += ["--family", family]
     if n_future is not None:
         argv += ["--n-future", n_future]
     out_dir = tmp_path / "plots"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import stats
 
 from tolpred import dist, intervals
 from tolpred.dist import RngStream
-from tolpred.fit import FitResult, fit_gamma_intercept, fit_quasipoisson
+from tolpred.fit import FitResult, fit_gamma_intercept, fit_gamma_rows, fit_quasipoisson
 from tolpred.intervals import (IntervalEstimate, PredictionTarget,
                                normal_approx_prediction, normal_approx_tolerance,
                                normal_exact_prediction, normal_exact_tolerance,
@@ -31,6 +32,13 @@ def gamma_fit(n=20, seed=1, k=4.0, mu=2.5):
 def test_interval_ordering_enforced():
     with pytest.raises(ValueError):
         IntervalEstimate(2.0, 1.0, 0.95, "m", "t")
+    for lo, hi in ((math.nan, 1.0), (1.0, np.float64("nan")), (math.nan, math.nan)):
+        with pytest.raises(FloatingPointError):
+            IntervalEstimate(lo, hi, 0.95, "m", "t")
+    # per-run arrays keep their failed (NaN) rows for the lab to mask
+    iv = IntervalEstimate(np.array([1.0, math.nan]), np.array([2.0, math.nan]),
+                          0.95, "m", "t")
+    assert np.isnan(iv.lower[1])
 
 
 def test_interval_rounding():
@@ -280,6 +288,48 @@ def test_delta_se_vs_bootstrap():
         boot_q[b] = _sum_quantile(frb, prob, n_fut)
     ratio = se_delta / boot_q.std(ddof=1)
     assert 0.9 < ratio < 1.1
+
+
+MEMO_CALLS = [(name, level) for name in ("eq2", "plugin", "eq3", "eq5")
+              for level in (0.8, 0.95)]
+
+
+def _table_endpoints(fit, name, level):
+    iv = intervals.METHODS[name].build(fit, level, 280, 0.5, "model", "t")
+    return iv.lower, iv.upper
+
+
+def test_memo_order_leaves_endpoints_bit_identical():
+    y = dist.sample(dist.gamma(4.0, 2.5 / 4.0), RngStream(40), 50 * 20).reshape(50, 20)
+    fresh = {call: _table_endpoints(fit_gamma_rows(y)[0], *call) for call in MEMO_CALLS}
+    shared, _ = fit_gamma_rows(y)
+    for call in reversed(MEMO_CALLS):
+        np.testing.assert_array_equal(_table_endpoints(shared, *call), fresh[call])
+    # eq2 and plugin share their quantiles, eq3 its quantiles and SEs
+    assert len(shared._memo) == 2 * 2 + 2 * 2
+    fit = fit_gamma_rows(y)[0]
+    for level in (0.8, 0.95):
+        mu_lo, mu_hi = fit.ci_mu(level, "model", "t")
+        want = predict_sum_plugci_gamma(mu_lo, mu_hi, fit.k_hat, 280, level)
+        np.testing.assert_array_equal(fresh[("eq2", level)], (want.lower, want.upper))
+
+
+def test_replace_starts_an_empty_memo():
+    fr = gamma_fit(seed=41)
+    tolerance_delta(fr, 0.5, 0.95, 280)
+    zero = replace(fr, se_mu=0.0, se_k=0.0)
+    iv = tolerance_delta(zero, 0.5, 0.95, 280)
+    assert (iv.lower, iv.upper) == (intervals._sum_quantile(fr, 0.25, 280),
+                                    intervals._sum_quantile(fr, 0.75, 280))
+
+
+def test_memo_is_invisible_to_equality_and_repr():
+    fr = gamma_fit(seed=42)
+    before = repr(fr)
+    tolerance_delta(fr, 0.5, 0.95, 280)
+    assert fr._memo
+    assert fr == replace(fr)
+    assert repr(fr) == before
 
 
 def test_nct_tolerance_centered_and_ordered():

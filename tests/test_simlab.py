@@ -199,6 +199,25 @@ def test_lab_endpoints_are_the_table_run_by_run():
             assert report.cell(name, level).observed == np.mean(covered)
 
 
+def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
+    # eq2 and plugin share their two quantiles per level, and eq3 computes
+    # its quantiles and delta-method SEs once for both levels: 4 + 6 + 4
+    # (eq5's shape limit depends on the level) array calls per gamma cell
+    calls = []
+
+    def counted(a, p):
+        calls.append(1)
+        return real(a, p)
+
+    real = intervals.gammaincinv
+    monkeypatch.setattr(intervals, "gammaincinv", counted)
+    run_gamma_coverage(gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)))
+    assert len(calls) == 14
+    calls.clear()
+    run_poisson_gamma(site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)))
+    assert len(calls) == 4
+
+
 def test_wrong_process_rejected():
     with pytest.raises(ValueError):
         run_gamma_coverage(site_spec())
