@@ -114,8 +114,9 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     if grid is None:
         iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
         if iv.lower <= 0:
-            raise UnsupportedTargetError("the 99.8% interval reaches totals <= 0, "
-                                         "which a log-spaced grid cannot span; pass a grid")
+            raise UnsupportedTargetError("the 99.8% interval reaches totals <= 0, which "
+                                         "a log-spaced grid cannot span; the log link "
+                                         "keeps every total positive")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
     else:
         grid = _hypotheses(grid)

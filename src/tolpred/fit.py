@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .dist import critical_value
 
@@ -120,29 +120,34 @@ class FitResult:
         return self.mu_hat * np.exp(-half), self.mu_hat * np.exp(half)
 
 
-def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
-    """ML shape of a gamma sample (vectorized over the leading axis of 2-D input).
+def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
+    """Solve log(k) - digamma(k) = s (s > 0, elementwise) for the gamma shape k.
 
-    Solves log(k) - digamma(k) = log(mean) - mean(log) by Newton from the
-    Greenwood-Durand moment start; globally convergent in practice.  Each
-    row stops after the step taken at its first residual within ``tol``, so
-    its shape does not depend on the other rows.
+    Newton from the Greenwood-Durand moment start; globally convergent in
+    practice.  Each element stops after the step taken at its first residual
+    within ``tol``, so its root does not depend on the other elements.
     """
-    y = np.asarray(y, dtype=float)
-    axis = -1
-    s = np.log(y.mean(axis=axis)) - np.log(y).mean(axis=axis)
-    if np.any(s <= 0):
-        raise DegenerateDataError("all observations equal; gamma shape diverges")
     k = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     active = np.ones(np.shape(s), dtype=bool)
     for _ in range(max_iter):
         f = np.log(k) - special.digamma(k) - s
-        fp = 1.0 / k - special.polygamma(1, k)
+        fp = 1.0 / k - special.zeta(2.0, k)
         k = np.where(active, k - f / fp, k)
+        k = np.where(k > 0, k, np.nan)  # zeta(2, k < 0) sums about |k| terms
         active &= ~(np.abs(f) <= tol)
         if not active.any():
             break
     return k
+
+
+def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
+    """ML shape of a gamma sample (vectorized over the leading axis of 2-D input):
+    the root of log(k) - digamma(k) = log(mean) - mean(log)."""
+    y = np.asarray(y, dtype=float)
+    s = np.log(y.mean(axis=-1)) - np.log(y).mean(axis=-1)
+    if np.any(s <= 0):
+        raise DegenerateDataError("all observations equal; gamma shape diverges")
+    return _shape_from_s(s, tol, max_iter)
 
 
 def _gamma_loglik(y: np.ndarray, mu: float, k: float) -> float:
@@ -177,7 +182,7 @@ def fit_gamma_rows(y, link: str = "log"):
     k[ok] = gamma_shape_mle(y[ok])
     se_log_model = 1.0 / np.sqrt(n * k)
     se_log_sand = np.sqrt(np.sum((y - ybar[:, None]) ** 2, axis=1)) / (n * ybar)
-    se_k = 1.0 / np.sqrt(n * (special.polygamma(1, k) - 1.0 / k))
+    se_k = 1.0 / np.sqrt(n * (special.zeta(2.0, k) - 1.0 / k))
     for se in (se_log_model, se_log_sand, se_k):
         ok &= (se > 0) & (se < np.inf)
     fit = FitResult(
@@ -473,11 +478,9 @@ def _gamma_profile_deviance(y: np.ndarray, mu: float | None, k: float | None,
                             mu_hat: float, k_hat: float) -> float:
     """Deviance 2*(l_max - l_profile) profiling out the other parameter."""
     lmax = _gamma_loglik(y, mu_hat, k_hat)
-    if k is None:  # profile over k at fixed mu: mu fixed, k maximized
-        def neg(logk):
-            return -_gamma_loglik(y, mu, math.exp(logk))
-        res = minimize_scalar(neg, bracket=(math.log(k_hat) - 1, math.log(k_hat) + 1))
-        lp = -res.fun
+    if k is None:  # fixed mu: log(k) - digamma(k) = s(mu), the fit's own s at mu = ybar
+        s = np.log(mu) - np.log(y).mean() + (y.mean() / mu - 1.0)
+        lp = _gamma_loglik(y, mu, _shape_from_s(s))
     else:  # fixed k: mu profile-MLE is ybar for every k
         lp = _gamma_loglik(y, mu_hat, k)
     return 2.0 * (lmax - lp)

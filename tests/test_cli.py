@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tolpred import applications, intervals
 from tolpred.cli import main
@@ -291,7 +296,8 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
 def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
                                          family, method, n_future):
     argv = [command, "--input", str(family_csvs[family]), "--method", method]
-    if family == "gamma_near_zero":
+    near_zero = family == "gamma_near_zero"
+    if near_zero:
         family = "gamma"
         argv += ["--link", "identity"]
     argv += ["--family", family]
@@ -306,6 +312,51 @@ def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and method in err and family in err
     assert not out_dir.exists()
+    if near_zero:   # advice a CLI user can follow: there is no grid option
+        assert "log link" in err and "pass a grid" not in err
+
+
+def _finite(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+       method=st.sampled_from(sorted(intervals.METHODS)),
+       level=st.floats(0.5, 0.99), content=st.floats(0.01, 0.99),
+       n_future=st.sampled_from(["1", "5", "280"]),
+       link=st.sampled_from(["log", "identity"]),
+       se_kind=st.sampled_from(["model", "sandwich"]))
+# near-equal values: the shape Newton steps below zero (test_fit)
+@example(values=[1.0, 1.0000001], method="eq1", level=0.95, content=0.5,
+         n_future="5", link="log", se_kind="sandwich")
+def test_any_gamma_interval_call_is_finite_json_or_a_typed_error(
+        values, method, level, content, n_future, link, se_kind):
+    """Any finite positive gamma CSV, with any table method, either exits 0
+    with finite JSON or exits 1, 2 or 3 with one line on stderr."""
+    kind = intervals.METHODS[method].kind
+    command = "predict" if kind == "prediction" else "tolerance"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.csv"
+        path.write_text("value\n" + "\n".join(map(repr, values)) + "\n")
+        argv = [command, "--family", "gamma", "--input", str(path), "--method", method,
+                "--level", repr(level), "--n-future", n_future, "--link", link,
+                "--se-kind", se_kind]
+        if command == "tolerance":
+            argv += ["--content", repr(content)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert _finite(json.loads(out.getvalue()))
+    else:
+        assert code in (1, 2, 3) and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
 
 
 def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):

@@ -80,6 +80,16 @@ def test_gamma_overflow_is_fit_error():
         fit_gamma_intercept([1e308, 1.5e308])
 
 
+def test_gamma_shape_step_below_zero_is_fit_error():
+    # s is rounding noise here and a Newton step lands below zero; trigamma
+    # of that shape, zeta(2, -1.6e13), would sum about 1.6e13 terms
+    y = np.array([1.0, 1.0000001])
+    with np.errstate(all="ignore"):
+        assert np.isnan(gamma_shape_mle(y))
+        with pytest.raises(FitError, match="not finite"):
+            fit_gamma_intercept(y)
+
+
 ROW_ARRAYS = ("mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")
 
 
@@ -357,6 +367,36 @@ def test_profile_ci_matches_deviance_at_endpoints():
             else:
                 dev = _gamma_profile_deviance(y, None, endpoint, fr.mu_hat, fr.k_hat)
             assert dev == pytest.approx(target, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, k, seed", [(8, 0.5, 21), (30, 4.0, 22), (200, 1.5, 23)])
+def test_k_profile_matches_independent_maximizer(n, k, seed):
+    y = gamma_sample(n, seed=seed, k=k)
+    fr = fit_gamma_intercept(y)
+
+    def loglik(mu, kk):
+        return np.sum(kk * np.log(kk / mu) - special.gammaln(kk)
+                      + (kk - 1) * np.log(y) - kk * y / mu)
+
+    lmax = loglik(fr.mu_hat, fr.k_hat)
+    for mu in fr.mu_hat * np.array([0.5, 0.8, 0.97, 1.03, 1.3, 2.0]):
+        res = optimize.minimize_scalar(lambda logk: -loglik(mu, math.exp(logk)),
+                                       bounds=(math.log(fr.k_hat) - 6, math.log(fr.k_hat) + 6),
+                                       method="bounded", options={"xatol": 1e-12})
+        want = 2.0 * (lmax + res.fun)
+        got = fit._gamma_profile_deviance(y, mu, None, fr.mu_hat, fr.k_hat)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_k_profile_at_the_fitted_mean_is_the_fit():
+    gen = np.random.default_rng(24)
+    for _ in range(300):
+        y = gen.gamma(gen.uniform(0.3, 5.0), 1.0, size=int(gen.integers(5, 61)))
+        fr = fit_gamma_intercept(y)
+        mu = fr.mu_hat
+        s = np.log(mu) - np.log(y).mean() + (y.mean() / mu - 1.0)
+        assert fit._shape_from_s(s) == pytest.approx(fr.k_hat, abs=1e-12)
+        assert fit._gamma_profile_deviance(y, mu, None, mu, fr.k_hat) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_profile_ci_collapses_at_zero_level():
