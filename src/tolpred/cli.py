@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, predict, tolerance, curve, simulate, recruit, survival.
-Each accepts an optional JSON config (``--config``) whose keys mirror the
-flags; explicit flags win.  CSV tables are always written next to any SVG so
+Each accepts an optional JSON config (``--config``): its keys are the
+subcommand's option names (``n_future`` for ``--n-future``) and its values
+are parsed as the flags they stand for, before the command line's own, so
+explicit flags win.  CSV tables are always written next to any SVG so
 plots are reproducible externally.
 
 Exit codes: 0 success, 1 configuration error, 2 parse error,
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -31,6 +34,8 @@ EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_FIT = 3
 EXIT_BUDGET = 4
+
+LINKS = ["log", "identity"]
 
 
 class ConfigError(Exception):
@@ -80,46 +85,49 @@ def write_svg_lines(path, series, xlabel="", ylabel=""):
 # ---------------------------------------------------------------------------
 # config / parsing helpers
 
-def _load_config(path) -> dict:
+def _config_flags(parser: argparse.ArgumentParser, path) -> list[str]:
+    """The flags a ``--config`` file stands for.  Each key is the ``dest`` of
+    one of ``parser``'s options and each value the text a user would type
+    after its flag: a list for a multi-value option, true or false for a
+    switch."""
     try:
-        raw = json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    raw.pop("schema_version", None)
-    return raw
-
-
-def _merge(args: argparse.Namespace, config_keys: set) -> None:
-    """Fill unset flags from --config; flags win over config values."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    unknown = set(cfg) - config_keys
+    cfg.pop("schema_version", None)
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
     for key, val in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+        flag, switch = options[key].option_strings[0], options[key].nargs == 0
+        vals = [] if switch else val if isinstance(val, list) else [val]
+        if (switch and type(val) is not bool) or any(type(v) not in (str, int, float)
+                                                     for v in vals):
+            raise ConfigError(f"config key {key!r}: {val!r} is not the text of {flag}")
+        if val is not False:
+            flags += [flag, *map(str, vals)]
+    return flags
 
 
 def _fit_from_args(args) -> FitResult:
     fam = args.family
     if fam == "gamma":
         arr = applications._read_rows(args.input, ["value"])
-        return fit_gamma_intercept(arr[:, 0], link=args.link or "log")
+        return fit_gamma_intercept(arr[:, 0], link=args.link)
     if fam == "quasipoisson":
         arr = applications._read_rows(args.input, ["events", "exposure"])
-        return fit_quasipoisson(arr[:, 0], arr[:, 1], link=args.link or "log")
+        return fit_quasipoisson(arr[:, 0], arr[:, 1], link=args.link)
     if fam == "binomial":
         arr = applications._read_rows(args.input, ["y", "trt"])
         return fit_binomial_logit(arr[:, 0], arr[:, 1])
-    if fam == "weibull":
-        return fit_weibull_censored(applications.load_survival_csv(args.input))
-    raise ConfigError(f"unknown family {fam!r}")
+    return fit_weibull_censored(applications.load_survival_csv(args.input))
 
 
 def _fit_to_dict(fit: FitResult) -> dict:
@@ -148,7 +156,7 @@ def _emit(args, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(f"non-finite value in the output: {exc}") from exc
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
@@ -166,24 +174,11 @@ def cmd_fit(args) -> int:
 def _table_method(args, fit: FitResult, name: str) -> intervals.Method:
     """The ``intervals.METHODS`` entry that ``--method name`` selects for
     predict, tolerance or curve, checked usable on ``fit``."""
-    if args.command == "curve":
-        method = intervals.METHODS.get(curves.CURVE_METHODS.get(name))
-    else:
-        method = intervals.METHODS.get(name)
-        kind = "tolerance" if args.command == "tolerance" else "prediction"
-        if method is not None and method.kind != kind:
-            method = None
-    if method is None:
-        raise ConfigError(f"unknown {args.command} method {name!r}")
+    method = intervals.METHODS[curves.CURVE_METHODS.get(name, name)]
     if args.n_future is None:
         raise ConfigError(f"method {name!r} needs --n-future ({fit.family} fit)")
-    for field in method.needs:
-        if getattr(fit, field) is None:
-            raise ConfigError(f"method {name!r} needs {field}, which a "
-                              f"{fit.family} fit does not provide")
     if method.families is not None and fit.family not in method.families:
-        raise ConfigError(f"method {name!r} has no sum distribution for a "
-                          f"{fit.family} fit")
+        raise ConfigError(f"method {name!r} has no formula for a {fit.family} fit")
     return method
 
 
@@ -202,13 +197,12 @@ def cmd_interval(args) -> int:
     the shared ``intervals.METHODS`` table, with the CLI convention: the
     ``--se-kind`` SE and the z critical value for the eq2/eq5 limits."""
     fit = _fit_from_args(args)
-    level = float(args.level)
-    p = float(args.content) if args.command == "tolerance" else None
+    p = args.content if args.command == "tolerance" else None
     out = {}
     for name in args.method:
         method = _table_method(args, fit, name)
         with _unsupported_as_config(fit, name):
-            iv = method.build(fit, level, float(args.n_future), p, args.se_kind, "z")
+            iv = method.build(fit, args.level, args.n_future, p, args.se_kind, "z")
         out[name] = _interval_to_dict(iv)
     _emit(args, out)
     return EXIT_OK
@@ -226,9 +220,9 @@ def cmd_curve(args) -> int:
     tables = []   # every table is built before --out-dir is created
     for method in args.method:
         with _unsupported_as_config(fit, method):
-            tables.append(curves.build_curve(fit, method, float(args.n_future),
+            tables.append(curves.build_curve(fit, method, args.n_future,
                                              se_kind=args.se_kind))
-    out_dir = Path(args.out_dir or ".")
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = []
     for method, table in zip(args.method, tables):
@@ -241,24 +235,16 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.scenario:
-        raise ConfigError("a scenario file is required")
     try:
         spec = simlab.ScenarioSpec.from_json(args.scenario)
     except FileNotFoundError as exc:
         raise ConfigError(str(exc)) from exc
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
-    overrides = {}
-    if args.runs is not None:
-        overrides["n_runs"] = int(args.runs)
-    if args.seed is not None:
-        overrides["seed"] = int(args.seed)
-    if overrides:
-        spec = simlab.ScenarioSpec(**{**spec.__dict__, **overrides})
-    max_runs = int(args.max_runs) if args.max_runs is not None else 1_000_000
-    if spec.n_runs > max_runs:
-        raise BudgetError(f"{spec.n_runs} runs exceed the budget of {max_runs}")
+    overrides = {"n_runs": args.runs, "seed": args.seed}
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    if spec.n_runs > args.max_runs:
+        raise BudgetError(f"{spec.n_runs} runs exceed the budget of {args.max_runs}")
     runner = (simlab.run_gamma_coverage if spec.data_process == "gamma_fixed"
               else simlab.run_poisson_gamma)
     report = runner(spec)
@@ -274,36 +260,31 @@ def cmd_simulate(args) -> int:
 
 def cmd_recruit(args) -> int:
     series = applications.load_recruitment_csv(args.input, args.schedule)
-    level = float(args.level)
     out = {}
     if args.mode == "sitedays":
         fit = applications.site_day_fit(series)
         out["fit"] = _fit_to_dict(fit)
         out["diagnostic"] = applications.site_dispersion_diagnostic(series)
         if series.future_sites is not None:
-            iv = applications.predict_sitedays(fit, series, level)
+            iv = applications.predict_sitedays(fit, series, args.level)
             out["prediction"] = _interval_to_dict(iv)
             out["prediction_rounded"] = list(iv.rounded())
-    elif args.mode == "trend":
-        trend = applications.fit_trend(series, transform=args.transform,
-                                       link=args.link or "identity")
-        out["coef"] = list(trend.coef)
-        out["phi"] = trend.phi
-        d = trend.fit_window[1]
-        horizon = int(args.horizon or 18)
-        iv = applications.predict_sum_rate(trend, range(d + 1, d + horizon + 1), level)
-        out["sum_prediction"] = _interval_to_dict(iv)
-        out["sum_prediction_rounded"] = list(iv.rounded())
-    elif args.mode == "window":
-        trend = applications.fit_trend(series, transform=args.transform,
-                                       link=args.link or "identity")
-        if args.target is None:
-            raise ConfigError("window mode requires --target")
-        point, (lo, hi) = applications.solve_target_window(trend, float(args.target), level)
-        out["horizon_point"] = point
-        out["horizon_interval"] = [lo, hi]
     else:
-        raise ConfigError(f"unknown recruit mode {args.mode!r}")
+        trend = applications.fit_trend(series, transform=args.transform, link=args.link)
+        if args.mode == "trend":
+            out["coef"] = list(trend.coef)
+            out["phi"] = trend.phi
+            d = trend.fit_window[1]
+            iv = applications.predict_sum_rate(trend, range(d + 1, d + args.horizon + 1),
+                                               args.level)
+            out["sum_prediction"] = _interval_to_dict(iv)
+            out["sum_prediction_rounded"] = list(iv.rounded())
+        else:
+            if args.target is None:
+                raise ConfigError("window mode requires --target")
+            point, (lo, hi) = applications.solve_target_window(trend, args.target, args.level)
+            out["horizon_point"] = point
+            out["horizon_interval"] = [lo, hi]
     _emit(args, out)
     return EXIT_OK
 
@@ -312,10 +293,9 @@ def cmd_survival(args) -> int:
     data = applications.load_survival_csv(args.input)
     fit = fit_weibull_censored(data)
     km = km_estimator(data)
-    level = float(args.level)
-    m = int(args.events_future or 100)
+    level, m = args.level, args.events_future
     p_grid = np.round(np.arange(0.05, 0.96, 0.05), 10)
-    out_dir = Path(args.out_dir or ".")
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     band_path = out_dir / "survival_bands.csv"
     with open(band_path, "w", newline="") as fh:
@@ -363,115 +343,117 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def probability(text: str) -> float:
+    """A level or content: a number in (0, 1)."""
+    val = float(text)
+    if not 0.0 < val < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return val
+
+
+def positive_int(text: str) -> int:
+    """A count: an integer of at least 1."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return val
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subcommand parsers by name.  Each option is
+    declared once, in the subcommand or in the parent group it shares."""
+    def group() -> _Parser:
+        return _Parser(add_help=False)
+
+    files = group()
+    files.add_argument("--config")
+    files.add_argument("--out")
+    data = group()
+    data.add_argument("--input", required=True)
+    model = group()
+    model.add_argument("--family", required=True,
+                       choices=["gamma", "quasipoisson", "binomial", "weibull"])
+    model.add_argument("--link", choices=LINKS, default="log")
+    level = group()
+    level.add_argument("--level", type=probability, default=0.95)
+    plots = group()
+    plots.add_argument("--out-dir", default=".")
+    plots.add_argument("--svg", action="store_true")
+
+    def interval(names, **method) -> _Parser:
+        q = group()
+        q.add_argument("--method", nargs="+", choices=names, **method)
+        q.add_argument("--n-future", type=float)
+        q.add_argument("--se-kind", choices=["model", "sandwich"], default="sandwich")
+        return q
+
     parser = _Parser(prog="tolpred")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_keys):
-        p.add_argument("--config")
-        p.add_argument("--out")
-        p.set_defaults(_config_keys=config_keys)
+    def command(name, func, *parents) -> _Parser:
+        p = sub.add_parser(name, parents=[files, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fit")
-    p.add_argument("--input")
-    p.add_argument("--family", choices=["gamma", "quasipoisson", "binomial", "weibull"])
-    p.add_argument("--link")
-    common(p, {"input", "family", "link", "out"})
-    p.set_defaults(func=cmd_fit)
+    kinds = {}   # 'prediction' or 'tolerance' -> the table's methods of that kind
+    for name, entry in intervals.METHODS.items():
+        kinds.setdefault(entry.kind, []).append(name)
 
-    for name, extra in (("predict", False), ("tolerance", True)):
-        p = sub.add_parser(name)
-        p.add_argument("--input")
-        p.add_argument("--family", choices=["gamma", "quasipoisson", "binomial", "weibull"])
-        p.add_argument("--link")
-        p.add_argument("--method", nargs="+")
-        p.add_argument("--level", type=float)
-        p.add_argument("--n-future", dest="n_future", type=float)
-        p.add_argument("--se-kind", dest="se_kind", default=None,
-                       choices=["model", "sandwich"])
-        if extra:
-            p.add_argument("--content", type=float)
-        common(p, {"input", "family", "link", "method", "level", "n_future",
-                   "se_kind", "out"} | ({"content"} if extra else set()))
-        p.set_defaults(func=cmd_interval)
+    command("fit", cmd_fit, data, model)
+    command("predict", cmd_interval, data, model, level,
+            interval(kinds["prediction"], default=["eq1"]))
+    p = command("tolerance", cmd_interval, data, model, level,
+                interval(kinds["tolerance"], required=True))
+    p.add_argument("--content", type=probability, default=0.5)
+    command("curve", cmd_curve, data, model, plots,
+            interval(list(curves.CURVE_METHODS), required=True))
 
-    p = sub.add_parser("curve")
-    p.add_argument("--input")
-    p.add_argument("--family", choices=["gamma", "quasipoisson", "binomial", "weibull"])
-    p.add_argument("--link")
-    p.add_argument("--method", nargs="+")
-    p.add_argument("--n-future", dest="n_future", type=float)
-    p.add_argument("--se-kind", dest="se_kind", default=None,
-                   choices=["model", "sandwich"])
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--svg", action="store_true")
-    common(p, {"input", "family", "link", "method", "n_future", "se_kind",
-               "out_dir", "out"})
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("simulate")
-    p.add_argument("--scenario")
-    p.add_argument("--runs", type=int)
+    p = command("simulate", cmd_simulate)
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--runs", type=positive_int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-runs", dest="max_runs", type=int)
+    p.add_argument("--max-runs", type=int, default=1_000_000)
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    common(p, {"scenario", "runs", "seed", "max_runs", "format", "out"})
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("recruit")
-    p.add_argument("--input")
+    p = command("recruit", cmd_recruit, data, level)
     p.add_argument("--schedule")
-    p.add_argument("--mode", choices=["sitedays", "trend", "window"])
-    p.add_argument("--transform", default="log", choices=list(applications.TRANSFORMS))
-    p.add_argument("--link")
-    p.add_argument("--level", type=float)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--mode", choices=["sitedays", "trend", "window"], default="sitedays")
+    p.add_argument("--transform", choices=applications.TRANSFORMS, default="log")
+    p.add_argument("--link", choices=LINKS, default="identity")
+    p.add_argument("--horizon", type=positive_int, default=18)
     p.add_argument("--target", type=float)
-    common(p, {"input", "schedule", "mode", "transform", "link", "level",
-               "horizon", "target", "out"})
-    p.set_defaults(func=cmd_recruit)
 
-    p = sub.add_parser("survival")
-    p.add_argument("--input")
-    p.add_argument("--level", type=float)
-    p.add_argument("--events-future", dest="events_future", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--svg", action="store_true")
-    common(p, {"input", "level", "events_future", "out_dir", "out"})
-    p.set_defaults(func=cmd_survival)
-
-    return parser
+    p = command("survival", cmd_survival, data, level, plots)
+    p.add_argument("--events-future", type=positive_int, default=100)
+    return parser, sub.choices
 
 
-_DEFAULTS = {"level": 0.95, "se_kind": "sandwich", "method": ["eq1"],
-             "mode": "sitedays", "content": 0.5}
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the flags of its ``--config`` file put before its
+    own, so that the command line wins."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = None
+    for tok, after in zip(argv, argv[1:] + [None]):
+        flag, eq, val = tok.partition("=")
+        if len(flag) > 2 and "--config".startswith(flag):   # argparse takes prefixes
+            path = val if eq else after
+    if path is not None and argv[0] in commands:
+        argv[1:1] = _config_flags(commands[argv[0]], path)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        _merge(args, getattr(args, "_config_keys", set()))
-        for key, default in _DEFAULTS.items():
-            if getattr(args, key, "missing") is None:
-                setattr(args, key, default)
-        for key in ("level", "content"):
-            val = getattr(args, key, None)
-            if val is not None and not 0.0 < float(val) < 1.0:
-                raise ConfigError(f"--{key} must be in (0, 1), got {val}")
-        for req in ("input", "family"):
-            if hasattr(args, req) and getattr(args, req) is None \
-                    and args.command not in ("simulate", "recruit", "survival"):
-                raise ConfigError(f"--{req} is required")
-        if args.command in ("recruit", "survival") and getattr(args, "input", None) is None:
-            raise ConfigError("--input is required")
-        val = getattr(args, "n_future", None)
-        if val is not None:
+        args = _parse(argv)
+        n = getattr(args, "n_future", None)
+        if n is not None:
             # future exposure for quasi-Poisson fits, a number of future units otherwise
-            exposure, n = args.family == "quasipoisson", float(val)
+            exposure = args.family == "quasipoisson"
             if not (math.isfinite(n) and (n > 0 if exposure else n >= 1)):
                 raise ConfigError(f"--n-future must be finite and "
                                   f"{'positive' if exposure else 'at least 1'} "
-                                  f"for a {args.family} fit, got {val}")
+                                  f"for a {args.family} fit, got {n}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

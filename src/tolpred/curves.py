@@ -107,23 +107,30 @@ def build_curve(fit: FitResult, method: str, n_future: float,
 
     The auto grid spans the method's 99.8% interval (its H crossings at
     0.001 and 0.999), log-spaced since every target here lives on the
-    positive half-line.
+    positive half-line.  An interval or grid that double precision cannot
+    tabulate raises ``UnsupportedTargetError``.
     """
     entry = _method(method)
     H_fun, point = entry.pvalue(fit, n_future, se_kind)
     if grid is None:
         iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
-        if iv.lower <= 0:
-            raise UnsupportedTargetError("the 99.8% interval reaches totals <= 0, which "
-                                         "a log-spaced grid cannot span; the log link "
-                                         "keeps every total positive")
+        if not (0 < iv.lower and iv.upper < math.inf):
+            why = ("reaches totals <= 0; the log link keeps every total positive"
+                   if fit.link == "identity" else "leaves the range of double precision")
+            raise UnsupportedTargetError("a log-spaced grid cannot span the 99.8% interval "
+                                         f"({iv.lower:.6g}, {iv.upper:.6g}): it {why}")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
     else:
         grid = _hypotheses(grid)
     H = np.asarray(H_fun(grid), dtype=float)
     H_minus = 1.0 - H
     C = np.where(grid <= point, H, H_minus)
-    density = np.gradient(H, grid)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            density = np.gradient(H, grid)
+    except FloatingPointError as exc:
+        raise UnsupportedTargetError("the grid steps are too far apart for a finite-"
+                                     "difference density in double precision") from exc
     clamped = int(np.sum(density < 0))
     density = np.maximum(density, 0.0)
     meta = {"method": method, "point_estimate": float(point),

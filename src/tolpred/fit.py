@@ -112,12 +112,15 @@ class FitResult:
         g = np.log(self.mu_hat) if self.link == "log" else self.mu_hat
         return g - half, g + half
 
+    def mu_limit(self, z, se_kind: str = "sandwich"):
+        """Wald limit g^{-1}(g(mu_hat) + z * se) of the mean, elementwise in z."""
+        step = z * self.se_g_mu(se_kind)
+        return self.mu_hat * np.exp(step) if self.link == "log" else self.mu_hat + step
+
     def ci_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
         """Wald CI for mu, transformed back from the link scale."""
-        if self.link != "log":
-            return self.ci_g_mu(level, se_kind, crit)
-        half = critical_value(level, crit, self.n_obs - 1) * self.se_g_mu(se_kind)
-        return self.mu_hat * np.exp(-half), self.mu_hat * np.exp(half)
+        c = critical_value(level, crit, self.n_obs - 1)
+        return self.mu_limit(-c, se_kind), self.mu_limit(c, se_kind)
 
 
 def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
@@ -210,10 +213,11 @@ def fit_gamma_intercept(data, link: str = "log") -> FitResult:
         raise FitError("gamma data must be strictly positive")
     if np.ptp(y) == 0:
         raise DegenerateDataError("all observations equal")
-    rows, ok = fit_gamma_rows(y[None, :], link)
-    row = {name: float(getattr(rows, name)[0]) for name in (
-        "mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")}
-    loglik = _gamma_loglik(y, row["mu_hat"], row["k_hat"])
+    with np.errstate(divide="ignore", invalid="ignore"):   # checked just below
+        rows, ok = fit_gamma_rows(y[None, :], link)
+        row = {name: float(getattr(rows, name)[0]) for name in (
+            "mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")}
+        loglik = _gamma_loglik(y, row["mu_hat"], row["k_hat"])
     if not (ok[0] and math.isfinite(loglik)):
         raise FitError("gamma fit is not finite: the shape, the mean, an SE or "
                        "the log-likelihood leaves the range of double precision")

@@ -288,7 +288,8 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
         n_future = target.future_units
         lo, hi = n_future * (fit.mu_hat - c * se_n), n_future * (fit.mu_hat + c * se_n)
     else:
-        lo, hi = point * np.exp(-c * se_n), point * np.exp(c * se_n)
+        with np.errstate(over="ignore"):   # an infinite limit fails the output checks
+            lo, hi = point * np.exp(-c * se_n), point * np.exp(c * se_n)
     return IntervalEstimate(lo, hi, level, "link_pivot", "future_sum")
 
 
@@ -339,9 +340,10 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     """Upper p-value function of the CI-plug-in prediction and its point
     prediction.  H interpolates, against log c, the table c(h): the
     h-quantile of the sum distribution at the Wald mean limit
-    mu_hat * exp(ndtri(h) * se)."""
+    ``fit.mu_limit(ndtri(h))``, over the h whose quantile is positive (not
+    an identity-link limit <= 0, nor a quantile that underflows)."""
     h_ref = np.concatenate([[1e-9], np.linspace(1e-5, 1 - 1e-5, 4001), [1 - 1e-9]])
-    mu = fit.mu_hat * np.exp(ndtri(h_ref) * fit.se_g_mu(se_kind))
+    mu = fit.mu_limit(ndtri(h_ref), se_kind)
     if fit.family == "gamma":
         c_ref = gammaincinv(n_future * fit.k_hat, h_ref) * (mu / fit.k_hat)
     elif fit.family == "quasipoisson":
@@ -349,7 +351,8 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
         c_ref = gammaincinv(mu * n_future / phi, h_ref) * phi
     else:
         raise ValueError(f"no sum distribution for family {fit.family!r}")
-    log_c_ref = np.log(c_ref)
+    keep = c_ref > 0
+    log_c_ref, h_ref = np.log(c_ref[keep]), h_ref[keep]
     return (lambda c: np.interp(np.log(c), log_c_ref, h_ref)), n_future * fit.mu_hat
 
 
@@ -560,17 +563,15 @@ def predict_or(fit2: FitResult, n: int, m: int, level: float) -> IntervalEstimat
 class Method:
     """One coverage-table method: what it predicts ('prediction' of the
     future sum or 'tolerance' for the middle content of its distribution),
-    the ``FitResult`` fields it cannot do without, its constructor
-    ``build(fit, level, n_future, p, se_kind, crit)`` and, for the pivots
-    whose intervals are crossings of an upper p-value function,
-    ``pvalue(fit, n_future, se_kind) -> (H, point)`` with H defined on
-    positive hypothesised totals.  ``families`` lists the fit families the
-    constructor has a formula for (None: any fit with the needed fields).
+    its constructor ``build(fit, level, n_future, p, se_kind, crit)`` and,
+    for the pivots whose intervals are crossings of an upper p-value
+    function, ``pvalue(fit, n_future, se_kind) -> (H, point)`` with H
+    defined on positive hypothesised totals.  ``families`` lists the fit
+    families the constructor has a formula for (None: any fit).
     ``se_kind`` and ``crit`` set the Wald mean limits of eq2 and eq5 and the
     eq5 shape limit; the other methods carry their own convention."""
 
     kind: str
-    needs: tuple
     build: Callable[..., IntervalEstimate]
     pvalue: Callable | None = None
     families: tuple | None = None
@@ -589,29 +590,34 @@ def _eq1(fit, level, n_future, p, se_kind, crit):
     return predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind)
 
 
+# the families whose fits carry a shape estimate
+_SHAPED = ("gamma", "weibull")
+
 METHODS = {
-    "eq1": Method("prediction", (), _eq1, _link_pvalue),
-    "eq2": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+    "eq1": Method("prediction", _eq1, _link_pvalue),
+    "eq2": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                   predict_sum_plugci(fit, _target(fit, n_future), level,
                                      se_kind=se_kind, crit=crit), _plugci_pvalue,
                   families=("gamma", "quasipoisson")),
-    "fpivot": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
+    "fpivot": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level),
-                     _fpivot_pvalue),
-    "fpivot_k1": Method("prediction", (), lambda fit, level, n_future, p, se_kind, crit:
+                     _fpivot_pvalue, families=_SHAPED),
+    "fpivot_k1": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                         predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, 1.0, level),
                         lambda fit, n_future, se_kind: _fpivot_pvalue(fit, n_future,
                                                                       se_kind, 1.0),
                         families=("gamma",)),
-    "plugin": Method("prediction", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
-                     predict_sum_plugin(fit, _target(fit, n_future), level)),
-    "kris": Method("prediction", ("exposure_total",),
-                   lambda fit, level, n_future, p, se_kind, crit:
-                   predict_count_kris(fit, n_future, level)),
-    "eq3": Method("tolerance", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
-                  tolerance_delta(fit, p, level, n_future)),
-    "eq4": Method("tolerance", ("se_mu",), lambda fit, level, n_future, p, se_kind, crit:
-                  tolerance_nct(fit, p, level, n_future)),
-    "eq5": Method("tolerance", ("k_hat",), lambda fit, level, n_future, p, se_kind, crit:
-                  tolerance_plugci(fit, p, level, n_future, se_kind=se_kind, crit=crit)),
+    "plugin": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
+                     predict_sum_plugin(fit, _target(fit, n_future), level),
+                     families=_SHAPED),
+    "kris": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
+                   predict_count_kris(fit, n_future, level), families=("quasipoisson",)),
+    "eq3": Method("tolerance", lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_delta(fit, p, level, n_future), families=_SHAPED),
+    "eq4": Method("tolerance", lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_nct(fit, p, level, n_future),
+                  families=("gamma", "quasipoisson", "weibull")),
+    "eq5": Method("tolerance", lambda fit, level, n_future, p, se_kind, crit:
+                  tolerance_plugci(fit, p, level, n_future, se_kind=se_kind, crit=crit),
+                  families=_SHAPED),
 }

@@ -2,14 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tolpred import applications, intervals
+import tolpred
+from tolpred import applications, curves, intervals
 from tolpred.cli import main
 from tolpred.fit import fit_binomial_logit, fit_gamma_intercept
 
@@ -130,6 +135,22 @@ def test_unknown_config_key(capsys, tmp_path, gamma_csv):
     assert main(["fit", "--config", str(cfg)]) == 1
 
 
+def test_near_equal_sample_is_one_line_fit_error(tmp_path):
+    """A fresh process, where numpy's warnings would reach stderr: near-equal
+    values overflow the shape, and the user sees only the fit error."""
+    path = tmp_path / "near.csv"
+    path.write_text("value\n1.0\n1.000000000001\n")
+    src = str(Path(tolpred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tolpred.cli", "predict", "--family", "gamma",
+         "--input", str(path), "--n-future", "5"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("fit error:")
+
+
 def test_degenerate_data_is_fit_error(capsys, tmp_path):
     p = tmp_path / "const.csv"
     p.write_text("value\n" + "2.0\n" * 10)   # zero log-dispersion: no shape MLE
@@ -193,6 +214,49 @@ def test_config_fills_and_flags_win(capsys, tmp_path, gamma_csv):
     code, out = run(capsys, "predict", "--config", str(cfg), "--level", "0.9")
     assert code == 0
     assert json.loads(out)["eq1"]["level"] == 0.9
+
+
+GAMMA_ARGS = ["--family", "gamma", "--input", "{gamma}", "--n-future", "280"]
+TREND_ARGS = ["recruit", "--input", "{recruit}", "--mode", "trend"]
+
+
+@pytest.mark.parametrize("argv, config, expect", [
+    (["predict", *GAMMA_ARGS], {"se_kind": "bogus"}, "--se-kind"),
+    (["simulate", "--scenario", "{scenario}"], {"format": "xml"}, "--format"),
+    (TREND_ARGS, {"transform": "root"}, ["--transform", "root"]),
+    (TREND_ARGS + ["--horizon", "0"], {}, "--horizon"),
+    (["simulate", "--scenario", "{scenario}", "--runs", "0"], {}, "--runs"),
+    (["survival", "--input", "{survival}", "--out-dir", "{out_dir}",
+      "--events-future", "0"], {}, "--events-future"),
+    (["predict", *GAMMA_ARGS, "--link", "foo"], {}, "--link"),
+    (TREND_ARGS + ["--link", "foo"], {}, "--link"),
+    (["tolerance", *GAMMA_ARGS], {}, "--method"),
+    (["curve", *GAMMA_ARGS, "--out-dir", "{out_dir}"], {}, "--method"),
+    (["predict", *GAMMA_ARGS], {"method": "eq2"}, ["--method", "eq2"]),
+], ids=["config_se_kind_bogus", "config_format_xml", "config_transform_root",
+        "horizon_0", "runs_0", "events_future_0", "link_foo", "recruit_link_foo",
+        "tolerance_without_method", "curve_without_method", "config_method_string"])
+def test_config_values_and_flags_pass_the_same_checks(capsys, tmp_path, gamma_csv,
+                                                      recruit_csv, survival_csv,
+                                                      argv, config, expect):
+    """Every option is checked by its own declaration, whether it comes from
+    the command line or from --config.  ``expect`` is either the option a
+    rejected call names or the flags that a config must act like."""
+    out_dir = tmp_path / "plots"
+    paths = {"gamma": gamma_csv[0], "recruit": recruit_csv[0], "survival": survival_csv,
+             "scenario": scenario_file(tmp_path), "out_dir": out_dir}
+    argv = [a.format(**paths) for a in argv]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(cfg)])
+    out, err = capsys.readouterr()
+    if isinstance(expect, str):
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and expect in err
+        assert not out_dir.exists()
+    else:
+        assert code == 0
+        assert out == run(capsys, *argv, *expect)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +388,14 @@ def _finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
-@settings(max_examples=150, deadline=None)
+def _finite_csv(path) -> bool:
+    rows = path.read_text().splitlines()[1:]
+    return all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
-       method=st.sampled_from(sorted(intervals.METHODS)),
+       method=st.sampled_from(sorted(intervals.METHODS) + sorted(curves.CURVE_METHODS)),
        level=st.floats(0.5, 0.99), content=st.floats(0.01, 0.99),
        n_future=st.sampled_from(["1", "5", "280"]),
        link=st.sampled_from(["log", "identity"]),
@@ -334,29 +403,54 @@ def _finite(obj) -> bool:
 # near-equal values: the shape Newton steps below zero (test_fit)
 @example(values=[1.0, 1.0000001], method="eq1", level=0.95, content=0.5,
          n_future="5", link="log", se_kind="sandwich")
+# ... and overflows the shape, which numpy warns about unless the fit says so
+@example(values=[1.0, 1.000000000001], method="eq1", level=0.95, content=0.5,
+         n_future="5", link="log", se_kind="sandwich")
+# two values: the t_1 99.8% link interval leaves double precision, or its grid
+# steps are too far apart for a finite-difference density
+@example(values=[0.0026, 796.5], method="or_prediction", level=0.95, content=0.5,
+         n_future="1", link="log", se_kind="model")
+@example(values=[1.0, 9.0], method="link_pivot", level=0.95, content=0.5,
+         n_future="1", link="log", se_kind="model")
+# identity-link CI-plug-in curve: mean limits on the mean scale
+@example(values=[0.2, 3.0, 0.5, 2.2, 1.4], method="ci_plug", level=0.95, content=0.5,
+         n_future="280", link="identity", se_kind="sandwich")
 def test_any_gamma_interval_call_is_finite_json_or_a_typed_error(
         values, method, level, content, n_future, link, se_kind):
-    """Any finite positive gamma CSV, with any table method, either exits 0
-    with finite JSON or exits 1, 2 or 3 with one line on stderr."""
-    kind = intervals.METHODS[method].kind
-    command = "predict" if kind == "prediction" else "tolerance"
+    """Any finite positive gamma CSV, with any table or curve method, either
+    exits 0 with finite output or exits 1, 2 or 3 with one line on stderr,
+    and never warns."""
+    if method in curves.CURVE_METHODS:
+        command = "curve"
+    else:
+        kind = intervals.METHODS[method].kind
+        command = "predict" if kind == "prediction" else "tolerance"
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "values.csv"
+        path, out_dir = Path(tmp) / "values.csv", Path(tmp) / "plots"
         path.write_text("value\n" + "\n".join(map(repr, values)) + "\n")
         argv = [command, "--family", "gamma", "--input", str(path), "--method", method,
-                "--level", repr(level), "--n-future", n_future, "--link", link,
-                "--se-kind", se_kind]
+                "--n-future", n_future, "--link", link, "--se-kind", se_kind]
+        if command == "curve":
+            argv += ["--out-dir", str(out_dir)]
+        else:
+            argv += ["--level", repr(level)]
         if command == "tolerance":
             argv += ["--content", repr(content)]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert _finite(json.loads(out.getvalue()))
-    else:
-        assert code in (1, 2, 3) and out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and command == "curve":
+            assert _finite_csv(out_dir / f"curve_{method}.csv")
+        elif code == 0:
+            assert _finite(json.loads(out.getvalue()))
+        else:
+            assert code in (1, 2, 3) and out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+            assert not out_dir.exists()
 
 
 def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):

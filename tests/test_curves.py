@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def qp_fit():
     ("gamma", "f_pivot", 280), ("gamma", "f_pivot_k1", 280),
     ("gamma", "or_prediction", 280), ("quasipoisson", "link_pivot", 12.5),
     ("quasipoisson", "ci_plug", 12.5), ("binomial", "or_prediction", 600),
-    ("gamma_identity", "link_pivot", 280),
+    ("gamma_identity", "link_pivot", 280), ("gamma_identity", "ci_plug", 280),
 ])
 def test_curve_crossings_match_interval(family, method, n_future):
     fr = {"gamma": lambda: gamma_fit(seed=3), "quasipoisson": qp_fit,
@@ -105,7 +106,9 @@ def test_curve_crossings_match_interval(family, method, n_future):
           "gamma_identity": lambda: fit_gamma_intercept(
               dist.sample(dist.gamma(4.0, 2.5 / 4.0), RngStream(3), 20),
               link="identity")}[family]()
-    table = build_curve(fr, method, n_future)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_curve(fr, method, n_future)
     entry = intervals.METHODS[curves.CURVE_METHODS[method]]
     # the auto grid spans the method's own 99.8% interval
     wide = entry.build(fr, 0.998, n_future, None, "sandwich", "z")
@@ -113,6 +116,14 @@ def test_curve_crossings_match_interval(family, method, n_future):
                                [wide.lower, wide.upper], rtol=1e-12)
     iv = entry.build(fr, 0.95, n_future, None, "sandwich", "z")
     np.testing.assert_allclose(table.interval_at(0.95), [iv.lower, iv.upper], rtol=1e-5)
+
+
+def test_ci_plug_table_skips_underflowing_quantiles():
+    # at future exposure 0.003 the count quantiles at h = 1e-9 underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_curve(qp_fit(), "ci_plug", 0.003)
+    assert np.all(np.isfinite(table.H)) and np.all(np.diff(table.H) >= 0)
 
 
 def test_curve_level_nesting():
