@@ -359,6 +359,14 @@ def positive_int(text: str) -> int:
     return val
 
 
+def non_negative_int(text: str) -> int:
+    """A seed: an integer of at least 0."""
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return val
+
+
 def _build_parser() -> tuple[_Parser, dict]:
     """The parser and its subcommand parsers by name.  Each option is
     declared once, in the subcommand or in the parent group it shares."""
@@ -411,8 +419,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p = command("simulate", cmd_simulate)
     p.add_argument("--scenario", required=True)
     p.add_argument("--runs", type=positive_int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-runs", type=int, default=1_000_000)
+    p.add_argument("--seed", type=non_negative_int)
+    p.add_argument("--max-runs", type=positive_int, default=1_000_000)
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
     p = command("recruit", cmd_recruit, data, level)

@@ -153,12 +153,13 @@ def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
     return _shape_from_s(s, tol, max_iter)
 
 
-def _gamma_loglik(y: np.ndarray, mu: float, k: float) -> float:
+def _gamma_loglik(y: np.ndarray, mu: float, k: float, log_y=None) -> float:
+    log_y = np.log(y) if log_y is None else log_y
     return float(
         np.sum(
             k * np.log(k / mu)
             - special.gammaln(k)
-            + (k - 1) * np.log(y)
+            + (k - 1) * log_y
             - k * y / mu
         )
     )
@@ -478,16 +479,28 @@ def km_estimator(data) -> KaplanMeier:
     return KaplanMeier(event_times, np.asarray(surv))
 
 
+def _profile_deviance(y: np.ndarray, mu_hat: float, k_hat: float):
+    """``deviance(mu, k)``: 2*(l_max - l_profile) of a gamma sample with the
+    parameter passed as None profiled out.  l_max, log y, mean(log y) and
+    ybar are computed once, not per evaluation."""
+    log_y = np.log(y)
+    lmax = _gamma_loglik(y, mu_hat, k_hat, log_y)
+    mean_log, ybar = log_y.mean(), y.mean()
+
+    def deviance(mu, k):
+        if k is None:  # fixed mu: log(k) - digamma(k) = s(mu), the fit's own s at mu = ybar
+            k = _shape_from_s(np.log(mu) - mean_log + (ybar / mu - 1.0))
+        else:  # fixed k: mu profile-MLE is ybar for every k
+            mu = mu_hat
+        return 2.0 * (lmax - _gamma_loglik(y, mu, k, log_y))
+
+    return deviance
+
+
 def _gamma_profile_deviance(y: np.ndarray, mu: float | None, k: float | None,
                             mu_hat: float, k_hat: float) -> float:
     """Deviance 2*(l_max - l_profile) profiling out the other parameter."""
-    lmax = _gamma_loglik(y, mu_hat, k_hat)
-    if k is None:  # fixed mu: log(k) - digamma(k) = s(mu), the fit's own s at mu = ybar
-        s = np.log(mu) - np.log(y).mean() + (y.mean() / mu - 1.0)
-        lp = _gamma_loglik(y, mu, _shape_from_s(s))
-    else:  # fixed k: mu profile-MLE is ybar for every k
-        lp = _gamma_loglik(y, mu_hat, k)
-    return 2.0 * (lmax - lp)
+    return _profile_deviance(y, mu_hat, k_hat)(mu, k)
 
 
 def profile_lr_ci(fit: FitResult, param: str, level: float):
@@ -500,14 +513,14 @@ def profile_lr_ci(fit: FitResult, param: str, level: float):
         raise FitError("profile LR CI implemented for gamma fits")
     y = np.asarray(fit.data[0], dtype=float)
     target = 2 * special.gammaincinv(0.5, level)
-    mu_hat, k_hat = fit.mu_hat, fit.k_hat
+    deviance = _profile_deviance(y, fit.mu_hat, fit.k_hat)
 
     if param == "mu":
-        dev = lambda m: _gamma_profile_deviance(y, m, None, mu_hat, k_hat) - target
-        center = mu_hat
+        dev = lambda m: deviance(m, None) - target
+        center = fit.mu_hat
     elif param == "k":
-        dev = lambda kk: _gamma_profile_deviance(y, None, kk, mu_hat, k_hat) - target
-        center = k_hat
+        dev = lambda kk: deviance(None, kk) - target
+        center = fit.k_hat
     else:
         raise FitError(f"unknown parameter {param!r}")
 

@@ -296,11 +296,22 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
 # ---------------------------------------------------------------------------
 # CI-plug-in prediction (quantiles of the sum distribution at the mu limits)
 
+def _check_mean_limit(mu_lower) -> None:
+    """Reject a lower mean limit <= 0, which an identity-link Wald interval
+    can reach: no sum distribution has a mean <= 0, so no plug-in quantile
+    exists there."""
+    if _any(mu_lower <= 0):
+        raise UnsupportedTargetError(
+            f"the lower mean limit {np.nanmin(mu_lower):.6g} is <= 0, where the sum "
+            "distribution is undefined; the log link keeps every mean limit positive")
+
+
 def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
                              n_future: float, level: float) -> IntervalEstimate:
     """Gamma((N-n)k, mu/k) quantiles evaluated at the mu confidence limits."""
     if _any(mu_lower > mu_upper):
         raise ValueError("mu CI out of order")
+    _check_mean_limit(mu_lower)
     alpha = 1 - level
     lo = _unit_quantile("gamma", alpha / 2, n_future, k) * (mu_lower / k)
     hi = _unit_quantile("gamma", 1 - alpha / 2, n_future, k) * (mu_upper / k)
@@ -313,6 +324,7 @@ def predict_count_plugci(count_lower: float, count_upper: float,
     Gamma(shape=count/phi, scale=phi), phi the reported dispersion scale."""
     if count_lower > count_upper:
         raise ValueError("count CI out of order")
+    _check_mean_limit(count_lower)
     alpha = 1 - level
     phi = dispersion_scale
     lo = gammaincinv(count_lower / phi, alpha / 2) * phi
@@ -326,6 +338,7 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
     then sum-distribution quantiles at the limits."""
     mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     if fit.family == "gamma":
+        _check_mean_limit(mu_lo)
         alpha, n_future = 1 - level, target.future_units
         return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
                                 _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
@@ -494,6 +507,7 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
     mu_lo, mu_hi = mu_ci
     if _any(mu_lo > mu_hi):
         raise ValueError("mu CI out of order")
+    _check_mean_limit(mu_lo)
     if k_lower is None:
         c = critical_value(level, crit, fit.n_obs - 1)
         k_lower = fit.k_hat * np.exp(-c * fit.se_k / fit.k_hat)

@@ -3,9 +3,15 @@
 Reproduces the gamma coverage tables (seven interval methods, prediction and
 tolerance targets) and the doubly stochastic Poisson-gamma site process in
 which per-site rates are drawn once and held fixed while exponential
-interarrivals accumulate to a study-level stream.  Endpoints come from the
-``intervals.METHODS`` constructors, called once per cell on the
-``fit.fit_gamma_rows`` fit of all runs, whose fields are per-run arrays.
+interarrivals accumulate to a study-level stream.
+
+A cell streams through chunks of whole blocks of runs, each holding about
+``_CHUNK_VALUES`` sample values: a chunk is drawn, fitted with
+``fit.fit_gamma_rows`` (whose fields are per-run arrays), its endpoints
+built by the ``intervals.METHODS`` constructors for every method and level,
+and only its covered and usable counts kept.  Lab memory therefore does not
+grow with ``n_runs``, and since run r depends only on (seed, r) the counts
+do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ CRIT = "t"
 # runs drawn per generator: block b of a scenario holds runs
 # b*BLOCK .. (b+1)*BLOCK - 1
 BLOCK = 1024
+# sample values per chunk of runs: a cell streams through chunks of whole
+# blocks, so its memory does not grow with n_runs
+_CHUNK_VALUES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -141,49 +150,72 @@ class CoverageReport:
         return any(c.n_failed > 0.001 * self.spec.n_runs for c in self.cells)
 
 
-def _blocks(seed: int, n_runs: int):
-    """(generator, runs) for each block of ``BLOCK`` runs.  Block b draws
-    from ``RngStream(seed).substream(b)``, and every block draws as if full
-    and is then cut to ``runs``, so run r depends only on (seed, r)."""
+def _chunks(spec: ScenarioSpec):
+    """The run ranges a cell streams through: whole blocks holding about
+    ``_CHUNK_VALUES`` sample values each (at least one block), the last one
+    cut at ``n_runs``."""
+    step = BLOCK * max(1, _CHUNK_VALUES // (BLOCK * spec.n))
+    return [range(start, min(start + step, spec.n_runs))
+            for start in range(0, spec.n_runs, step)]
+
+
+def _blocks(seed: int, runs: range):
+    """(generator, rows) for each block of ``BLOCK`` runs in ``runs``, which
+    starts on a block boundary; ``rows`` index the range's own arrays.
+    Block b draws from ``RngStream(seed).substream(b)``, and every block
+    draws as if full and is then cut to the range, so run r depends only on
+    (seed, r)."""
     base = RngStream(seed)
-    for b, start in enumerate(range(0, n_runs, BLOCK)):
-        yield base.substream(b).generator(), slice(start, min(start + BLOCK, n_runs))
+    for start in range(runs.start, runs.stop, BLOCK):
+        stop = min(start + BLOCK, runs.stop)
+        yield (base.substream(start // BLOCK).generator(),
+               slice(start - runs.start, stop - runs.start))
 
 
-def _draw_gamma_runs(spec: ScenarioSpec):
-    """The (n_runs, n) gamma samples and the realized future totals."""
+def _draw_gamma_runs(spec: ScenarioSpec, runs: range | None = None):
+    """The gamma samples, one row per run, and the realized future totals of
+    the runs in ``runs`` (default: all of them)."""
+    runs = range(spec.n_runs) if runs is None else runs
     n, n_fut = spec.n, spec.N - spec.n
     scale = spec.mu / spec.k
-    y = np.empty((spec.n_runs, n))
-    future = np.empty(spec.n_runs)
-    for gen, runs in _blocks(spec.seed, spec.n_runs):
-        m = runs.stop - runs.start
-        y[runs] = gen.gamma(spec.k, scale, size=(BLOCK, n))[:m]
+    y = np.empty((len(runs), n))
+    future = np.empty(len(runs))
+    for gen, rows in _blocks(spec.seed, runs):
+        m = rows.stop - rows.start
+        y[rows] = gen.gamma(spec.k, scale, size=(BLOCK, n))[:m]
         # the future total of n_fut iid gammas is itself gamma distributed
-        future[runs] = gen.gamma(n_fut * spec.k, scale, size=BLOCK)[:m]
+        future[rows] = gen.gamma(n_fut * spec.k, scale, size=BLOCK)[:m]
     return y, future
 
 
-def _draw_site_runs(spec: ScenarioSpec):
-    """The first n study-level interarrivals of each run and the sum of the
-    remaining N - n.  Per-trial site rates come from the run's block; fixed
-    rates are drawn once from a root stream of their own."""
+def _fixed_rates(spec: ScenarioSpec):
+    """The site rates of a fixed-rate cell, drawn once from a root stream of
+    their own (root 1: apart from the blocks, which are children of root
+    0); None when every trial draws its own."""
+    if not spec.fixed_rates:
+        return None
+    return RngStream(spec.seed, 1).generator().gamma(spec.alpha, spec.beta,
+                                                     size=spec.n_sites)
+
+
+def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
+    """The first n study-level interarrivals of the runs in ``runs`` (default:
+    all of them) and the sum of the remaining N - n.  Per-trial site rates
+    come from the run's block; fixed rates are ``fixed``, or
+    ``_fixed_rates(spec)`` when not given."""
+    runs = range(spec.n_runs) if runs is None else runs
+    fixed = _fixed_rates(spec) if fixed is None else fixed
     n = spec.n
-    fixed = None
-    if spec.fixed_rates:
-        # root stream 1: apart from the blocks, which are children of root 0
-        fixed = RngStream(spec.seed, 1).generator().gamma(spec.alpha, spec.beta,
-                                                          size=spec.n_sites)
-    y = np.empty((spec.n_runs, n))
-    future = np.empty(spec.n_runs)
-    for gen, runs in _blocks(spec.seed, spec.n_runs):
-        m = runs.stop - runs.start
+    y = np.empty((len(runs), n))
+    future = np.empty(len(runs))
+    for gen, rows in _blocks(spec.seed, runs):
+        m = rows.stop - rows.start
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
         total = lam.sum(axis=-1, keepdims=True)[:m]
         gaps = -np.log(gen.random((BLOCK, spec.N))[:m]) / total
-        y[runs] = gaps[:, :n]
-        future[runs] = gaps[:, n:].sum(axis=1)
+        y[rows] = gaps[:, :n]
+        future[rows] = gaps[:, n:].sum(axis=1)
     return y, future
 
 
@@ -193,12 +225,29 @@ def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
     return iv.lower, iv.upper
 
 
-def _aggregate(spec, covered_by_cell):
+def _stream(spec: ScenarioSpec, chunks, tolerance_target=None) -> CoverageReport:
+    """Coverage counts of every method x level, accumulated over ``chunks``
+    of (samples, future totals): each chunk is fitted, its endpoints built
+    and its covered and usable runs counted, then dropped.  A prediction
+    interval covers when it contains the run's future total; a tolerance
+    interval when it contains both ``tolerance_target`` quantiles."""
+    totals = {(method, level): [0, 0] for method in spec.methods for level in spec.levels}
+    for y, future in chunks:
+        fit, ok = fit_gamma_rows(y)
+        for (method, level), counts in totals.items():
+            lo, hi = _endpoints(method, fit, level, spec)
+            t_lo, t_hi = (tolerance_target if method in TOLERANCE_METHODS
+                          else (future, future))
+            use = ok & np.isfinite(lo) & np.isfinite(hi)
+            counts[0] += int(np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use))
+            counts[1] += int(np.count_nonzero(use))
+    return _aggregate(spec, totals)
+
+
+def _aggregate(spec, totals):
     cells = []
-    for (method, level), (covered, ok) in covered_by_cell.items():
-        use = covered[ok]
-        n_used = use.size
-        obs = float(use.mean()) if n_used else float("nan")
+    for (method, level), (n_covered, n_used) in totals.items():
+        obs = n_covered / n_used if n_used else float("nan")
         mc_se = math.sqrt(max(obs * (1 - obs), 1e-12) / n_used) if n_used else float("nan")
         cells.append(CoverageCell(method, level, obs, mc_se, n_used,
                                   n_failed=int(spec.n_runs - n_used)))
@@ -214,21 +263,11 @@ def run_gamma_coverage(spec: ScenarioSpec) -> CoverageReport:
     """
     if spec.data_process != "gamma_fixed":
         raise ValueError("run_gamma_coverage needs a gamma_fixed scenario")
-    y, future = _draw_gamma_runs(spec)
-    fit, ok = fit_gamma_rows(y)
     future_sum = dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k)
-    q_true_lo, q_true_hi = dist.quantile(
-        future_sum, [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
-    results = {}
-    for method in spec.methods:
-        for level in spec.levels:
-            lo, hi = _endpoints(method, fit, level, spec)
-            if method in TOLERANCE_METHODS:
-                covered = (lo <= q_true_lo) & (q_true_hi <= hi)
-            else:
-                covered = (lo <= future) & (future <= hi)
-            results[(method, level)] = (covered, ok & np.isfinite(lo) & np.isfinite(hi))
-    return _aggregate(spec, results)
+    q_true = dist.quantile(future_sum,
+                           [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
+    return _stream(spec, (_draw_gamma_runs(spec, runs) for runs in _chunks(spec)),
+                   tuple(q_true))
 
 
 def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
@@ -241,17 +280,10 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
     """
     if spec.data_process != "poisson_gamma_sites":
         raise ValueError("run_poisson_gamma needs a poisson_gamma_sites scenario")
-    y, future = _draw_site_runs(spec)
-    fit, ok = fit_gamma_rows(y)
-    results = {}
-    for method in spec.methods:
-        if method in TOLERANCE_METHODS:
-            raise ValueError("tolerance targets are undefined for the site process")
-        for level in spec.levels:
-            lo, hi = _endpoints(method, fit, level, spec)
-            covered = (lo <= future) & (future <= hi)
-            results[(method, level)] = (covered, ok & np.isfinite(lo) & np.isfinite(hi))
-    return _aggregate(spec, results)
+    if set(spec.methods) & set(TOLERANCE_METHODS):
+        raise ValueError("tolerance targets are undefined for the site process")
+    fixed = _fixed_rates(spec)   # once per cell, shared by every chunk
+    return _stream(spec, (_draw_site_runs(spec, runs, fixed) for runs in _chunks(spec)))
 
 
 def emit_table(report: CoverageReport, fmt: str = "text") -> str:

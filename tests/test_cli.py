@@ -226,6 +226,9 @@ TREND_ARGS = ["recruit", "--input", "{recruit}", "--mode", "trend"]
     (TREND_ARGS, {"transform": "root"}, ["--transform", "root"]),
     (TREND_ARGS + ["--horizon", "0"], {}, "--horizon"),
     (["simulate", "--scenario", "{scenario}", "--runs", "0"], {}, "--runs"),
+    (["simulate", "--scenario", "{scenario}", "--seed", "-1"], {}, "--seed"),
+    (["simulate", "--scenario", "{scenario}", "--max-runs", "-1"], {}, "--max-runs"),
+    (["simulate", "--scenario", "{scenario}", "--max-runs", "0"], {}, "--max-runs"),
     (["survival", "--input", "{survival}", "--out-dir", "{out_dir}",
       "--events-future", "0"], {}, "--events-future"),
     (["predict", *GAMMA_ARGS, "--link", "foo"], {}, "--link"),
@@ -234,7 +237,8 @@ TREND_ARGS = ["recruit", "--input", "{recruit}", "--mode", "trend"]
     (["curve", *GAMMA_ARGS, "--out-dir", "{out_dir}"], {}, "--method"),
     (["predict", *GAMMA_ARGS], {"method": "eq2"}, ["--method", "eq2"]),
 ], ids=["config_se_kind_bogus", "config_format_xml", "config_transform_root",
-        "horizon_0", "runs_0", "events_future_0", "link_foo", "recruit_link_foo",
+        "horizon_0", "runs_0", "seed_-1", "max_runs_-1", "max_runs_0",
+        "events_future_0", "link_foo", "recruit_link_foo",
         "tolerance_without_method", "curve_without_method", "config_method_string"])
 def test_config_values_and_flags_pass_the_same_checks(capsys, tmp_path, gamma_csv,
                                                       recruit_csv, survival_csv,
@@ -378,6 +382,25 @@ def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
     assert not out_dir.exists()
     if near_zero:   # advice a CLI user can follow: there is no grid option
         assert "log link" in err and "pass a grid" not in err
+
+
+@pytest.mark.parametrize("command, method, csv", [
+    ("predict", "eq2", "value\n0.2\n3.0\n0.5\n"),
+    ("tolerance", "eq5", "value\n0.2\n3.0\n0.5\n"),
+    ("predict", "eq2", "events,exposure\n0,1\n9,1\n0,1\n"),
+], ids=["gamma_eq2", "gamma_eq5", "quasipoisson_eq2"])
+def test_identity_plugci_below_zero_is_config_error(capsys, tmp_path, command, method, csv):
+    # the identity-link Wald mean limit is <= 0 here; the log link is fine
+    path = tmp_path / "near_zero.csv"
+    path.write_text(csv)
+    family = "gamma" if csv.startswith("value") else "quasipoisson"
+    argv = [command, "--family", family, "--input", str(path), "--method", method,
+            "--n-future", "5"]
+    assert main(argv + ["--link", "identity"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "log link" in err
+    code, out = run(capsys, *argv, "--link", "log")
+    assert code == 0 and json.loads(out)[method]["lower"] > 0
 
 
 def _finite(obj) -> bool:

@@ -174,6 +174,30 @@ def test_plugci_count_worked_numbers():
     assert iv.upper == pytest.approx(367, abs=1)
 
 
+def test_plugci_rejects_mean_limit_at_or_below_zero():
+    # an identity-link Wald mean limit can reach 0 or below, where no sum
+    # distribution exists; the log-link fit of the same data stays positive
+    y = np.array([0.2, 3.0, 0.5])
+    events, exposure = np.array([0, 9, 0]), np.ones(3)
+    for link in ("identity", "log"):
+        fr = fit_gamma_intercept(y, link=link)
+        qp = fit_quasipoisson(events, exposure, link=link)
+        calls = (lambda: predict_sum_plugci(fr, PredictionTarget(3, 5), 0.95),
+                 lambda: tolerance_plugci(fr, 0.5, 0.95, 5),
+                 lambda: predict_sum_plugci(qp, PredictionTarget(3, 1), 0.95))
+        for call in calls:
+            if link == "log":
+                assert 0 < call().lower
+            else:
+                with pytest.raises(intervals.UnsupportedTargetError, match="log link"):
+                    call()
+    for build in (lambda lo: predict_count_plugci(lo, 5.0, 0.46, 0.95),
+                  lambda lo: predict_sum_plugci_gamma(lo, 3.0, 5.22, 280, 0.95)):
+        for lo in (0.0, -0.1):
+            with pytest.raises(intervals.UnsupportedTargetError):
+                build(lo)
+
+
 def test_count_link_pivot_sqrt2():
     events = np.array([2, 3, 4, 2, 3, 2, 4])
     exposure = np.full(7, 104.29 / 7)

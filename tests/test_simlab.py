@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from tolpred import intervals, simlab
+from tolpred import dist, intervals, simlab
 from tolpred.fit import fit_gamma_intercept, fit_gamma_rows
 from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table,
                             run_gamma_coverage, run_poisson_gamma)
@@ -246,6 +247,79 @@ def test_site_process_fixed_rates_near_nominal():
     rep = run_poisson_gamma(site_spec(fixed_rates=True, methods=("fpivot_k1",),
                                       n_runs=3000))
     assert rep.cell("fpivot_k1", 0.95).within(0.95)
+
+
+# ---------------------------------------------------------------------------
+# streaming through chunks of runs
+
+
+def whole_array_cells(spec):
+    """The cells computed from every run at once: one draw, one fit and one
+    array of endpoints per method and level."""
+    gamma = spec.data_process == "gamma_fixed"
+    y, future = (simlab._draw_gamma_runs if gamma else simlab._draw_site_runs)(spec)
+    fit, ok = fit_gamma_rows(y)
+    if gamma:
+        q_lo, q_hi = dist.quantile(dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k),
+                                   [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
+    cells = []
+    for method in spec.methods:
+        for level in spec.levels:
+            lo, hi = simlab._endpoints(method, fit, level, spec)
+            if method in simlab.TOLERANCE_METHODS:
+                covered = (lo <= q_lo) & (q_hi <= hi)
+            else:
+                covered = (lo <= future) & (future <= hi)
+            use = covered[ok & np.isfinite(lo) & np.isfinite(hi)]
+            obs = float(use.mean())
+            cells.append(CoverageCell(method, level, obs,
+                                      math.sqrt(max(obs * (1 - obs), 1e-12) / use.size),
+                                      use.size, n_failed=spec.n_runs - use.size))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("spec", [
+    gamma_spec(n=290, n_runs=2500, methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)),
+    gamma_spec(n=20, n_runs=25_000, methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)),
+    site_spec(n=290, n_runs=2500, methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)),
+    site_spec(n=290, n_runs=2500, methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95),
+              fixed_rates=True),
+    gamma_spec(n=290, n_runs=1, methods=simlab.METHOD_ORDER),
+    site_spec(n=290, n_runs=1, methods=simlab.PREDICTION_METHODS, fixed_rates=True),
+], ids=["gamma_n290", "gamma_n20", "sites", "sites_fixed_rates", "gamma_1_run",
+        "sites_1_run"])
+def test_chunked_cells_equal_the_whole_array_cells(spec):
+    # each run's endpoints depend only on (seed, r) and its own row, so
+    # streaming a cell through chunks reproduces the all-runs computation
+    chunks = simlab._chunks(spec)
+    if spec.n_runs > 1:
+        assert len(chunks) >= 3 and spec.n_runs % len(chunks[0]) and spec.n_runs % simlab.BLOCK
+    assert [r for chunk in chunks for r in chunk] == list(range(spec.n_runs))
+    runner = run_gamma_coverage if spec.data_process == "gamma_fixed" else run_poisson_gamma
+    assert runner(spec).cells == whole_array_cells(spec)
+
+
+def test_fixed_site_rates_are_drawn_once_per_cell(monkeypatch):
+    calls = []
+    real = simlab._fixed_rates
+    monkeypatch.setattr(simlab, "_fixed_rates", lambda spec: calls.append(1) or real(spec))
+    spec = site_spec(n=290, n_runs=2500, fixed_rates=True)
+    assert len(simlab._chunks(spec)) >= 3
+    run_poisson_gamma(spec)
+    assert len(calls) == 1
+
+
+def test_cell_memory_does_not_grow_with_runs():
+    # the whole-array path held every run's sample and its fit temporaries
+    # at once: about 134 MB here
+    spec = gamma_spec(n=290, n_runs=20_000)
+    tracemalloc.start()
+    try:
+        run_gamma_coverage(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
