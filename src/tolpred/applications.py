@@ -202,8 +202,11 @@ class TrendFit:
         """Fitted mean per exposure unit (rate) or mean interarrival time."""
         eta = self.eta(l)
         out = np.exp(eta) if self.link == "log" else eta
-        if np.any(np.asarray(out) <= 0):
-            raise FitError(f"nonpositive fitted mean at period(s) {np.asarray(l)[np.asarray(out) <= 0]}")
+        bad = np.ravel(out) <= 0
+        if bad.any():
+            first = float(np.min(np.ravel(l)[bad]))
+            raise FitError(f"fitted mean is not positive at period {first:g}; "
+                           f"a log-link trend stays positive (--link log)")
         return out
 
     def _dmean_dbeta(self, l):
@@ -262,29 +265,51 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
     raise ValueError(f"unknown trend kind {kind!r}")
 
 
+def _pivot_limits(trend: TrendFit, total, grad, spread, level: float,
+                  crit: str, df: int | None, exp=np.exp):
+    """Link-pivot limits total * exp(-/+ c * se) of summed future means,
+    elementwise: ``total`` the summed means, ``grad`` (..., 2) their
+    gradient in the coefficients, and ``spread`` the sum whose
+    phi-multiple is the future variance.  se is the delta-method SE of the
+    summed mean plus the dispersed future-variance term, on the log scale.
+    Call under ``np.errstate``; overflow shows as a non-finite limit.  The
+    running-sum tables take numpy's ``exp``; one window passes libm's,
+    which ``predict_sum_rate`` has always used (they can differ by an ulp)."""
+    var_mean = ((grad @ trend.cov)[..., None, :] @ grad[..., None])[..., 0, 0]
+    var_future = trend.phi * spread
+    se_log = np.sqrt(var_mean / total ** 2 + var_future / total ** 2)
+    c = critical_value(level, crit, df)
+    return total * exp(-c * se_log), total * exp(c * se_log)
+
+
+def _not_finite(h: int) -> FitError:
+    return FitError(f"the prediction over horizon {h} leaves double precision "
+                    f"(its total, variance or limits are not finite)")
+
+
 def _sum_prediction(trend: TrendFit, periods, exposures, level: float,
                     crit: str, df: int | None) -> IntervalEstimate:
-    """Link pivot for a summed future quantity: delta-method SE of the summed
-    mean plus the dispersed future-variance term, on the log scale."""
+    """Link pivot for a summed future quantity: ``_pivot_limits`` of one
+    window."""
     periods = np.atleast_1d(np.asarray(periods, dtype=float))
     exposures = np.broadcast_to(np.atleast_1d(np.asarray(exposures, dtype=float)),
                                 periods.shape)
     if periods.size == 0:
         raise ValueError("empty prediction range")
-    m = trend.mean_rate(periods) * exposures      # mean contribution per period
-    total = float(np.sum(m))
-    d = trend._dmean_dbeta(periods) * exposures[:, None]
-    grad = d.sum(axis=0)
-    var_mean = float(grad @ trend.cov @ grad)
-    if trend.kind == "rate":
-        var_future = trend.phi * total            # quasi-Poisson: var = phi * mean
-    else:
-        var_future = trend.phi * float(np.sum((trend.mean_rate(periods)) ** 2))
-    se_log = math.sqrt(var_mean / total ** 2 + var_future / total ** 2)
-    c = critical_value(level, crit, df)
-    return IntervalEstimate(total * math.exp(-c * se_log),
-                            total * math.exp(c * se_log),
-                            level, "link_pivot", "future_sum")
+    try:
+        with np.errstate(all="ignore"):
+            m = trend.mean_rate(periods) * exposures      # mean contribution per period
+            total = np.sum(m)
+            grad = (trend._dmean_dbeta(periods) * exposures[:, None]).sum(axis=0)
+            # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
+            spread = total if trend.kind == "rate" else np.sum(m ** 2)
+            lower, upper = _pivot_limits(trend, total, grad, spread, level, crit, df,
+                                         exp=math.exp)
+    except OverflowError:
+        raise _not_finite(periods.size) from None
+    if not np.isfinite([total, lower, upper]).all():
+        raise _not_finite(periods.size)
+    return IntervalEstimate(float(lower), float(upper), level, "link_pivot", "future_sum")
 
 
 def predict_sum_rate(trend: TrendFit, l_range, level: float,
@@ -320,19 +345,54 @@ def predict_sum_interarrival(trend: TrendFit, i_range, level: float) -> Interval
 def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
                         max_horizon: int = 100_000,
                         exposure: float | None = None):
-    """Smallest number of future periods whose point prediction meets the
-    target, plus the horizon range over which the level-prediction interval
-    still contains the target.  Integer bisection on the monotone cumulative
-    mean."""
+    """Smallest number of future periods h whose cumulative mean meets the
+    target (the point), and the first h whose interval upper (h_lo) and
+    lower (h_hi) limit reaches it.
+
+    Each search doubles h, then bisects, on running sums: each future
+    period's mean and mean gradient is computed once, as far as the doubling
+    reaches, and ``np.cumsum`` gives the total and, through
+    ``_pivot_limits``, the limits of every window at once.  Each answer is
+    then checked against its definition at h and h-1 (the cumulative mean,
+    ``predict_sum_rate``'s limits) and stepped by one where running-sum
+    rounding disagrees, so it matches ``recruit --mode trend`` and a solve
+    makes at most four ``predict_sum_rate`` calls.
+
+    Raises ``FitError`` when the target is not reached within
+    ``max_horizon`` periods, at the first period the doubling reaches whose
+    fitted mean is not positive, and at the first horizon read whose total
+    or limit is not finite.
+    """
     if target_subjects < 0:
         raise ValueError("target must be nonnegative")
     if target_subjects == 0:
         return 0, (0, 0)
     d = trend.fit_window[1]
     e = trend.exposure_per_period if exposure is None else exposure
+    means, tables = np.empty(0), {}
 
-    def cum_mean(h):
-        return float(np.sum(trend.mean_rate(np.arange(d + 1, d + h + 1)) * e))
+    def reaches(name):
+        def holds(h):
+            nonlocal means
+            if h > means.size:          # extend the means to horizon h
+                l = np.arange(d + means.size + 1.0, d + h + 1.0)
+                with np.errstate(all="ignore"):
+                    means = np.concatenate([means, trend.mean_rate(l) * e])
+                tables.clear()
+            if name not in tables:      # every window's value, from running sums
+                total = np.cumsum(means)
+                tables["mean"] = total.tolist()
+                if name != "mean":
+                    l = np.arange(d + 1.0, d + means.size + 1.0)
+                    with np.errstate(all="ignore"):
+                        grad = np.cumsum(trend._dmean_dbeta(l) * e, axis=0)
+                        limits = _pivot_limits(trend, total, grad, total, level, "z", None)
+                    tables["lower"], tables["upper"] = (a.tolist() for a in limits)
+            value = tables[name][h - 1]
+            if not math.isfinite(value):
+                raise _not_finite(h)
+            return value >= target_subjects
+        return holds
 
     def first_h(predicate):
         lo, hi = 1, 1
@@ -348,13 +408,25 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
                 lo = mid + 1
         return lo
 
-    point = first_h(lambda h: cum_mean(h) >= target_subjects)
+    def settle(h, holds):
+        while not holds(h):
+            h += 1
+        while h > 1 and holds(h - 1):
+            h -= 1
+        return h
 
-    def interval_at(h):
-        return predict_sum_rate(trend, range(d + 1, d + h + 1), level, exposure=e)
+    def by_definition(name):
+        def holds(h):
+            if name == "mean":
+                value = float(np.sum(trend.mean_rate(np.arange(d + 1, d + h + 1)) * e))
+            else:
+                value = getattr(predict_sum_rate(trend, range(d + 1, d + h + 1), level,
+                                                 exposure=e), name)
+            return value >= target_subjects
+        return holds
 
-    h_lo = first_h(lambda h: interval_at(h).upper >= target_subjects)
-    h_hi = first_h(lambda h: interval_at(h).lower >= target_subjects)
+    point, h_lo, h_hi = (settle(first_h(reaches(name)), by_definition(name))
+                         for name in ("mean", "upper", "lower"))
     return point, (h_lo, h_hi)
 
 

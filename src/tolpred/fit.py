@@ -183,7 +183,7 @@ def fit_gamma_rows(y, link: str = "log"):
     s = np.log(ybar) - np.log(y).mean(axis=1)
     ok = s > 0
     k = np.full(ybar.shape, np.nan)
-    k[ok] = gamma_shape_mle(y[ok])
+    k[ok] = _shape_from_s(s[ok])
     se_log_model = 1.0 / np.sqrt(n * k)
     se_log_sand = np.sqrt(np.sum((y - ybar[:, None]) ** 2, axis=1)) / (n * ybar)
     se_k = 1.0 / np.sqrt(n * (special.zeta(2.0, k) - 1.0 / k))

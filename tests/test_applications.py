@@ -231,23 +231,38 @@ def test_interarrival_constant_times_collapse():
     assert iv.upper == pytest.approx(20.0, rel=1e-8)
 
 
-def test_solve_target_window():
+@pytest.mark.parametrize("target", [10.0, 300.0, 5000.0])
+@pytest.mark.parametrize("transform", app.TRANSFORMS)
+@pytest.mark.parametrize("link", ["identity", "log"])
+def test_solve_target_window(monkeypatch, link, transform, target):
     s = app.make_recruitment_fixture()
-    tr = app.fit_trend(s, transform="log", link="identity")
+    tr = app.fit_trend(s, transform=transform, link=link)
     assert app.solve_target_window(tr, 0, 0.95) == (0, (0, 0))
     with pytest.raises(ValueError):
         app.solve_target_window(tr, -1, 0.95)
-    point, (h_lo, h_hi) = app.solve_target_window(tr, 300, 0.95)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return predict(*args, **kwargs)
+
+    predict = app.predict_sum_rate
+    monkeypatch.setattr(app, "predict_sum_rate", counted)
+    point, (h_lo, h_hi) = app.solve_target_window(tr, target, 0.95)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 4     # running sums, then a check at h and h - 1
     assert h_lo <= point <= h_hi
     d = tr.fit_window[1]
     e = tr.exposure_per_period
-    cum = lambda h: float(np.sum(tr.mean_rate(np.arange(d + 1.0, d + h + 1.0)) * e))
-    assert cum(point) >= 300 > cum(point - 1)
-    # interval endpoints bracket the target through the reported window
-    assert app.predict_sum_rate(tr, range(d + 1, d + h_lo + 1), 0.95).upper >= 300
-    assert app.predict_sum_rate(tr, range(d + 1, d + h_hi + 1), 0.95).lower >= 300
-    if h_hi > 1:
-        assert app.predict_sum_rate(tr, range(d + 1, d + h_hi), 0.95).lower < 300
+    window = lambda h: app.predict_sum_rate(tr, range(d + 1, d + h + 1), 0.95)
+    definitions = [
+        (point, lambda h: float(np.sum(tr.mean_rate(np.arange(d + 1.0, d + h + 1.0)) * e))),
+        (h_lo, lambda h: window(h).upper),
+        (h_hi, lambda h: window(h).lower),
+    ]
+    for h, value in definitions:   # each horizon is the first that reaches
+        assert value(h) >= target
+        assert h == 1 or value(h - 1) < target
 
 
 def test_solve_target_window_horizon_guard():
@@ -255,6 +270,33 @@ def test_solve_target_window_horizon_guard():
     tr = app.fit_trend(s, transform="log", link="identity")
     with pytest.raises(FitError):
         app.solve_target_window(tr, 10_000.0, 0.95, max_horizon=50)
+
+
+def fault_series(events, sites):
+    n = len(events)
+    return app.RecruitmentSeries(np.arange(1, n + 1), np.asarray(events, float),
+                                 np.full(n, 30.0), np.asarray(sites, float))
+
+
+@pytest.mark.parametrize("transform, period", [("log", 728), ("root", 284)])
+def test_nonpositive_mean_names_the_first_period(transform, period):
+    s = fault_series([14, 10, 4, 29, 37, 10, 1, 3], [20, 20, 0, 0, 0, 0, 5, 1])
+    tr = app.fit_trend(s, transform=transform, link="identity")
+    with pytest.raises(FitError) as err:
+        app.solve_target_window(tr, 600.0, 0.95)
+    assert str(err.value) == (f"fitted mean is not positive at period {period}; "
+                              f"a log-link trend stays positive (--link log)")
+
+
+def test_overflowing_sum_is_a_fit_error_naming_the_horizon():
+    s = fault_series([10, 0, 1, 10, 19], [0, 20, 5, 1, 0])
+    tr = app.fit_trend(s, transform="identity", link="log")
+    d = tr.fit_window[1]
+    assert math.isfinite(app.predict_sum_rate(tr, range(d + 1, d + 19), 0.95).upper)
+    with pytest.raises(FitError, match="horizon 2000 leaves double precision"):
+        app.predict_sum_rate(tr, range(d + 1, d + 2001), 0.95)
+    with pytest.raises(FitError, match="horizon 1024 leaves double precision"):
+        app.solve_target_window(tr, 10.0, 0.95)
 
 
 # ---------------------------------------------------------------------------

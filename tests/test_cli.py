@@ -411,6 +411,16 @@ def _finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
+def _call_quietly(argv):
+    """``main(argv)`` with its stdout, its stderr and every warning captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
 def _finite_csv(path) -> bool:
     rows = path.read_text().splitlines()[1:]
     return all(math.isfinite(float(v)) for row in rows for v in row.split(","))
@@ -459,20 +469,16 @@ def test_any_gamma_interval_call_is_finite_json_or_a_typed_error(
             argv += ["--level", repr(level)]
         if command == "tolerance":
             argv += ["--content", repr(content)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert [str(w.message) for w in caught] == []
-        assert "Traceback" not in err.getvalue()
+        code, out, err, caught = _call_quietly(argv)
+        assert caught == []
+        assert "Traceback" not in err
         if code == 0 and command == "curve":
             assert _finite_csv(out_dir / f"curve_{method}.csv")
         elif code == 0:
-            assert _finite(json.loads(out.getvalue()))
+            assert _finite(json.loads(out))
         else:
-            assert code in (1, 2, 3) and out.getvalue() == ""
-            assert err.getvalue().count("\n") == 1
+            assert code in (1, 2, 3) and out == ""
+            assert err.count("\n") == 1
             assert not out_dir.exists()
 
 
@@ -600,6 +606,77 @@ def test_recruit_trend_and_window(capsys, recruit_csv):
 def test_recruit_window_needs_target(capsys, recruit_csv):
     data, _ = recruit_csv
     assert main(["recruit", "--input", str(data), "--mode", "window"]) == 1
+
+
+# (events, active sites) per 30-day period
+NEGATIVE_TREND = list(zip([14, 10, 4, 29, 37, 10, 1, 3], [20, 20, 0, 0, 0, 0, 5, 1]))
+OVERFLOWING_TREND = list(zip([10, 0, 1, 10, 19], [0, 20, 5, 1, 0]))
+
+
+def _write_recruitment(path, rows, days=30.0):
+    path.write_text("period,events,exposure_days,active_sites\n" + "".join(
+        f"{i},{events},{days!r},{sites}\n" for i, (events, sites) in enumerate(rows, 1)))
+
+
+@pytest.mark.parametrize("rows, flags, message", [
+    (NEGATIVE_TREND, ["--mode", "window", "--transform", "log", "--link", "identity",
+                      "--target", "600"], "not positive at period 728;"),
+    (NEGATIVE_TREND, ["--mode", "window", "--transform", "root", "--link", "identity",
+                      "--target", "600"], "not positive at period 284;"),
+    (OVERFLOWING_TREND, ["--mode", "window", "--transform", "identity", "--link", "log",
+                         "--target", "10"], "horizon 1024 leaves double precision"),
+    (OVERFLOWING_TREND, ["--mode", "trend", "--transform", "identity", "--link", "log",
+                         "--horizon", "2000"], "horizon 2000 leaves double precision"),
+], ids=["negative_log", "negative_root", "overflow_window", "overflow_trend"])
+def test_recruit_trend_faults_are_one_line_fit_errors(tmp_path, rows, flags, message):
+    path = tmp_path / "recruit.csv"
+    _write_recruitment(path, rows)
+    code, out, err, caught = _call_quietly(["recruit", "--input", str(path)] + flags)
+    assert (code, out, caught) == (3, "", [])
+    assert err.count("\n") == 1 and err.startswith("fit error: ") and message in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 30)),
+                     min_size=1, max_size=14),
+       days=st.sampled_from([1.0, 7.5, 30.0]),
+       mode=st.sampled_from(["sitedays", "trend", "window"]),
+       link=st.sampled_from(["log", "identity"]),
+       transform=st.sampled_from(applications.TRANSFORMS),
+       horizon=st.integers(1, 3000), target=st.floats(-10.0, 1e6),
+       level=st.floats(0.5, 0.99), schedule=st.booleans())
+@example(rows=NEGATIVE_TREND, days=30.0, mode="window", link="identity", transform="log",
+         horizon=18, target=600.0, level=0.95, schedule=False)
+@example(rows=NEGATIVE_TREND, days=30.0, mode="window", link="identity", transform="root",
+         horizon=18, target=600.0, level=0.95, schedule=False)
+@example(rows=OVERFLOWING_TREND, days=30.0, mode="window", link="log",
+         transform="identity", horizon=18, target=10.0, level=0.95, schedule=False)
+@example(rows=OVERFLOWING_TREND, days=30.0, mode="trend", link="log",
+         transform="identity", horizon=2000, target=10.0, level=0.95, schedule=False)
+def test_any_recruit_call_is_finite_json_or_a_typed_error(
+        rows, days, mode, link, transform, horizon, target, level, schedule):
+    """Any recruitment CSV, in any mode, link and transform, either exits 0
+    with finite JSON or exits 1, 2 or 3 with one line on stderr, and never
+    warns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "recruit.csv"
+        _write_recruitment(path, rows, days)
+        argv = ["recruit", "--input", str(path), "--mode", mode, "--link", link,
+                "--transform", transform, "--horizon", str(horizon),
+                "--target", repr(target), "--level", repr(level)]
+        if schedule:
+            sched = Path(tmp) / "schedule.csv"
+            sched.write_text("period,active_sites\n" + "".join(
+                f"{len(rows) + i},20\n" for i in range(1, 7)))
+            argv += ["--schedule", str(sched)]
+        code, out, err, caught = _call_quietly(argv)
+    assert caught == []
+    assert "Traceback" not in err
+    if code == 0:
+        assert _finite(json.loads(out))
+    else:
+        assert code in (1, 2, 3) and out == ""
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
