@@ -108,7 +108,8 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     The auto grid spans the method's 99.8% interval (its H crossings at
     0.001 and 0.999), log-spaced since every target here lives on the
     positive half-line.  An interval or grid that double precision cannot
-    tabulate raises ``UnsupportedTargetError``.
+    tabulate (too wide, or too narrow for ``n_points`` distinct totals)
+    raises ``UnsupportedTargetError``.
     """
     entry = _method(method)
     H_fun, point = entry.pvalue(fit, n_future, se_kind)
@@ -120,6 +121,10 @@ def build_curve(fit: FitResult, method: str, n_future: float,
             raise UnsupportedTargetError("a log-spaced grid cannot span the 99.8% interval "
                                          f"({iv.lower:.6g}, {iv.upper:.6g}): it {why}")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
+        if np.any(np.diff(grid) <= 0):   # e.g. a zero SE: counts that fit exactly
+            raise UnsupportedTargetError(f"the 99.8% interval ({iv.lower:.6g}, "
+                                         f"{iv.upper:.6g}) is too narrow for a grid of "
+                                         f"{n_points} distinct totals")
     else:
         grid = _hypotheses(grid)
     H = np.asarray(H_fun(grid), dtype=float)

@@ -128,19 +128,25 @@ def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
 
     Newton from the Greenwood-Durand moment start; globally convergent in
     practice.  Each element stops after the step taken at its first residual
-    within ``tol``, so its root does not depend on the other elements.
+    within ``tol``, so its root does not depend on the other elements; each
+    iteration works on the elements still iterating only.
     """
-    k = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    active = np.ones(np.shape(s), dtype=bool)
+    s = np.asarray(s, dtype=float)
+    k = np.ravel((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
+    rows, k_a, s_a = np.arange(k.size), k.copy(), s.ravel()   # still iterating
     for _ in range(max_iter):
-        f = np.log(k) - special.digamma(k) - s
-        fp = 1.0 / k - special.zeta(2.0, k)
-        k = np.where(active, k - f / fp, k)
-        k = np.where(k > 0, k, np.nan)  # zeta(2, k < 0) sums about |k| terms
-        active &= ~(np.abs(f) <= tol)
-        if not active.any():
+        f = np.log(k_a) - special.digamma(k_a) - s_a
+        fp = 1.0 / k_a - special.zeta(2.0, k_a)
+        k_a = k_a - f / fp
+        k_a = np.where(k_a > 0, k_a, np.nan)  # zeta(2, k < 0) sums about |k| terms
+        going = ~(np.abs(f) <= tol)
+        if not going.all():
+            k[rows[~going]] = k_a[~going]
+            rows, k_a, s_a = rows[going], k_a[going], s_a[going]
+        if not rows.size:
             break
-    return k
+    k[rows] = k_a
+    return k.reshape(s.shape)
 
 
 def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
@@ -366,13 +372,16 @@ class SurvivalSample:
 
 
 def _weibull_score_hessian(a: float, b: float, t: np.ndarray, ev: np.ndarray):
-    """Loglik, gradient, Hessian in (a, b) = (log scale, log shape)."""
+    """Loglik, gradient, Hessian in (a, b) = (log scale, log shape).  A sum
+    that overflows is infinite, without a warning; the step halving rejects
+    such a trial point."""
     lam, k = math.exp(a), math.exp(b)
     u = np.log(t) - a
     z = np.exp(np.clip(k * u, -700, 700))
     r = float(ev.sum())
-    ll = float(np.sum(ev * (math.log(k) - np.log(t) + k * u)) - z.sum())
-    sz, szu, szu2 = float(z.sum()), float((z * u).sum()), float((z * u * u).sum())
+    with np.errstate(over="ignore"):
+        ll = float(np.sum(ev * (math.log(k) - np.log(t) + k * u)) - z.sum())
+        sz, szu, szu2 = float(z.sum()), float((z * u).sum()), float((z * u * u).sum())
     l_a = -k * r + k * sz
     l_k = r / k + float((ev * u).sum()) - szu
     l_aa = -k * k * sz
@@ -416,8 +425,9 @@ def fit_weibull_censored(data) -> FitResult:
             scale *= 0.5
         a, b = a - scale * step[0], b - scale * step[1]
         ll, grad, hess = ll2, grad2, hess2
-        if np.linalg.norm(grad) <= 1e-9:
-            break
+        with np.errstate(over="ignore"):   # an overflowing norm is not converged
+            if np.linalg.norm(grad) <= 1e-9:
+                break
     else:
         raise NonConvergenceError("Weibull Newton did not converge")
     lam, k = math.exp(a), math.exp(b)

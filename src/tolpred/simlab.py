@@ -6,20 +6,27 @@ which per-site rates are drawn once and held fixed while exponential
 interarrivals accumulate to a study-level stream.
 
 A cell streams through chunks of whole blocks of runs, each holding about
-``_CHUNK_VALUES`` sample values: a chunk is drawn, fitted with
-``fit.fit_gamma_rows`` (whose fields are per-run arrays), its endpoints
-built by the ``intervals.METHODS`` constructors for every method and level,
-and only its covered and usable counts kept.  Lab memory therefore does not
-grow with ``n_runs``, and since run r depends only on (seed, r) the counts
-do not depend on the chunking.
+``_CHUNK_VALUES`` sample values.  The calling thread draws each chunk and
+hands it to a thread pool with one worker per usable CPU, which fits it with
+``fit.fit_gamma_rows`` (whose fields are per-run arrays), builds its
+endpoints with the ``intervals.METHODS`` constructors for every method and
+level, and keeps only its covered and usable counts; scipy's special
+functions and numpy's array loops release the GIL, so the workers overlap.
+At most one chunk per worker is in flight, so lab memory does not grow with
+``n_runs``.  Run r depends only on (seed, r) and the counts are integers
+added in chunk order, so the cells depend neither on the chunking nor on the
+worker count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import os
+from collections import deque
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -60,7 +67,7 @@ CRIT = "t"
 BLOCK = 1024
 # sample values per chunk of runs: a cell streams through chunks of whole
 # blocks, so its memory does not grow with n_runs
-_CHUNK_VALUES = 2 ** 18
+_CHUNK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -225,22 +232,60 @@ def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
     return iv.lower, iv.upper
 
 
+def _workers() -> int:
+    """The CPUs this process may run on: one pool worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
+    """(covered, usable) runs of one chunk for each (method, level) in
+    ``keys``.  A prediction interval covers when it contains the run's
+    future total; a tolerance interval when it contains both
+    ``tolerance_target`` quantiles."""
+    fit, ok = fit_gamma_rows(y)
+    counts = []
+    for method, level in keys:
+        lo, hi = _endpoints(method, fit, level, spec)
+        t_lo, t_hi = (tolerance_target if method in TOLERANCE_METHODS
+                      else (future, future))
+        use = ok & np.isfinite(lo) & np.isfinite(hi)
+        counts.append((int(np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use)),
+                       int(np.count_nonzero(use))))
+    return counts
+
+
 def _stream(spec: ScenarioSpec, chunks, tolerance_target=None) -> CoverageReport:
     """Coverage counts of every method x level, accumulated over ``chunks``
-    of (samples, future totals): each chunk is fitted, its endpoints built
-    and its covered and usable runs counted, then dropped.  A prediction
-    interval covers when it contains the run's future total; a tolerance
-    interval when it contains both ``tolerance_target`` quantiles."""
+    of (samples, future totals).  The chunks are drawn on the calling thread
+    and counted on a pool of ``_workers()`` threads, at most one chunk per
+    worker in flight; the counts are added in chunk order, and an exception
+    in a chunk stops the submitting and propagates."""
+    # imported here, so that importing tolpred loads no thread pool module
+    from concurrent.futures import ThreadPoolExecutor
+
     totals = {(method, level): [0, 0] for method in spec.methods for level in spec.levels}
-    for y, future in chunks:
-        fit, ok = fit_gamma_rows(y)
-        for (method, level), counts in totals.items():
-            lo, hi = _endpoints(method, fit, level, spec)
-            t_lo, t_hi = (tolerance_target if method in TOLERANCE_METHODS
-                          else (future, future))
-            use = ok & np.isfinite(lo) & np.isfinite(hi)
-            counts[0] += int(np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use))
-            counts[1] += int(np.count_nonzero(use))
+    keys = list(totals)
+
+    def add(done):
+        for total, (covered, used) in zip(totals.values(), done.result()):
+            total[0] += covered
+            total[1] += used
+
+    workers = _workers()
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for y, future in chunks:
+            # each task runs in a copy of the caller's context, so the
+            # caller's np.errstate holds in the workers too
+            pending.append(pool.submit(contextvars.copy_context().run, _chunk_counts,
+                                       spec, keys, y, future, tolerance_target))
+            if len(pending) == workers:
+                add(pending.popleft())
+        while pending:
+            add(pending.popleft())
     return _aggregate(spec, totals)
 
 

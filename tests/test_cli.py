@@ -426,6 +426,19 @@ def _finite_csv(path) -> bool:
     return all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
+def _assert_finite_json_or_typed_error(code, out, err, caught, prints_json=True):
+    """The CLI contract: exit 0 with finite JSON (nothing, for a command
+    that only writes files), or exit 1, 2 or 3 with one line on stderr and
+    nothing on stdout; never a warning."""
+    assert caught == []
+    assert "Traceback" not in err
+    if code == 0:
+        assert _finite(json.loads(out)) if prints_json else out == ""
+    else:
+        assert code in (1, 2, 3) and out == ""
+        assert err.count("\n") == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
        method=st.sampled_from(sorted(intervals.METHODS) + sorted(curves.CURVE_METHODS)),
@@ -480,6 +493,64 @@ def test_any_gamma_interval_call_is_finite_json_or_a_typed_error(
             assert code in (1, 2, 3) and out == ""
             assert err.count("\n") == 1
             assert not out_dir.exists()
+
+
+# quasi-Poisson methods the gamma property leaves out, as (command, method)
+COUNT_CALLS = [("predict", "eq1"), ("predict", "eq2"), ("predict", "kris"),
+               ("tolerance", "eq4"), ("curve", "link_pivot"), ("curve", "ci_plug")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 60), st.floats(1e-3, 1e3)),
+                     min_size=1, max_size=20),
+       call=st.sampled_from(COUNT_CALLS), link=st.sampled_from(["log", "identity"]),
+       level=st.floats(0.5, 0.99), content=st.floats(0.01, 0.99),
+       n_future=st.sampled_from(["1e-06", "0.5", "5", "100", "1000000.0"]),
+       se_kind=st.sampled_from(["model", "sandwich"]))
+# counts that fit exactly: a zero sandwich SE gives a zero-width interval,
+# which no grid of distinct totals spans
+@example(rows=[(1, 1.0), (1, 1.0)], call=("curve", "link_pivot"), link="log", level=0.5,
+         content=0.5, n_future="5", se_kind="sandwich")
+def test_any_quasipoisson_call_is_finite_json_or_a_typed_error(
+        rows, call, link, level, content, n_future, se_kind):
+    """Any events/exposure CSV, with the count methods on either link,
+    either exits 0 with finite output or exits 1, 2 or 3 with one line on
+    stderr, and never warns."""
+    command, method = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = Path(tmp) / "counts.csv", Path(tmp) / "plots"
+        path.write_text("events,exposure\n" + "".join(f"{x},{e!r}\n" for x, e in rows))
+        argv = [command, "--family", "quasipoisson", "--input", str(path),
+                "--method", method, "--n-future", n_future, "--link", link,
+                "--se-kind", se_kind]
+        if command == "curve":
+            argv += ["--out-dir", str(out_dir)]
+        else:
+            argv += ["--level", repr(level)]
+        if command == "tolerance":
+            argv += ["--content", repr(content)]
+        code, out, err, caught = _call_quietly(argv)
+        _assert_finite_json_or_typed_error(code, out, err, caught,
+                                           prints_json=command != "curve")
+        if command == "curve":
+            assert out_dir.exists() == (code == 0)
+            assert code != 0 or _finite_csv(out_dir / f"curve_{method}.csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                     min_size=1, max_size=80),
+       level=st.floats(0.5, 0.99), n_future=st.sampled_from(["2", "60", "600", "1e6"]))
+def test_any_binomial_eq1_call_is_finite_json_or_a_typed_error(rows, level, n_future):
+    """Any y/trt CSV either predicts a finite odds ratio or exits 1, 2 or 3
+    with one line on stderr, and never warns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "binom.csv"
+        path.write_text("y,trt\n" + "".join(f"{y},{t}\n" for y, t in rows))
+        code, out, err, caught = _call_quietly(
+            ["predict", "--family", "binomial", "--input", str(path), "--method", "eq1",
+             "--n-future", n_future, "--level", repr(level)])
+    _assert_finite_json_or_typed_error(code, out, err, caught)
 
 
 def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):
@@ -670,13 +741,7 @@ def test_any_recruit_call_is_finite_json_or_a_typed_error(
                 f"{len(rows) + i},20\n" for i in range(1, 7)))
             argv += ["--schedule", str(sched)]
         code, out, err, caught = _call_quietly(argv)
-    assert caught == []
-    assert "Traceback" not in err
-    if code == 0:
-        assert _finite(json.loads(out))
-    else:
-        assert code in (1, 2, 3) and out == ""
-        assert err.count("\n") == 1
+    _assert_finite_json_or_typed_error(code, out, err, caught)
 
 
 # ---------------------------------------------------------------------------
@@ -700,3 +765,28 @@ def test_survival_outputs(tmp_path, capsys, survival_csv):
     km = (out_dir / "survival_km.csv").read_text().splitlines()
     assert km[0] == "time,survival"
     assert (out_dir / "survival.svg").read_text().startswith("<svg")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(1e-3, 1e3), st.booleans()),
+                     min_size=1, max_size=40),
+       level=st.floats(0.5, 0.99), events_future=st.integers(1, 1000))
+# a rejected step-halving trial overflows the Weibull score sums
+@example(rows=[(2.0, True), (4.0, False), (16.0, False), (102.0, False), (70.0, False),
+               (77.0, False), (89.0, False), (307.0, True), (314.0, True), (295.0, True),
+               (189.0, True), (457.0, True), (57.0, False), (40.0, False), (782.0, True),
+               (202.0, True), (0.5, False), (0.25, False), (0.001, True)],
+         level=0.5, events_future=1)
+# ... and the norm of a diverging shape's score
+@example(rows=[(1.0, True), (1.001, True), (0.5, False)], level=0.5, events_future=1)
+def test_any_survival_call_is_finite_json_or_a_typed_error(rows, level, events_future):
+    """Any time/event CSV either writes finite bands and JSON or exits 1, 2
+    or 3 with one line on stderr, and never warns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = Path(tmp) / "surv.csv", Path(tmp) / "out"
+        path.write_text("time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
+        code, out, err, caught = _call_quietly(
+            ["survival", "--input", str(path), "--out-dir", str(out_dir),
+             "--level", repr(level), "--events-future", str(events_future)])
+        _assert_finite_json_or_typed_error(code, out, err, caught)
+        assert code != 0 or _finite_csv(out_dir / "survival_bands.csv")

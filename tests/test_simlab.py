@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -307,6 +309,106 @@ def test_fixed_site_rates_are_drawn_once_per_cell(monkeypatch):
     assert len(simlab._chunks(spec)) >= 3
     run_poisson_gamma(spec)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the chunk pool
+
+
+POOL_SPECS = [
+    gamma_spec(n=20, n_runs=7000, methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)),
+    gamma_spec(n=290, n_runs=2500, methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)),
+    site_spec(n=290, n_runs=2500, methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)),
+    site_spec(n=290, n_runs=2500, methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95),
+              fixed_rates=True),
+]
+POOL_IDS = ["gamma_n20", "gamma_n290", "sites", "sites_fixed_rates"]
+
+
+def _run(spec):
+    runner = run_gamma_coverage if spec.data_process == "gamma_fixed" else run_poisson_gamma
+    return runner(spec)
+
+
+@pytest.mark.parametrize("spec", POOL_SPECS, ids=POOL_IDS)
+def test_cells_do_not_depend_on_the_worker_count(monkeypatch, spec):
+    # counts are integers added in chunk order; three workers on a shorter
+    # switch interval interleave the chunks as much as the host allows
+    assert len(simlab._chunks(spec)) >= 3
+    reports = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simlab, "_workers", lambda workers=workers: workers)
+            reports[workers] = repr(_run(spec).cells)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+@pytest.mark.parametrize("spec", POOL_SPECS[1:], ids=POOL_IDS[1:])
+def test_draws_stay_on_the_calling_thread(monkeypatch, spec):
+    # a generator per block (and one for fixed site rates), all made on the
+    # caller's thread, while the fits run on the pool's
+    drawn, fitted = [], []
+    real_generator, real_fit = dist.RngStream.generator, simlab.fit_gamma_rows
+
+    def generator(self):
+        drawn.append(threading.get_ident())
+        return real_generator(self)
+
+    def fit_rows(y):
+        fitted.append(threading.get_ident())
+        return real_fit(y)
+
+    monkeypatch.setattr(dist.RngStream, "generator", generator)
+    monkeypatch.setattr(simlab, "fit_gamma_rows", fit_rows)
+    monkeypatch.setattr(simlab, "_workers", lambda: 2)
+    _run(spec)
+    blocks = -(-spec.n_runs // simlab.BLOCK)
+    assert drawn == [threading.get_ident()] * (blocks + spec.fixed_rates)
+    assert len(fitted) == len(simlab._chunks(spec))
+    assert threading.get_ident() not in fitted
+
+
+def test_workers_run_under_the_callers_errstate(monkeypatch):
+    seen = []
+    real_fit = simlab.fit_gamma_rows
+
+    def fit_rows(y):
+        seen.append(np.geterr()["over"])
+        return real_fit(y)
+
+    monkeypatch.setattr(simlab, "fit_gamma_rows", fit_rows)
+    monkeypatch.setattr(simlab, "_workers", lambda: 2)
+    with np.errstate(over="raise"):
+        run_gamma_coverage(gamma_spec(n=290, n_runs=2500))
+    assert seen == ["raise"] * 3
+
+
+def test_chunk_error_propagates_and_stops_the_pool(monkeypatch):
+    class ChunkError(RuntimeError):
+        pass
+
+    calls = []
+    real_fit = simlab.fit_gamma_rows
+
+    def fit_rows(y):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ChunkError("second chunk")
+        return real_fit(y)
+
+    spec = gamma_spec(n=290, n_runs=8 * simlab.BLOCK)
+    chunks = len(simlab._chunks(spec))
+    monkeypatch.setattr(simlab, "fit_gamma_rows", fit_rows)
+    monkeypatch.setattr(simlab, "_workers", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(ChunkError, match="second chunk"):
+        run_gamma_coverage(spec)
+    assert threading.active_count() == threads
+    assert len(calls) < chunks   # the submitting stopped
 
 
 def test_cell_memory_does_not_grow_with_runs():
