@@ -186,12 +186,15 @@ def fit_gamma_rows(y, link: str = "log"):
     y = np.asarray(y, dtype=float)
     n = y.shape[1]
     ybar = y.mean(axis=1)
-    s = np.log(ybar) - np.log(y).mean(axis=1)
+    buf = np.log(y)   # one (rows x n) scratch array: log y, then squared deviations
+    s = np.log(ybar) - buf.mean(axis=1)
+    ss = np.sum(np.square(np.subtract(y, ybar[:, None], out=buf), out=buf), axis=1)
+    del buf   # freed before the shape Newton's temporaries
     ok = s > 0
     k = np.full(ybar.shape, np.nan)
     k[ok] = _shape_from_s(s[ok])
     se_log_model = 1.0 / np.sqrt(n * k)
-    se_log_sand = np.sqrt(np.sum((y - ybar[:, None]) ** 2, axis=1)) / (n * ybar)
+    se_log_sand = np.sqrt(ss) / (n * ybar)
     se_k = 1.0 / np.sqrt(n * (special.zeta(2.0, k) - 1.0 / k))
     for se in (se_log_model, se_log_sand, se_k):
         ok &= (se > 0) & (se < np.inf)

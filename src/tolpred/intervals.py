@@ -351,12 +351,16 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
 
 def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     """Upper p-value function of the CI-plug-in prediction and its point
-    prediction.  H interpolates, against log c, the table c(h): the
-    h-quantile of the sum distribution at the Wald mean limit
-    ``fit.mu_limit(ndtri(h))``, over the h whose quantile is positive (not
-    an identity-link limit <= 0, nor a quantile that underflows)."""
-    h_ref = np.concatenate([[1e-9], np.linspace(1e-5, 1 - 1e-5, 4001), [1 - 1e-9]])
-    mu = fit.mu_limit(ndtri(h_ref), se_kind)
+    prediction.  H has no closed form, so it is tabulated on the
+    normal-score scale, where the Wald pivot is linear: at 1001 nodes z
+    uniform over [ndtri(1e-9), -ndtri(1e-9)], c(z) is the ndtr(z)-quantile
+    of the sum distribution at the Wald mean limit ``fit.mu_limit(z)``,
+    dropped where not positive (an identity-link limit <= 0, or a quantile
+    that underflows).  H(c) = ndtr(z), with z linear in log c between nodes
+    and clamped at the end nodes, so H stays within [1e-9, 1 - 1e-9]."""
+    z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 1001)
+    h_ref = ndtr(z_ref)
+    mu = fit.mu_limit(z_ref, se_kind)
     if fit.family == "gamma":
         c_ref = gammaincinv(n_future * fit.k_hat, h_ref) * (mu / fit.k_hat)
     elif fit.family == "quasipoisson":
@@ -365,8 +369,8 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     else:
         raise ValueError(f"no sum distribution for family {fit.family!r}")
     keep = c_ref > 0
-    log_c_ref, h_ref = np.log(c_ref[keep]), h_ref[keep]
-    return (lambda c: np.interp(np.log(c), log_c_ref, h_ref)), n_future * fit.mu_hat
+    log_c_ref, z_ref = np.log(c_ref[keep]), z_ref[keep]
+    return (lambda c: ndtr(np.interp(np.log(c), log_c_ref, z_ref))), n_future * fit.mu_hat
 
 
 # ---------------------------------------------------------------------------

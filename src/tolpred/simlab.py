@@ -220,7 +220,8 @@ def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
         total = lam.sum(axis=-1, keepdims=True)[:m]
-        gaps = -np.log(gen.random((BLOCK, spec.N))[:m]) / total
+        gaps = gen.random((BLOCK, spec.N))[:m]
+        np.divide(np.log(gaps, out=gaps), -total, out=gaps)   # in place: -log(u) / total
         y[rows] = gaps[:, :n]
         future[rows] = gaps[:, n:].sum(axis=1)
     return y, future

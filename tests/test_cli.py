@@ -790,3 +790,31 @@ def test_any_survival_call_is_finite_json_or_a_typed_error(rows, level, events_f
              "--level", repr(level), "--events-future", str(events_future)])
         _assert_finite_json_or_typed_error(code, out, err, caught)
         assert code != 0 or _finite_csv(out_dir / "survival_bands.csv")
+
+
+# Weibull table methods, as (command, method)
+WEIBULL_CALLS = [("predict", "eq1"), ("predict", "fpivot"), ("predict", "plugin"),
+                 ("tolerance", "eq3"), ("tolerance", "eq4"), ("tolerance", "eq5")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(1e-3, 1e3), st.booleans()),
+                     min_size=1, max_size=40),
+       call=st.sampled_from(WEIBULL_CALLS), level=st.floats(0.5, 0.99),
+       content=st.floats(0.01, 0.99), n_future=st.sampled_from(["1", "5", "280"]),
+       se_kind=st.sampled_from(["model", "sandwich"]))
+def test_any_weibull_interval_call_is_finite_json_or_a_typed_error(
+        rows, call, level, content, n_future, se_kind):
+    """Any time/event CSV, with the Weibull prediction and tolerance methods,
+    either exits 0 with finite JSON or exits 1, 2 or 3 with one line on
+    stderr, and never warns."""
+    command, method = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "surv.csv"
+        path.write_text("time,event\n" + "".join(f"{t!r},{int(e)}\n" for t, e in rows))
+        argv = [command, "--family", "weibull", "--input", str(path), "--method", method,
+                "--n-future", n_future, "--level", repr(level), "--se-kind", se_kind]
+        if command == "tolerance":
+            argv += ["--content", repr(content)]
+        code, out, err, caught = _call_quietly(argv)
+    _assert_finite_json_or_typed_error(code, out, err, caught)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tolpred import curves, dist, intervals
 from tolpred.curves import build_curve, pvalue_upper, success_confidence
@@ -11,9 +11,9 @@ from tolpred.dist import RngStream
 from tolpred.fit import FitResult, fit_gamma_intercept, fit_quasipoisson
 
 
-def gamma_fit(n=20, seed=1, k=4.0, mu=2.5):
+def gamma_fit(n=20, seed=1, k=4.0, mu=2.5, link="log"):
     y = dist.sample(dist.gamma(k, mu / k), RngStream(seed), n)
-    return fit_gamma_intercept(y)
+    return fit_gamma_intercept(y, link=link)
 
 
 def worked_fit():
@@ -87,10 +87,10 @@ def test_curve_invariants(method):
         assert table.C[i_max] == pytest.approx(0.5, abs=0.05)
 
 
-def qp_fit():
+def qp_fit(link="log"):
     events = [12, 7, 9, 15, 4, 11, 8, 10]
     exposure = [3.1, 2.4, 2.9, 3.8, 1.6, 3.3, 2.2, 3.0]
-    return fit_quasipoisson(events, exposure)
+    return fit_quasipoisson(events, exposure, link=link)
 
 
 @pytest.mark.parametrize("family, method, n_future", [
@@ -124,6 +124,66 @@ def test_ci_plug_table_skips_underflowing_quantiles():
         warnings.simplefilter("error")
         table = build_curve(qp_fit(), "ci_plug", 0.003)
     assert np.all(np.isfinite(table.H)) and np.all(np.diff(table.H) >= 0)
+
+
+def _exact_plugci_H(fr, c, n_future):
+    """The exact ci_plug H at each c: the h whose plug-in quantile c(h), at
+    the Wald mean limit ``fr.mu_limit(ndtri(h))``, equals c (bisection in h)."""
+    def quantile(h):
+        with np.errstate(invalid="ignore"):
+            mu = fr.mu_limit(special.ndtri(h))
+            if fr.family == "gamma":
+                q = special.gammaincinv(n_future * fr.k_hat, h) * (mu / fr.k_hat)
+            else:
+                phi = fr.dispersion_scale
+                q = special.gammaincinv(mu * n_future / phi, h) * phi
+        return np.where(mu > 0, np.nan_to_num(q, nan=0.0), 0.0)
+    lo, hi = np.full(c.shape, 1e-12), np.full(c.shape, 1 - 1e-12)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = quantile(mid) < c
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _plugci_fits():
+    for link in ("log", "identity"):
+        for seed in (1, 2, 3):
+            yield gamma_fit(seed=seed, link=link), 280.0
+        yield qp_fit(link), 12.5
+
+
+def test_ci_plug_table_tracks_the_exact_pvalue():
+    # the table is linear in the normal score between nodes, where the Wald
+    # pivot is exactly linear: every grid point within 2e-6 of the exact H
+    for fr, n_future in _plugci_fits():
+        table = build_curve(fr, "ci_plug", n_future)
+        exact = _exact_plugci_H(fr, table.grid, n_future)
+        assert np.max(np.abs(table.H - exact)) < 2e-6, (fr.family, fr.link)
+
+
+def test_ci_plug_crossings_match_the_closed_form_interval():
+    for fr, n_future in _plugci_fits():
+        table = build_curve(fr, "ci_plug", n_future)
+        target = intervals.PredictionTarget(fr.n_obs, n_future)
+        for level in (0.8, 0.9, 0.95, 0.99):
+            iv = intervals.predict_sum_plugci(fr, target, level)
+            np.testing.assert_allclose(table.interval_at(level), [iv.lower, iv.upper],
+                                       rtol=2e-6, err_msg=f"{fr.family} {fr.link} {level}")
+
+
+@pytest.mark.parametrize("link", ["log", "identity"])
+def test_ci_plug_on_a_grid_wider_than_its_table(link):
+    fr = gamma_fit(seed=3, link=link)
+    point = 280 * fr.mu_hat
+    grid = np.geomspace(point * 1e-3, point * 1e3, 601)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_curve(fr, "ci_plug", 280, grid=grid)
+    z_end = special.ndtri(1e-9)
+    assert np.all(np.isfinite(table.H)) and np.all(np.diff(table.H) >= 0)
+    assert special.ndtr(z_end) <= table.H[0] and table.H[-1] <= special.ndtr(-z_end)
+    assert table.H[0] < 1e-8 and table.H[-1] > 1 - 1e-8   # the grid passes both ends
 
 
 def test_curve_level_nesting():
