@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import intervals
 from .dist import critical_value
 from .fit import (FitError, FitResult, InsufficientDataError, SurvivalSample,
-                  fit_quasipoisson)
+                  fit_quasipoisson, link_limit)
 from .intervals import IntervalEstimate
 
 __all__ = [
@@ -266,20 +266,18 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
 
 
 def _pivot_limits(trend: TrendFit, total, grad, spread, level: float,
-                  crit: str, df: int | None, exp=np.exp):
+                  crit: str, df: int | None):
     """Link-pivot limits total * exp(-/+ c * se) of summed future means,
     elementwise: ``total`` the summed means, ``grad`` (..., 2) their
     gradient in the coefficients, and ``spread`` the sum whose
     phi-multiple is the future variance.  se is the delta-method SE of the
     summed mean plus the dispersed future-variance term, on the log scale.
-    Call under ``np.errstate``; overflow shows as a non-finite limit.  The
-    running-sum tables take numpy's ``exp``; one window passes libm's,
-    which ``predict_sum_rate`` has always used (they can differ by an ulp)."""
+    Call under ``np.errstate``; overflow shows as a non-finite limit."""
     var_mean = ((grad @ trend.cov)[..., None, :] @ grad[..., None])[..., 0, 0]
     var_future = trend.phi * spread
     se_log = np.sqrt(var_mean / total ** 2 + var_future / total ** 2)
     c = critical_value(level, crit, df)
-    return total * exp(-c * se_log), total * exp(c * se_log)
+    return link_limit(total, -c * se_log, "log"), link_limit(total, c * se_log, "log")
 
 
 def _not_finite(h: int) -> FitError:
@@ -296,17 +294,13 @@ def _sum_prediction(trend: TrendFit, periods, exposures, level: float,
                                 periods.shape)
     if periods.size == 0:
         raise ValueError("empty prediction range")
-    try:
-        with np.errstate(all="ignore"):
-            m = trend.mean_rate(periods) * exposures      # mean contribution per period
-            total = np.sum(m)
-            grad = (trend._dmean_dbeta(periods) * exposures[:, None]).sum(axis=0)
-            # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
-            spread = total if trend.kind == "rate" else np.sum(m ** 2)
-            lower, upper = _pivot_limits(trend, total, grad, spread, level, crit, df,
-                                         exp=math.exp)
-    except OverflowError:
-        raise _not_finite(periods.size) from None
+    with np.errstate(all="ignore"):
+        m = trend.mean_rate(periods) * exposures      # mean contribution per period
+        total = np.sum(m)
+        grad = (trend._dmean_dbeta(periods) * exposures[:, None]).sum(axis=0)
+        # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
+        spread = total if trend.kind == "rate" else np.sum(m ** 2)
+        lower, upper = _pivot_limits(trend, total, grad, spread, level, crit, df)
     if not np.isfinite([total, lower, upper]).all():
         raise _not_finite(periods.size)
     return IntervalEstimate(float(lower), float(upper), level, "link_pivot", "future_sum")
@@ -449,17 +443,13 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
         raise ValueError("needs a Weibull fit")
     n = fit.n_obs
     if band == "subject":
-        alpha = 1 - level
-        mu_lo, mu_hi = fit.ci_mu(level, "model", "z")
-        return IntervalEstimate(intervals._sum_quantile(fit, alpha / 2, 1, mu=mu_lo),
-                                intervals._sum_quantile(fit, 1 - alpha / 2, 1, mu=mu_hi),
-                                level, "ci_plug_prediction", "future_observation")
-    q = intervals._sum_quantile(fit, p, 1)
-    se = intervals._delta_se(fit, p, 1)
+        iv = intervals._plugci_sum(fit, *fit.ci_mu(level, "model", "z"), 1, level)
+        return replace(iv, target="future_observation")
+    c = critical_value(level, "t", n - 1)
     if band == "repeated":
         if events_future is None or events_future < 1:
             raise ValueError("repeated-experiment band needs events_future >= 1")
-        se = se * math.sqrt(n) * math.sqrt(1.0 / n + 1.0 / events_future)
+        c = c * intervals._combined_se(1.0, n, events_future)   # sqrt(n) * sqrt(1/n + 1/m)
         target = "observable_estimate"
         method = "percentile_prediction"
     elif band == "tolerance":
@@ -467,8 +457,8 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
         method = "percentile_tolerance"
     else:
         raise ValueError(f"unknown band {band!r}")
-    t = critical_value(level, "t", n - 1)
-    return IntervalEstimate(q * math.exp(-t * se / q), q * math.exp(t * se / q),
+    return IntervalEstimate(intervals._delta_limit(fit, p, 1, -c),
+                            intervals._delta_limit(fit, p, 1, c),
                             level, method, target, content_p=p)
 
 
@@ -481,20 +471,19 @@ def weibull_bands(fit: FitResult, p_grid, level: float, band: str = "tolerance",
 # generic pivot combination (e.g. enrollment + attrition)
 
 def combine_link_pivots(g_point1: float, se1: float, g_point2: float, se2: float,
-                        level: float, link: str = "log",
-                        crit: str = "z", df: int | None = None) -> IntervalEstimate:
+                        level: float, link: str = "log") -> IntervalEstimate:
     """Combine two independent link-scale pivots by variance addition:
-    g^{-1}{ (g1 + g2) +/- c * sqrt(se1^2 + se2^2) }."""
+    g^{-1}{ (g1 + g2) +/- z * sqrt(se1^2 + se2^2) }."""
     if se1 < 0 or se2 < 0:
         raise ValueError("standard errors must be nonnegative")
     se = math.sqrt(se1 ** 2 + se2 ** 2)
-    c = critical_value(level, crit, df)
+    c = critical_value(level)
     center = g_point1 + g_point2
-    if link == "log":
-        return IntervalEstimate(math.exp(center - c * se), math.exp(center + c * se),
-                                level, "combined_pivot", "future_sum")
-    return IntervalEstimate(center - c * se, center + c * se, level,
-                            "combined_pivot", "future_sum")
+    point = math.exp(center) if link == "log" else center
+    with np.errstate(over="ignore"):   # an infinite limit, as in the link pivot
+        return IntervalEstimate(link_limit(point, -c * se, link),
+                                link_limit(point, c * se, link), level,
+                                "combined_pivot", "future_sum")
 
 
 # ---------------------------------------------------------------------------

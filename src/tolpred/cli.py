@@ -49,17 +49,8 @@ class BudgetError(Exception):
 # ---------------------------------------------------------------------------
 # minimal deterministic SVG line plots
 
-def _svg_polyline(xs, ys, x0, x1, y0, y1, color, width=600.0, height=400.0,
-                  margin=50.0):
-    def sx(x):
-        return margin + (x - x0) / (x1 - x0 or 1.0) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y0) / (y1 - y0 or 1.0) * (height - 2 * margin)
-
-    pts = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(xs, ys))
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>')
+# plot size and the margin around the plot frame, in SVG user units
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 600, 400, 50
 
 
 def write_svg_lines(path, series, xlabel="", ylabel=""):
@@ -69,15 +60,22 @@ def write_svg_lines(path, series, xlabel="", ylabel=""):
     ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
-    body = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 600 400">',
-            '<rect x="50" y="50" width="500" height="300" fill="none" stroke="black"/>']
-    for xs, ys, color in series:
-        body.append(_svg_polyline(xs, ys, x0, x1, y0, y1, color))
-    if xlabel:
-        body.append(f'<text x="300" y="390" text-anchor="middle" font-size="12">{xlabel}</text>')
+    w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
+    body = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}">',
+            f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
+            'fill="none" stroke="black"/>']
+    for xs, ys, color in series:   # data ranges map onto the frame, y upwards
+        pts = " ".join(f"{m + (x - x0) / (x1 - x0 or 1.0) * (w - 2 * m):.3f},"
+                       f"{h - m - (y - y0) / (y1 - y0 or 1.0) * (h - 2 * m):.3f}"
+                       for x, y in zip(xs, ys))
+        body.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                    f'points="{pts}"/>')
+    if xlabel:   # centred under the frame, and beside it, rotated
+        body.append(f'<text x="{w // 2}" y="{h - 10}" text-anchor="middle" '
+                    f'font-size="12">{xlabel}</text>')
     if ylabel:
-        body.append(f'<text x="15" y="200" text-anchor="middle" font-size="12" '
-                    f'transform="rotate(-90 15 200)">{ylabel}</text>')
+        body.append(f'<text x="15" y="{h // 2}" text-anchor="middle" font-size="12" '
+                    f'transform="rotate(-90 15 {h // 2})">{ylabel}</text>')
     body.append("</svg>")
     Path(path).write_text("\n".join(body) + "\n")
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .fit import FitResult
-from .intervals import METHODS, Method, UnsupportedTargetError
+from .intervals import METHODS, Method, UnsupportedTargetError, _combined_se
 
 __all__ = [
     "CurveTable",
@@ -144,8 +144,7 @@ def build_curve(fit: FitResult, method: str, n_future: float,
 
 
 def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,
-                       statistic_scale: str = "odds_ratio",
-                       se: float | None = None) -> float:
+                       statistic_scale: str = "odds_ratio") -> float:
     """Confidence that a future m-subject study clears its success threshold.
 
     ``odds_ratio`` scale thresholds on the future observed odds ratio (the
@@ -155,12 +154,12 @@ def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,
     """
     if fit2.family != "binomial_logit":
         raise ValueError("success confidence requires a binomial-logit fit")
-    se = fit2.se_g_mu("model") if se is None else se
+    se = fit2.se_g_mu("model")
     log_or = fit2.mu_hat
     if statistic_scale == "odds_ratio":
         if threshold <= 0:
             raise ValueError("odds-ratio threshold must be positive")
-        se_n = math.sqrt(n) * se * math.sqrt(1.0 / n + 1.0 / m)
+        se_n = _combined_se(se, n, m)
         return float(stdtr(n - 1, (log_or - math.log(threshold)) / se_n))
     if statistic_scale == "z_statistic":
         stat = (log_or / (se * math.sqrt(n / m)) - threshold) / math.sqrt(m / n + 1.0)

@@ -33,6 +33,7 @@ __all__ = [
     "km_estimator",
     "profile_lr_ci",
     "gamma_shape_mle",
+    "link_limit",
 ]
 
 
@@ -56,6 +57,12 @@ class NonConvergenceError(FitError):
     def __init__(self, msg, trace=None):
         super().__init__(msg)
         self.trace = trace or []
+
+
+def link_limit(point, step, link: str):
+    """Wald limit g^{-1}(g(point) + step), elementwise: ``point * exp(step)``
+    on the log link, ``point + step`` otherwise."""
+    return point * np.exp(step) if link == "log" else point + step
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,7 @@ class FitResult:
 
     def mu_limit(self, z, se_kind: str = "sandwich"):
         """Wald limit g^{-1}(g(mu_hat) + z * se) of the mean, elementwise in z."""
-        step = z * self.se_g_mu(se_kind)
-        return self.mu_hat * np.exp(step) if self.link == "log" else self.mu_hat + step
+        return link_limit(self.mu_hat, z * self.se_g_mu(se_kind), self.link)
 
     def ci_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
         """Wald CI for mu, transformed back from the link scale."""
@@ -128,8 +134,10 @@ def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
 
     Newton from the Greenwood-Durand moment start; globally convergent in
     practice.  Each element stops after the step taken at its first residual
-    within ``tol``, so its root does not depend on the other elements; each
-    iteration works on the elements still iterating only.
+    within ``tol * max(1, s)``, so its root does not depend on the other
+    elements; each iteration works on the elements still iterating only.
+    The stop is relative since digamma(k) is about -s for large s: the
+    residual's rounding error, about 1e-16 * s, outgrows 1e-12 near s = 1e5.
     """
     s = np.asarray(s, dtype=float)
     k = np.ravel((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
@@ -139,7 +147,7 @@ def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
         fp = 1.0 / k_a - special.zeta(2.0, k_a)
         k_a = k_a - f / fp
         k_a = np.where(k_a > 0, k_a, np.nan)  # zeta(2, k < 0) sums about |k| terms
-        going = ~(np.abs(f) <= tol)
+        going = ~(np.abs(f) <= tol * np.maximum(1.0, s_a))
         if not going.all():
             k[rows[~going]] = k_a[~going]
             rows, k_a, s_a = rows[going], k_a[going], s_a[going]

@@ -26,7 +26,7 @@ from scipy import special
 from scipy.special import fdtr, fdtri, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
 
 from .dist import critical_value
-from .fit import FitResult
+from .fit import FitResult, link_limit
 
 __all__ = [
     "UnsupportedTargetError",
@@ -155,7 +155,8 @@ def normal_exact_prediction(ybar: float, s: float, n: int, level: float,
             raise ValueError("s must be positive")
         c, sd = critical_value(level, "t", n - 1), s
     half = c * sd * math.sqrt(1.0 / n + 1.0)
-    return IntervalEstimate(ybar - half, ybar + half, level,
+    return IntervalEstimate(link_limit(ybar, -half, "identity"),
+                            link_limit(ybar, half, "identity"), level,
                             "normal_exact_prediction", "future_observation")
 
 
@@ -185,14 +186,20 @@ def normal_exact_tolerance(ybar: float, s: float, n: int, p: float, level: float
                             "population_percentile", sided=sided, content_p=p)
 
 
+def _normal_mean_ci(ybar: float, s: float, n: int, level: float):
+    """The t interval ybar -/+ t_{n-1} * s/sqrt(n) for a normal mean."""
+    t = critical_value(level, "t", n - 1)
+    return (link_limit(ybar, -t * s / math.sqrt(n), "identity"),
+            link_limit(ybar, t * s / math.sqrt(n), "identity"))
+
+
 def normal_approx_prediction(ybar: float, s: float, n: int, level: float) -> IntervalEstimate:
     """CI-plug-in prediction: (mu_lower + z_{a/2}*s, mu_upper + z_{1-a/2}*s).
 
     Conservative relative to the exact form since 1/sqrt(n)+1 > sqrt(1/n+1).
     """
     alpha = 1 - level
-    t = critical_value(level, "t", n - 1)
-    mu_lo, mu_hi = ybar - t * s / math.sqrt(n), ybar + t * s / math.sqrt(n)
+    mu_lo, mu_hi = _normal_mean_ci(ybar, s, n, level)
     return IntervalEstimate(mu_lo + ndtri(alpha / 2) * s, mu_hi + ndtri(1 - alpha / 2) * s,
                             level, "normal_approx_prediction", "future_observation")
 
@@ -200,8 +207,7 @@ def normal_approx_prediction(ybar: float, s: float, n: int, level: float) -> Int
 def normal_approx_tolerance(ybar: float, s: float, n: int, p: float, level: float) -> IntervalEstimate:
     """CI-plug-in tolerance using the chi-square upper limit for sigma."""
     alpha = 1 - level
-    t = critical_value(level, "t", n - 1)
-    mu_lo, mu_hi = ybar - t * s / math.sqrt(n), ybar + t * s / math.sqrt(n)
+    mu_lo, mu_hi = _normal_mean_ci(ybar, s, n, level)
     sigma_up = s * math.sqrt((n - 1) / (2 * gammaincinv((n - 1) / 2, alpha)))
     return IntervalEstimate(mu_lo + ndtri((1 - p) / 2) * sigma_up,
                             mu_hi + ndtri((1 + p) / 2) * sigma_up,
@@ -222,8 +228,11 @@ def _combined_se(se: float, n: int, n_future: float) -> float:
 
 def _link_pivot(fit: FitResult, n_future: float, se_kind: str,
                 variance: str = "equal"):
-    """Point prediction, combined link-scale SE and reference df (None: the
-    standard normal) of a fit's link pivot.
+    """A fit's link pivot ``(scale, centre, link, se_n, df)``: limits
+    ``scale * link_limit(centre, -/+ c * se_n, link)`` with c from t_df (None:
+    the standard normal), point prediction scale * centre.  (scale, centre)
+    is (n_future, mu_hat) on the identity link, (1, n_future * mu_hat) on the
+    log link, and (1, exp(mu_hat)) for a binomial-logit fit's odds ratio.
 
     Sums of ``n_future`` observations and future odds ratios use
     sqrt(n) * se * sqrt(1/n + 1/n_future) on t_{n-1}; quasi-Poisson counts
@@ -236,36 +245,35 @@ def _link_pivot(fit: FitResult, n_future: float, se_kind: str,
             se_n = math.sqrt(2.0) * se
         else:
             se_n = se * math.sqrt(1.0 + fit.exposure_total / n_future)
-        return fit.mu_hat * n_future, se_n, None
-    point = math.exp(fit.mu_hat) if fit.family == "binomial_logit" else n_future * fit.mu_hat
-    return point, _combined_se(se, fit.n_obs, n_future), fit.n_obs - 1
+        df = None
+    else:
+        se_n, df = _combined_se(se, fit.n_obs, n_future), fit.n_obs - 1
+    if fit.family == "binomial_logit":
+        return 1.0, math.exp(fit.mu_hat), "log", se_n, df
+    if fit.link == "identity":
+        return n_future, fit.mu_hat, "identity", se_n, df
+    return 1.0, n_future * fit.mu_hat, "log", se_n, df
 
 
 def _link_pvalue(fit: FitResult, n_future: float, se_kind: str):
-    """Upper p-value function of the link pivot, on the fit's link scale,
-    and its point prediction."""
-    point, se_n, df = _link_pivot(fit, n_future, se_kind)
+    """Upper p-value function of the link pivot, on its link scale, and its
+    point prediction."""
+    scale, centre, link, se_n, df = _link_pivot(fit, n_future, se_kind)
     cdf = ndtr if df is None else (lambda x: stdtr(df, x))
-    if fit.link == "identity":
-        return (lambda c: cdf((c / n_future - fit.mu_hat) / se_n)), point
+    point = scale * centre
+    if link == "identity":
+        return (lambda c: cdf((c / scale - centre) / se_n)), point
     log_point = math.log(point)
     return (lambda c: cdf((np.log(c) - log_point) / se_n)), point
 
 
 def predict_sum_link_from(mu_hat: float, se_g_mu: float, n: int, n_future: float,
-                          level: float, link: str = "log",
-                          crit: str = "t") -> IntervalEstimate:
+                          level: float, link: str = "log") -> IntervalEstimate:
     """(N-n) * g^{-1}{ g(mu_hat) +/- t_{n-1} * se_n } with the combined SE
-    se_n = sqrt(n) * se(g{mu_hat}) * sqrt(1/n + 1/(N-n))."""
-    se_n = _combined_se(se_g_mu, n, n_future)
-    c = critical_value(level, crit, n - 1)
-    if link == "log":
-        lo = n_future * mu_hat * np.exp(-c * se_n)
-        hi = n_future * mu_hat * np.exp(c * se_n)
-    else:
-        lo = n_future * (mu_hat - c * se_n)
-        hi = n_future * (mu_hat + c * se_n)
-    return IntervalEstimate(lo, hi, level, "link_pivot", "future_sum")
+    se_n = sqrt(n) * se(g{mu_hat}) * sqrt(1/n + 1/(N-n)): ``predict_sum_link``
+    on the fit these summaries describe."""
+    fit = FitResult("gamma", link, mu_hat, n, se_g_mu_model=se_g_mu)
+    return predict_sum_link(fit, PredictionTarget(n, n_future), level, se_kind="model")
 
 
 def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
@@ -273,8 +281,9 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
                      variance: str = "equal") -> IntervalEstimate:
     """Link-pivot prediction interval for the sum of future observations,
     on the fit's link scale: g^{-1}{ g(point) -/+ c * se_n } for the log
-    link (the log odds ratio for binomial-logit fits) and
-    ``target.future_units`` * (mu_hat -/+ c * se_n) for the identity link.
+    link and ``target.future_units`` * (mu_hat -/+ c * se_n) for the
+    identity link; on a binomial-logit fit, for the odds ratio a future
+    study of ``target.future_units`` subjects will observe.
 
     Gamma/Weibull/odds-ratio targets use a Student t with n-1 df.  For
     quasi-Poisson exposure targets ``target.future_units`` is future
@@ -282,54 +291,62 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
     term replicates sqrt(se^2 + se^2) (``variance='scaled'`` uses
     se^2 * E_obs/E_future instead).  See ``_link_pivot``.
     """
-    point, se_n, df = _link_pivot(fit, target.future_units, se_kind, variance)
+    scale, centre, link, se_n, df = _link_pivot(fit, target.future_units, se_kind, variance)
     c = critical_value(level) if df is None else critical_value(level, "t", df)
-    if fit.link == "identity":
-        n_future = target.future_units
-        lo, hi = n_future * (fit.mu_hat - c * se_n), n_future * (fit.mu_hat + c * se_n)
-    else:
-        with np.errstate(over="ignore"):   # an infinite limit fails the output checks
-            lo, hi = point * np.exp(-c * se_n), point * np.exp(c * se_n)
-    return IntervalEstimate(lo, hi, level, "link_pivot", "future_sum")
+    labels = (("or_prediction", "observable_estimate") if fit.family == "binomial_logit"
+              else ("link_pivot", "future_sum"))
+    with np.errstate(over="ignore"):   # an infinite limit fails the output checks
+        return IntervalEstimate(scale * link_limit(centre, -c * se_n, link),
+                                scale * link_limit(centre, c * se_n, link), level, *labels)
 
 
 # ---------------------------------------------------------------------------
 # CI-plug-in prediction (quantiles of the sum distribution at the mu limits)
 
-def _check_mean_limit(mu_lower) -> None:
-    """Reject a lower mean limit <= 0, which an identity-link Wald interval
-    can reach: no sum distribution has a mean <= 0, so no plug-in quantile
-    exists there."""
+# the families the CI-plug-in prediction is defined for (a Weibull fit's
+# single-observation form is ``applications.weibull_band_at``'s subject band)
+_PLUGCI = ("gamma", "quasipoisson")
+
+
+def _check_mean_limits(mu_lower, mu_upper) -> None:
+    """Reject mean limits out of order, or a lower mean limit <= 0, which an
+    identity-link Wald interval can reach: no sum distribution has a mean
+    <= 0, so no plug-in quantile exists there."""
+    if _any(mu_lower > mu_upper):
+        raise ValueError("mu CI out of order")
     if _any(mu_lower <= 0):
         raise UnsupportedTargetError(
             f"the lower mean limit {np.nanmin(mu_lower):.6g} is <= 0, where the sum "
             "distribution is undefined; the log link keeps every mean limit positive")
 
 
+def _plugci_sum(fit: FitResult, mu_lo, mu_hi, n_future: float,
+                level: float) -> IntervalEstimate:
+    """CI-plug-in prediction: the alpha/2 and 1-alpha/2 quantiles of the sum
+    distribution at the lower and upper mean limits."""
+    _check_mean_limits(mu_lo, mu_hi)
+    alpha = 1 - level
+    return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
+                            _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
+                            level, "ci_plug_prediction", "future_sum")
+
+
 def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
                              n_future: float, level: float) -> IntervalEstimate:
     """Gamma((N-n)k, mu/k) quantiles evaluated at the mu confidence limits."""
-    if _any(mu_lower > mu_upper):
-        raise ValueError("mu CI out of order")
-    _check_mean_limit(mu_lower)
-    alpha = 1 - level
-    lo = _unit_quantile("gamma", alpha / 2, n_future, k) * (mu_lower / k)
-    hi = _unit_quantile("gamma", 1 - alpha / 2, n_future, k) * (mu_upper / k)
-    return IntervalEstimate(lo, hi, level, "ci_plug_prediction", "future_sum")
+    fit = FitResult("gamma", "log", mu_hat=None, n_obs=None, k_hat=k)
+    return _plugci_sum(fit, mu_lower, mu_upper, n_future, level)
 
 
 def predict_count_plugci(count_lower: float, count_upper: float,
                          dispersion_scale: float, level: float) -> IntervalEstimate:
     """Dispersed-count variant via the gamma approximation
     Gamma(shape=count/phi, scale=phi), phi the reported dispersion scale."""
-    if count_lower > count_upper:
-        raise ValueError("count CI out of order")
-    _check_mean_limit(count_lower)
-    alpha = 1 - level
-    phi = dispersion_scale
-    lo = gammaincinv(count_lower / phi, alpha / 2) * phi
-    hi = gammaincinv(count_upper / phi, 1 - alpha / 2) * phi
-    return IntervalEstimate(float(lo), float(hi), level, "ci_plug_prediction", "future_sum")
+    if dispersion_scale <= 0:
+        raise ValueError("the dispersion scale must be positive")
+    fit = FitResult("quasipoisson", "log", mu_hat=None, n_obs=None,
+                    phi_hat=dispersion_scale ** 2)   # whose square root is exact
+    return _plugci_sum(fit, count_lower, count_upper, 1, level)
 
 
 def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
@@ -337,16 +354,9 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
     """CI-plug-in prediction from a fit: Wald CI for mu on the link scale,
     then sum-distribution quantiles at the limits."""
     mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
-    if fit.family == "gamma":
-        _check_mean_limit(mu_lo)
-        alpha, n_future = 1 - level, target.future_units
-        return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
-                                _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
-                                level, "ci_plug_prediction", "future_sum")
-    if fit.family == "quasipoisson":
-        ef = target.future_units
-        return predict_count_plugci(mu_lo * ef, mu_hi * ef, fit.dispersion_scale, level)
-    raise ValueError(f"no sum distribution for family {fit.family!r}")
+    if fit.family not in _PLUGCI:
+        raise ValueError(f"no sum distribution for family {fit.family!r}")
+    return _plugci_sum(fit, mu_lo, mu_hi, target.future_units, level)
 
 
 def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
@@ -359,15 +369,11 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     that underflows).  H(c) = ndtr(z), with z linear in log c between nodes
     and clamped at the end nodes, so H stays within [1e-9, 1 - 1e-9]."""
     z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 1001)
-    h_ref = ndtr(z_ref)
     mu = fit.mu_limit(z_ref, se_kind)
-    if fit.family == "gamma":
-        c_ref = gammaincinv(n_future * fit.k_hat, h_ref) * (mu / fit.k_hat)
-    elif fit.family == "quasipoisson":
-        phi = fit.dispersion_scale
-        c_ref = gammaincinv(mu * n_future / phi, h_ref) * phi
-    else:
+    if fit.family not in _PLUGCI:
         raise ValueError(f"no sum distribution for family {fit.family!r}")
+    # k passed: the fit's memo keys scalar probabilities only
+    c_ref = _sum_quantile(fit, ndtr(z_ref), n_future, mu=mu, k=fit.k_hat)
     keep = c_ref > 0
     log_c_ref, z_ref = np.log(c_ref[keep]), z_ref[keep]
     return (lambda c: ndtr(np.interp(np.log(c), log_c_ref, z_ref))), n_future * fit.mu_hat
@@ -430,7 +436,12 @@ def _sum_quantile(fit: FitResult, prob: float, n_future: float,
     """Quantile of the sum (or single-observation) distribution at (mu, k):
     the unit-scale quantile times the scale mu/k (gamma) or mu/Gamma(1+1/k)
     (Weibull).  At the fitted shape the unit-scale quantile depends on
-    neither mu nor the level, so each fit computes it once."""
+    neither mu nor the level, so each fit computes it once.  A quasi-Poisson
+    count over exposure n_future is Gamma(mu * n_future / phi, phi), phi the
+    dispersion scale, at a mean limit ``mu`` only (no plug-in or delta form)."""
+    if fit.family == "quasipoisson" and mu is not None:
+        phi = fit.dispersion_scale
+        return gammaincinv(mu * n_future / phi, prob) * phi
     mu = fit.mu_hat if mu is None else mu
     if k is None:
         k, key = fit.k_hat, ("quantile", prob, n_future)
@@ -464,6 +475,13 @@ def _delta_se(fit: FitResult, prob: float, n_future: float):
     return fit._memo[key]
 
 
+def _delta_limit(fit: FitResult, prob: float, n_future: float, c: float):
+    """Delta-method limit exp{ log(q) + c * se/q } = q * exp(c * se/q) of the
+    sum quantile q at ``prob``, se its delta-method SE."""
+    q = _sum_quantile(fit, prob, n_future)
+    return link_limit(q, c * _delta_se(fit, prob, n_future) / q, "log")
+
+
 def tolerance_delta(fit: FitResult, p: float, level: float,
                     n_future: float) -> IntervalEstimate:
     """Delta-method percentile tolerance interval for the middle 100p%.
@@ -472,13 +490,9 @@ def tolerance_delta(fit: FitResult, p: float, level: float,
     propagated through central finite differences and the (mu, k) covariance.
     """
     t = critical_value(level, "t", fit.n_obs - 1)
-    out = []
-    for prob, sign in (((1 - p) / 2, -1.0), ((1 + p) / 2, +1.0)):
-        q = _sum_quantile(fit, prob, n_future)
-        se = _delta_se(fit, prob, n_future)
-        out.append(q * np.exp(sign * t * se / q))
-    return IntervalEstimate(out[0], out[1], level, "delta_tolerance",
-                            "middle_content", content_p=p)
+    return IntervalEstimate(_delta_limit(fit, (1 - p) / 2, n_future, -t),
+                            _delta_limit(fit, (1 + p) / 2, n_future, t), level,
+                            "delta_tolerance", "middle_content", content_p=p)
 
 
 def tolerance_nct(fit: FitResult, p: float, level: float,
@@ -509,12 +523,10 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
     if mu_ci is None:
         mu_ci = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo, mu_hi = mu_ci
-    if _any(mu_lo > mu_hi):
-        raise ValueError("mu CI out of order")
-    _check_mean_limit(mu_lo)
+    _check_mean_limits(mu_lo, mu_hi)
     if k_lower is None:
         c = critical_value(level, crit, fit.n_obs - 1)
-        k_lower = fit.k_hat * np.exp(-c * fit.se_k / fit.k_hat)
+        k_lower = link_limit(fit.k_hat, -c * fit.se_k / fit.k_hat, "log")
     lo = _sum_quantile(fit, (1 - p) / 2, n_future, mu=mu_lo, k=k_lower)
     hi = _sum_quantile(fit, (1 + p) / 2, n_future, mu=mu_hi, k=k_lower)
     return IntervalEstimate(lo, hi, level, "ci_plug_tolerance",
@@ -562,10 +574,10 @@ def predict_count_kris(fit: FitResult, future_exposure: float,
 
 def predict_or_from(log_or: float, se_log_or: float, n: int, m: int,
                     level: float) -> IntervalEstimate:
-    """exp( log(rho_hat) +/- t_{n-1} * sqrt(n) * se * sqrt(1/n + 1/m) )."""
-    half = critical_value(level, "t", n - 1) * _combined_se(se_log_or, n, m)
-    return IntervalEstimate(math.exp(log_or - half), math.exp(log_or + half),
-                            level, "or_prediction", "observable_estimate")
+    """exp( log(rho_hat) +/- t_{n-1} * sqrt(n) * se * sqrt(1/n + 1/m) ):
+    ``predict_sum_link`` on the binomial-logit fit these summaries describe."""
+    fit = FitResult("binomial_logit", "logit", log_or, n, se_g_mu_model=se_log_or)
+    return predict_sum_link(fit, PredictionTarget(n, m), level, se_kind="model")
 
 
 def predict_or(fit2: FitResult, n: int, m: int, level: float) -> IntervalEstimate:
@@ -599,24 +611,17 @@ def _target(fit: FitResult, n_future: float) -> PredictionTarget:
     return PredictionTarget(fit.n_obs, n_future)
 
 
-def _eq1(fit, level, n_future, p, se_kind, crit):
-    """The link pivot; on a binomial-logit fit it predicts the odds ratio a
-    future study of ``n_future`` subjects will observe."""
-    if fit.family == "binomial_logit":
-        return predict_or_from(fit.mu_hat, fit.se_g_mu(se_kind), fit.n_obs,
-                               n_future, level)
-    return predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind)
-
-
 # the families whose fits carry a shape estimate
 _SHAPED = ("gamma", "weibull")
 
 METHODS = {
-    "eq1": Method("prediction", _eq1, _link_pvalue),
+    "eq1": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
+                  predict_sum_link(fit, _target(fit, n_future), level, se_kind=se_kind),
+                  _link_pvalue),
     "eq2": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                   predict_sum_plugci(fit, _target(fit, n_future), level,
                                      se_kind=se_kind, crit=crit), _plugci_pvalue,
-                  families=("gamma", "quasipoisson")),
+                  families=_PLUGCI),
     "fpivot": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level),
                      _fpivot_pvalue, families=_SHAPED),

@@ -129,6 +129,22 @@ def test_gamma_shape_mle_score_solved():
     assert abs(math.log(k) - special.digamma(k) - s) < 1e-10
 
 
+def test_gamma_shape_newton_stops_at_large_s(monkeypatch):
+    # near k = 1e-5 the residual's rounding is about 1e-11, which an absolute
+    # 1e-12 stop never meets; each Newton iteration calls digamma once
+    calls, digamma = [0], special.digamma
+
+    def counted(k):
+        calls[0] += 1
+        return digamma(k)
+
+    monkeypatch.setattr(special, "digamma", counted)
+    s = np.array([1e5, 1e6])
+    k = fit._shape_from_s(s)
+    assert calls[0] < 10
+    assert np.all(np.abs(np.log(k) - digamma(k) - s) <= 1e-15 * s)
+
+
 # ---------------------------------------------------------------------------
 # quasi-Poisson
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from tolpred import dist, intervals
+from tolpred import applications, dist, intervals
 from tolpred.dist import RngStream
-from tolpred.fit import FitResult, fit_gamma_intercept, fit_gamma_rows, fit_quasipoisson
+from tolpred.fit import (FitResult, SurvivalSample, fit_binomial_logit, fit_gamma_intercept,
+                         fit_gamma_rows, fit_quasipoisson, fit_weibull_censored)
 from tolpred.intervals import (IntervalEstimate, PredictionTarget,
                                normal_approx_prediction, normal_approx_tolerance,
                                normal_exact_prediction, normal_exact_tolerance,
@@ -495,6 +496,46 @@ def test_or_prediction_m_equals_n_width():
     t = stats.t.ppf(0.975, n - 1)
     assert math.log(iv.upper) - math.log(iv.lower) == pytest.approx(
         2 * t * math.sqrt(2) * se, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# each summary-statistic form is its fit form
+
+
+@pytest.mark.parametrize("level", [0.8, 0.95])
+def test_summary_forms_are_their_fit_forms(level):
+    # endpoints and labels equal exactly: each summary form is its fit form
+    y = dist.sample(dist.gamma(4.0, 2.5 / 4.0), RngStream(8), 20)
+    for link in ("log", "identity"):
+        fr = fit_gamma_intercept(y, link=link)
+        want = predict_sum_link(fr, PredictionTarget(20, 280), level, se_kind="model")
+        got = predict_sum_link_from(fr.mu_hat, fr.se_g_mu("model"), 20, 280, level, link)
+        assert got == want
+    gen = np.random.default_rng(9)
+    trt = np.repeat([0, 1], 60)
+    b = fit_binomial_logit((gen.uniform(size=120) < np.where(trt, 0.6, 0.35)).astype(int), trt)
+    want = predict_sum_link(b, PredictionTarget(b.n_obs, 600), level, se_kind="model")
+    assert (want.method, want.target) == ("or_prediction", "observable_estimate")
+    assert predict_or_from(b.mu_hat, b.se_g_mu("model"), b.n_obs, 600, level) == want
+    g = fit_gamma_intercept(y)
+    qp = fit_quasipoisson([3, 5, 2, 8, 4, 6], [10.0, 12.5, 9.0, 15.0, 11.0, 13.0])
+    for se_kind, crit in (("model", "t"), ("sandwich", "z")):
+        want = predict_sum_plugci(g, PredictionTarget(20, 280), level, se_kind, crit)
+        mu_lo, mu_hi = g.ci_mu(level, se_kind, crit)
+        assert predict_sum_plugci_gamma(mu_lo, mu_hi, g.k_hat, 280, level) == want
+        want = predict_sum_plugci(qp, PredictionTarget(6, 100.0), level, se_kind, crit)
+        mu_lo, mu_hi = qp.ci_mu(level, se_kind, crit)
+        got = predict_count_plugci(mu_lo * 100.0, mu_hi * 100.0, qp.dispersion_scale, level)
+        assert got == want
+    t = 12.0 * gen.weibull(1.4, size=60)
+    w = fit_weibull_censored([SurvivalSample(min(v, 20.0), v <= 20.0) for v in t])
+    mu_lo, mu_hi = w.ci_mu(level, "model", "z")
+    alpha = 1 - level
+    band = applications.weibull_band_at(w, 0.5, level, band="subject")
+    assert (band.lower, band.upper, band.method, band.target) == (
+        intervals._sum_quantile(w, alpha / 2, 1, mu=mu_lo),
+        intervals._sum_quantile(w, 1 - alpha / 2, 1, mu=mu_hi),
+        "ci_plug_prediction", "future_observation")
 
 
 # ---------------------------------------------------------------------------
