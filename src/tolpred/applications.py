@@ -15,8 +15,8 @@ import numpy as np
 
 from . import intervals
 from .dist import critical_value
-from .fit import (FitError, FitResult, InsufficientDataError, SurvivalSample,
-                  fit_quasipoisson, link_limit)
+from .fit import (FitError, FitResult, InsufficientDataError, NonConvergenceError,
+                  SurvivalSample, _newton, fit_quasipoisson, link_limit)
 from .intervals import IntervalEstimate
 
 __all__ = [
@@ -226,8 +226,16 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
         if series.n_periods < 3:
             raise InsufficientDataError("need >= 3 periods for a trend")
         z = _transform(transform, transform_r)(series.period)
-        fr = fit_quasipoisson(series.events, series.exposure_days,
-                              regressors=z, link=link)
+        try:
+            fr = fit_quasipoisson(series.events, series.exposure_days,
+                                  regressors=z, link=link)
+        except NonConvergenceError as exc:
+            if link == "log":
+                raise
+            raise NonConvergenceError(
+                f"identity-link trend: {exc}; with a period of no events its likelihood "
+                "can peak on the boundary, at a fitted rate of 0, where no Wald "
+                "covariance holds; a log-link trend stays positive (--link log)") from None
         lo, hi = int(series.period[0]), int(series.period[-1])
         tf = TrendFit(fr.coef, fr.cov_coef, link, transform, transform_r,
                       fr.phi_hat, (lo, hi), "rate", series.n_periods,
@@ -245,20 +253,16 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
         X = np.column_stack([np.ones(y.size), z])
         if link != "log":
             raise ValueError("interarrival trend implemented for the log link")
-        # gamma-type scoring: solve X'((y - mu)/mu) = 0 for log-link mean
-        beta = np.array([math.log(float(y.mean())), 0.0])
-        for _ in range(200):
+
+        def scoring(beta):
+            """Gamma-type log-likelihood sum(-log mu - y/mu), score, Hessian."""
             mu = np.exp(X @ beta)
-            score = X.T @ ((y - mu) / mu)
-            step = np.linalg.solve(X.T @ ((y / mu)[:, None] * X), score)
-            beta = beta + step
-            if np.linalg.norm(score) <= 1e-10:
-                break
-        else:
-            raise FitError("interarrival trend scoring did not converge")
+            return (float(np.sum(-np.log(mu) - y / mu)), X.T @ ((y - mu) / mu),
+                    -(X.T @ ((y / mu)[:, None] * X)))
+
+        beta, _, _ = _newton(scoring, np.array([math.log(float(y.mean())), 0.0]), 1e-10)
         mu = np.exp(X @ beta)
-        p = 2
-        phi = float(np.sum(((y - mu) / mu) ** 2) / max(y.size - p, 1))
+        phi = float(np.sum(((y - mu) / mu) ** 2) / max(y.size - 2, 1))
         cov = phi * np.linalg.inv(X.T @ X)
         return TrendFit(beta, cov, "log", transform, transform_r, phi,
                         (1, int(y.size)), "interarrival", int(y.size))
@@ -317,8 +321,6 @@ def predict_sum_rate(trend: TrendFit, l_range, level: float,
     if trend.kind != "rate":
         raise ValueError("predict_sum_rate applies to rate trends")
     l_range = np.asarray(list(l_range), dtype=float)
-    if l_range.size == 0:
-        raise ValueError("empty prediction range")
     e = trend.exposure_per_period if exposure is None else exposure
     if extrapolation == "constant":
         last = float(trend.fit_window[1])

@@ -116,10 +116,9 @@ def build_curve(fit: FitResult, method: str, n_future: float,
     if grid is None:
         iv = entry.build(fit, 0.998, n_future, None, se_kind, "z")
         if not (0 < iv.lower and iv.upper < math.inf):
-            why = ("reaches totals <= 0; the log link keeps every total positive"
-                   if fit.link == "identity" else "leaves the range of double precision")
             raise UnsupportedTargetError("a log-spaced grid cannot span the 99.8% interval "
-                                         f"({iv.lower:.6g}, {iv.upper:.6g}): it {why}")
+                                         f"({iv.lower:.6g}, {iv.upper:.6g}): it leaves "
+                                         "the range of double precision")
         grid = np.exp(np.linspace(math.log(iv.lower), math.log(iv.upper), n_points))
         if np.any(np.diff(grid) <= 0):   # e.g. a zero SE: counts that fit exactly
             raise UnsupportedTargetError(f"the 99.8% interval ({iv.lower:.6g}, "
@@ -155,11 +154,11 @@ def success_confidence(fit2: FitResult, n: int, m: int, threshold: float,
     if fit2.family != "binomial_logit":
         raise ValueError("success confidence requires a binomial-logit fit")
     se = fit2.se_g_mu("model")
+    se_n = _combined_se(se, n, m)   # rejects m < 1 on either scale
     log_or = fit2.mu_hat
     if statistic_scale == "odds_ratio":
         if threshold <= 0:
             raise ValueError("odds-ratio threshold must be positive")
-        se_n = _combined_se(se, n, m)
         return float(stdtr(n - 1, (log_or - math.log(threshold)) / se_n))
     if statistic_scale == "z_statistic":
         stat = (log_or / (se * math.sqrt(n / m)) - threshold) / math.sqrt(m / n + 1.0)

@@ -54,9 +54,7 @@ class SeparationError(FitError):
 
 
 class NonConvergenceError(FitError):
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace or []
+    """An iterative solver stopped short of its convergence test."""
 
 
 def link_limit(point, step, link: str):
@@ -129,42 +127,48 @@ class FitResult:
         return self.mu_limit(-c, se_kind), self.mu_limit(c, se_kind)
 
 
-def _shape_from_s(s, tol: float = 1e-12, max_iter: int = 100):
+# the gamma shape Newton's residual stop (relative to max(1, s)) and its cap
+SHAPE_TOL, SHAPE_MAX_ITER = 1e-12, 100
+
+
+def _shape_from_s(s):
     """Solve log(k) - digamma(k) = s (s > 0, elementwise) for the gamma shape k.
 
     Newton from the Greenwood-Durand moment start; globally convergent in
     practice.  Each element stops after the step taken at its first residual
-    within ``tol * max(1, s)``, so its root does not depend on the other
-    elements; each iteration works on the elements still iterating only.
+    within ``SHAPE_TOL * max(1, s)``, so its root does not depend on the
+    other elements; each iteration works on the elements still iterating
+    only, and an element still iterating after ``SHAPE_MAX_ITER`` is NaN.
     The stop is relative since digamma(k) is about -s for large s: the
     residual's rounding error, about 1e-16 * s, outgrows 1e-12 near s = 1e5.
     """
     s = np.asarray(s, dtype=float)
     k = np.ravel((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
     rows, k_a, s_a = np.arange(k.size), k.copy(), s.ravel()   # still iterating
-    for _ in range(max_iter):
+    for _ in range(SHAPE_MAX_ITER):
         f = np.log(k_a) - special.digamma(k_a) - s_a
         fp = 1.0 / k_a - special.zeta(2.0, k_a)
         k_a = k_a - f / fp
         k_a = np.where(k_a > 0, k_a, np.nan)  # zeta(2, k < 0) sums about |k| terms
-        going = ~(np.abs(f) <= tol * np.maximum(1.0, s_a))
+        going = ~(np.abs(f) <= SHAPE_TOL * np.maximum(1.0, s_a))
         if not going.all():
             k[rows[~going]] = k_a[~going]
             rows, k_a, s_a = rows[going], k_a[going], s_a[going]
         if not rows.size:
             break
-    k[rows] = k_a
+    k[rows] = np.nan
     return k.reshape(s.shape)
 
 
-def gamma_shape_mle(y: np.ndarray, tol: float = 1e-12, max_iter: int = 100):
+def gamma_shape_mle(y: np.ndarray):
     """ML shape of a gamma sample (vectorized over the leading axis of 2-D input):
-    the root of log(k) - digamma(k) = log(mean) - mean(log)."""
+    the root of log(k) - digamma(k) = log(mean) - mean(log); NaN where the
+    shape Newton does not converge."""
     y = np.asarray(y, dtype=float)
     s = np.log(y.mean(axis=-1)) - np.log(y).mean(axis=-1)
     if np.any(s <= 0):
         raise DegenerateDataError("all observations equal; gamma shape diverges")
-    return _shape_from_s(s, tol, max_iter)
+    return _shape_from_s(s)
 
 
 def _gamma_loglik(y: np.ndarray, mu: float, k: float, log_y=None) -> float:
@@ -242,23 +246,65 @@ def fit_gamma_intercept(data, link: str = "log") -> FitResult:
     return replace(rows, **row, loglik=loglik, data=(tuple(y),))
 
 
+# Newton's iteration cap and the most step halvings in one iteration
+NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS = 200, 30
+
+
+def _newton(f, theta, tol: float):
+    """Maximise a log-likelihood by Newton steps with step halving, which
+    keeps scoring inside the parameter space (Marschner 2011, glm2).
+
+    ``f(theta) -> (loglik, grad, hess)``, loglik -inf where a fitted mean is
+    <= 0.  Each step theta - scale * solve(hess, grad) takes the first scale
+    1, 1/2, ... whose loglik is finite and at most 1e-12 * max(1, |loglik|)
+    below the current one.  Stops after the step taken at the first
+    ||grad|| <= ``tol`` and returns (theta, loglik, hess) there; a singular
+    Hessian, failed halvings or the iteration cap raise NonConvergenceError.
+    """
+    cause = f"no convergence in {NEWTON_MAX_ITER} iterations"
+    with np.errstate(over="ignore", invalid="ignore"):   # a trial may overflow
+        ll, grad, hess = f(theta)
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            done = np.linalg.norm(grad) <= tol
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                cause = "singular Hessian"
+                break
+            for halving in range(NEWTON_MAX_HALVINGS + 1):
+                trial = theta - 0.5 ** halving * step
+                ll2, grad2, hess2 = f(trial)
+                if math.isfinite(ll2) and ll2 >= ll - 1e-12 * max(1.0, abs(ll)):
+                    break
+            else:
+                cause = f"{NEWTON_MAX_HALVINGS} step halvings found no finite, no lower likelihood"
+                break
+            theta, ll, grad, hess = trial, ll2, grad2, hess2
+            if done:
+                return theta, ll, hess
+        norm = np.linalg.norm(grad)
+    raise NonConvergenceError(f"Newton stopped at iteration {it}: {cause} "
+                              f"(score norm {norm:.3g})")
+
+
 # smallest quasi-Poisson dispersion reported: keeps phi_hat, and the SEs and
 # count intervals built from it, positive when the counts fit exactly
 PHI_FLOOR = 1e-8
 
 
-def _poisson_deviance(x: np.ndarray, mu: np.ndarray) -> float:
+def _dispersion(x: np.ndarray, mu: np.ndarray, p: int) -> float:
+    """phi_hat: the Poisson deviance over n - p, at least PHI_FLOOR."""
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0) / mu), 0.0)
-    return float(2.0 * np.sum(term - (x - mu)))
+    return max(float(2.0 * np.sum(term - (x - mu))) / max(x.size - p, 1), PHI_FLOOR)
 
 
 def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> FitResult:
     """Quasi-Poisson fit of event counts with exposure offsets.
 
     Intercept-only: lambda_hat = sum(events)/sum(exposure) exactly and
-    phi_hat = deviance/(n-p).  With a single regressor, Fisher scoring to
-    gradient norm <= 1e-10.
+    phi_hat = deviance/(n-p).  With a single regressor, Fisher scoring with
+    step halving (``_newton``) to score norm <= 1e-10.
     """
     x = np.asarray(events, dtype=float)
     e = np.asarray(exposure, dtype=float)
@@ -273,9 +319,7 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
     if regressors is None:
         lam = float(x.sum() / e.sum())
         mu = lam * e
-        p = 1
-        dev = _poisson_deviance(x, mu)
-        phi = max(dev / max(n - p, 1), PHI_FLOOR)
+        phi = _dispersion(x, mu, 1)
         se_log_model = math.sqrt(phi / x.sum())
         se_log_sand = math.sqrt(float(np.sum((x - mu) ** 2))) / x.sum()
         return FitResult(
@@ -297,36 +341,27 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
         raise FitError("regressor length differs from events")
     X = np.column_stack([np.ones(n), z])
     h = (lambda eta: np.exp(eta)) if link == "log" else (lambda eta: eta)
-    hp = (lambda eta: np.exp(eta)) if link == "log" else (lambda eta: np.ones_like(eta))
+
+    def scoring(beta):
+        """Poisson log-likelihood, score and minus the Fisher information."""
+        m = h(X @ beta)
+        if not np.all(m > 0):
+            return -math.inf, None, None
+        mu = e * m
+        d = e * m if link == "log" else e   # d mu / d eta
+        score = X.T @ (d * (x - mu) / mu)
+        info = X.T @ ((d ** 2 / mu)[:, None] * X)
+        return float(np.sum(x * np.log(mu) - mu)), score, -info
+
     rate0 = x.sum() / e.sum()
     beta = np.array([math.log(rate0), 0.0]) if link == "log" else np.array([rate0, 0.0])
-    trace = []
-    for _ in range(200):
-        eta = X @ beta
-        m = h(eta)
-        if np.any(m <= 0):
-            raise NonConvergenceError("nonpositive fitted rate during scoring", trace)
-        mu = e * m
-        w = (e * hp(eta)) ** 2 / mu
-        score = X.T @ ((e * hp(eta)) * (x - mu) / mu)
-        info = X.T @ (w[:, None] * X)
-        step = np.linalg.solve(info, score)
-        beta = beta + step
-        trace.append(beta.copy())
-        if np.linalg.norm(score) <= 1e-10:
-            break
-    else:
-        raise NonConvergenceError("Fisher scoring did not converge", trace)
-    eta = X @ beta
-    mu = e * h(eta)
-    p = 2
-    dev = _poisson_deviance(x, mu)
-    phi = max(dev / max(n - p, 1), PHI_FLOOR)
-    cov = phi * np.linalg.inv(X.T @ (((e * hp(eta)) ** 2 / mu)[:, None] * X))
+    beta, _, hess = _newton(scoring, beta, 1e-10)
+    phi = _dispersion(x, e * h(X @ beta), 2)
+    cov = phi * np.linalg.inv(-hess)
     return FitResult(
         family="quasipoisson",
         link=link,
-        mu_hat=float(h(beta[0])) if link == "log" else float(beta[0]),
+        mu_hat=float(h(beta[0])),
         phi_hat=phi,
         n_obs=n,
         exposure_total=float(e.sum()),
@@ -384,15 +419,14 @@ class SurvivalSample:
 
 def _weibull_score_hessian(a: float, b: float, t: np.ndarray, ev: np.ndarray):
     """Loglik, gradient, Hessian in (a, b) = (log scale, log shape).  A sum
-    that overflows is infinite, without a warning; the step halving rejects
-    such a trial point."""
+    that overflows is infinite; ``_newton`` rejects such a trial point
+    without a warning."""
     lam, k = math.exp(a), math.exp(b)
     u = np.log(t) - a
     z = np.exp(np.clip(k * u, -700, 700))
     r = float(ev.sum())
-    with np.errstate(over="ignore"):
-        ll = float(np.sum(ev * (math.log(k) - np.log(t) + k * u)) - z.sum())
-        sz, szu, szu2 = float(z.sum()), float((z * u).sum()), float((z * u * u).sum())
+    ll = float(np.sum(ev * (math.log(k) - np.log(t) + k * u)) - z.sum())
+    sz, szu, szu2 = float(z.sum()), float((z * u).sum()), float((z * u * u).sum())
     l_a = -k * r + k * sz
     l_k = r / k + float((ev * u).sum()) - szu
     l_aa = -k * k * sz
@@ -422,25 +456,8 @@ def fit_weibull_censored(data) -> FitResult:
     sd_log = float(np.std(np.log(te))) or 1.0
     b = math.log(max(1.2 / sd_log, 0.2))
     a = math.log(float(np.mean(t)))
-    ll, grad, hess = _weibull_score_hessian(a, b, t, ev)
-    for _ in range(100):
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError("singular Hessian in Weibull fit")
-        scale = 1.0
-        for _ in range(30):  # step halving
-            ll2, grad2, hess2 = _weibull_score_hessian(a - scale * step[0], b - scale * step[1], t, ev)
-            if np.isfinite(ll2) and ll2 >= ll - 1e-12:
-                break
-            scale *= 0.5
-        a, b = a - scale * step[0], b - scale * step[1]
-        ll, grad, hess = ll2, grad2, hess2
-        with np.errstate(over="ignore"):   # an overflowing norm is not converged
-            if np.linalg.norm(grad) <= 1e-9:
-                break
-    else:
-        raise NonConvergenceError("Weibull Newton did not converge")
+    (a, b), ll, hess = _newton(lambda ab: _weibull_score_hessian(*ab, t, ev),
+                               np.array([a, b]), 1e-9)
     lam, k = math.exp(a), math.exp(b)
     cov_ab = np.linalg.inv(-hess)
     g1k = special.gamma(1 + 1 / k)
@@ -516,12 +533,6 @@ def _profile_deviance(y: np.ndarray, mu_hat: float, k_hat: float):
         return 2.0 * (lmax - _gamma_loglik(y, mu, k, log_y))
 
     return deviance
-
-
-def _gamma_profile_deviance(y: np.ndarray, mu: float | None, k: float | None,
-                            mu_hat: float, k_hat: float) -> float:
-    """Deviance 2*(l_max - l_profile) profiling out the other parameter."""
-    return _profile_deviance(y, mu_hat, k_hat)(mu, k)
 
 
 def profile_lr_ci(fit: FitResult, param: str, level: float):

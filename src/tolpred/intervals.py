@@ -289,15 +289,20 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
     quasi-Poisson exposure targets ``target.future_units`` is future
     exposure; the pivot is standard normal and the default future-variance
     term replicates sqrt(se^2 + se^2) (``variance='scaled'`` uses
-    se^2 * E_obs/E_future instead).  See ``_link_pivot``.
+    se^2 * E_obs/E_future instead).  See ``_link_pivot``.  An identity-link
+    lower limit <= 0 raises ``UnsupportedTargetError``.
     """
     scale, centre, link, se_n, df = _link_pivot(fit, target.future_units, se_kind, variance)
     c = critical_value(level) if df is None else critical_value(level, "t", df)
     labels = (("or_prediction", "observable_estimate") if fit.family == "binomial_logit"
               else ("link_pivot", "future_sum"))
     with np.errstate(over="ignore"):   # an infinite limit fails the output checks
-        return IntervalEstimate(scale * link_limit(centre, -c * se_n, link),
-                                scale * link_limit(centre, c * se_n, link), level, *labels)
+        lower = scale * link_limit(centre, -c * se_n, link)
+        upper = scale * link_limit(centre, c * se_n, link)
+    if link == "identity" and _any(lower <= 0):
+        raise UnsupportedTargetError(f"the lower limit {np.nanmin(lower):.6g} of a positive "
+                                     "sum is <= 0; the log link keeps every limit positive")
+    return IntervalEstimate(lower, upper, level, *labels)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +523,11 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
 
     The lower k limit is used because the sum variance decreases in k; it is
     the Wald limit k*exp(-c*se_k/k) at the same critical value ``crit`` as
-    the mean limits.
+    the mean limits.  A fit with no shape estimate (quasi-Poisson) raises
+    ``UnsupportedTargetError``.
     """
+    if fit.k_hat is None:
+        raise UnsupportedTargetError(f"a {fit.family} fit has no shape estimate")
     if mu_ci is None:
         mu_ci = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo, mu_hi = mu_ci

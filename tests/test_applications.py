@@ -169,6 +169,26 @@ def test_fit_trend_validation():
         app.fit_trend(np.ones(5), kind="interarrival")  # identity link unsupported
 
 
+# 12 months of 30 days, two sites opening a month over the first 10 months;
+# full scoring steps of these identity-link fits reach a rate <= 0
+HALVING_TRENDS = [[2, 7, 8, 11, 14, 11, 11, 12, 21, 12, 21, 34],
+                  [3, 4, 8, 5, 10, 8, 11, 10, 18, 15, 21, 19]]
+
+
+@pytest.mark.parametrize("events", HALVING_TRENDS)
+def test_identity_trend_halves_its_steps_to_an_interior_optimum(events):
+    months = np.arange(1, 13)
+    x, e = np.array(events, dtype=float), np.full(12, 30.0)
+    s = app.RecruitmentSeries(months, x, e, np.minimum(months, 10) * 2.0)
+    tr = app.fit_trend(s, transform="log", link="identity")
+    rates = tr.mean_rate(months)
+    assert np.all(rates > 0)
+    X = np.column_stack([np.ones(12), np.log(months)])
+    score = X.T @ (e * (x - e * rates) / (e * rates))
+    assert np.linalg.norm(score) < 1e-9
+    assert 0.04 < tr.coef[0] < 0.07   # the intercept is a rate per day
+
+
 def test_fixture_trend_increasing():
     s = app.make_recruitment_fixture()
     tr = app.fit_trend(s, transform="log", link="identity")

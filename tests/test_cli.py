@@ -357,8 +357,7 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
     ("tolerance", "weibull", "eq3", "5"),
     ("tolerance", "weibull", "eq5", "5"),
     ("predict", "weibull", "plugin", "5"),
-    # the identity link pivot's 99.8% interval reaches totals <= 0, which
-    # the log-spaced curve grid cannot span
+    # the identity link pivot's 99.8% lower limit is <= 0
     ("curve", "gamma_near_zero", "link_pivot", "5"),
 ])
 def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
@@ -388,9 +387,12 @@ def test_unusable_method_is_config_error(capsys, tmp_path, family_csvs, command,
     ("predict", "eq2", "value\n0.2\n3.0\n0.5\n"),
     ("tolerance", "eq5", "value\n0.2\n3.0\n0.5\n"),
     ("predict", "eq2", "events,exposure\n0,1\n9,1\n0,1\n"),
-], ids=["gamma_eq2", "gamma_eq5", "quasipoisson_eq2"])
+    ("predict", "eq1", "value\n0.2\n3.0\n0.5\n"),
+    ("predict", "eq1", "events,exposure\n0,1\n9,1\n0,1\n"),
+], ids=["gamma_eq2", "gamma_eq5", "quasipoisson_eq2", "gamma_eq1", "quasipoisson_eq1"])
 def test_identity_plugci_below_zero_is_config_error(capsys, tmp_path, command, method, csv):
-    # the identity-link Wald mean limit is <= 0 here; the log link is fine
+    # the identity-link Wald mean limit, or the identity link pivot's lower
+    # limit, is <= 0 here; the log link is fine
     path = tmp_path / "near_zero.csv"
     path.write_text(csv)
     family = "gamma" if csv.startswith("value") else "quasipoisson"
@@ -674,6 +676,21 @@ def test_recruit_trend_and_window(capsys, recruit_csv):
     assert lo <= win["horizon_point"] <= hi
 
 
+@pytest.mark.parametrize("events, window", [
+    ([2, 7, 8, 11, 14, 11, 11, 12, 21, 12, 21, 34], [25, [20, 31]]),
+    ([3, 4, 8, 5, 10, 8, 11, 10, 18, 15, 21, 19], [31, [25, 38]]),
+])
+def test_recruit_window_on_an_identity_trend_fitted_by_step_halving(capsys, tmp_path,
+                                                                    events, window):
+    path = tmp_path / "recruit.csv"
+    _write_recruitment(path, zip(events, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 20, 20]))
+    code, out = run(capsys, "recruit", "--input", str(path), "--mode", "window",
+                    "--link", "identity", "--target", "600")
+    assert code == 0
+    payload = json.loads(out)
+    assert [payload["horizon_point"], payload["horizon_interval"]] == window
+
+
 def test_recruit_window_needs_target(capsys, recruit_csv):
     data, _ = recruit_csv
     assert main(["recruit", "--input", str(data), "--mode", "window"]) == 1
@@ -682,6 +699,9 @@ def test_recruit_window_needs_target(capsys, recruit_csv):
 # (events, active sites) per 30-day period
 NEGATIVE_TREND = list(zip([14, 10, 4, 29, 37, 10, 1, 3], [20, 20, 0, 0, 0, 0, 5, 1]))
 OVERFLOWING_TREND = list(zip([10, 0, 1, 10, 19], [0, 20, 5, 1, 0]))
+# no events in month 1: the identity-link likelihood peaks at a rate of 0 there
+BOUNDARY_TREND = list(zip([0, 6, 9, 5, 12, 19, 9, 14, 13, 11, 18, 19],
+                          [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 20, 20]))
 
 
 def _write_recruitment(path, rows, days=30.0):
@@ -698,7 +718,10 @@ def _write_recruitment(path, rows, days=30.0):
                          "--target", "10"], "horizon 1024 leaves double precision"),
     (OVERFLOWING_TREND, ["--mode", "trend", "--transform", "identity", "--link", "log",
                          "--horizon", "2000"], "horizon 2000 leaves double precision"),
-], ids=["negative_log", "negative_root", "overflow_window", "overflow_trend"])
+    (BOUNDARY_TREND, ["--mode", "window", "--link", "identity", "--target", "600"],
+     "on the boundary, at a fitted rate of 0, where no Wald covariance holds; "
+     "a log-link trend stays positive (--link log)"),
+], ids=["negative_log", "negative_root", "overflow_window", "overflow_trend", "boundary"])
 def test_recruit_trend_faults_are_one_line_fit_errors(tmp_path, rows, flags, message):
     path = tmp_path / "recruit.csv"
     _write_recruitment(path, rows)

@@ -281,3 +281,6 @@ def test_success_confidence_validation():
         success_confidence(fr, 100, 600, -1.0)
     with pytest.raises(ValueError):
         success_confidence(gamma_fit(), 100, 600, 1.71)
+    for scale in ("odds_ratio", "z_statistic"):
+        with pytest.raises(ValueError, match="at least one future"):
+            success_confidence(fr, 100, 0, 1.71, statistic_scale=scale)

@@ -8,8 +8,8 @@ from scipy import optimize, special, stats
 from tolpred import dist, fit
 from tolpred.dist import RngStream
 from tolpred.fit import (DegenerateDataError, FitError, InsufficientDataError,
-                         SeparationError, SurvivalSample, fit_binomial_logit,
-                         fit_gamma_intercept, fit_quasipoisson,
+                         NonConvergenceError, SeparationError, SurvivalSample,
+                         fit_binomial_logit, fit_gamma_intercept, fit_quasipoisson,
                          fit_weibull_censored, gamma_shape_mle, km_estimator,
                          profile_lr_ci)
 
@@ -145,6 +145,21 @@ def test_gamma_shape_newton_stops_at_large_s(monkeypatch):
     assert np.all(np.abs(np.log(k) - digamma(k) - s) <= 1e-15 * s)
 
 
+def test_gamma_shape_newton_at_its_cap_is_nan_and_masked(monkeypatch):
+    # three iterations solve s = 0.05 but not s = 1, and one solves no s
+    monkeypatch.setattr(fit, "SHAPE_MAX_ITER", 3)
+    k = fit._shape_from_s(np.array([0.05, 1.0]))
+    assert np.isfinite(k[0]) and np.isnan(k[1])
+    monkeypatch.setattr(fit, "SHAPE_MAX_ITER", 1)
+    y = gamma_sample(20)
+    with np.errstate(invalid="ignore"):
+        rows, ok = fit.fit_gamma_rows(y[None, :])
+        assert np.isnan(gamma_shape_mle(y))
+        with pytest.raises(FitError, match="not finite"):
+            fit_gamma_intercept(y)
+    assert np.isnan(rows.k_hat[0]) and not ok[0]
+
+
 # ---------------------------------------------------------------------------
 # quasi-Poisson
 
@@ -189,6 +204,26 @@ def test_quasipoisson_regression_recovers_truth():
     se = np.sqrt(np.diag(fr.cov_coef))
     assert abs(fr.coef[0] - 0.5) < 3 * se[0]
     assert abs(fr.coef[1] - 0.8) < 3 * se[1]
+
+
+@pytest.mark.parametrize("hess, cause", [
+    (-10.0, "iteration 200: no convergence in 200 iterations"),   # steps of 0.1x
+    (0.0, "iteration 1: singular Hessian"),
+    (1.0, "iteration 1: 30 step halvings"),   # every step moves away from 0
+])
+def test_newton_names_why_it_stopped(hess, cause):
+    # loglik -x^2/2, maximal at x = 0, with a wrong constant Hessian
+    def f(theta):
+        return -0.5 * float(theta @ theta), -theta, np.array([[hess]])
+
+    with pytest.raises(NonConvergenceError, match=cause + ".*score norm"):
+        fit._newton(f, np.array([1.0]), 1e-10)
+
+
+def test_quasipoisson_singular_information_is_nonconvergence():
+    # a constant regressor duplicates the intercept column
+    with pytest.raises(NonConvergenceError, match="singular Hessian"):
+        fit_quasipoisson([3.0, 5.0, 4.0], [10.0, 10.0, 10.0], regressors=np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +411,12 @@ def test_profile_ci_matches_deviance_at_endpoints():
         lo, hi = profile_lr_ci(fr, param, 0.95)
         center = fr.mu_hat if param == "mu" else fr.k_hat
         assert lo < center < hi
-        from tolpred.fit import _gamma_profile_deviance
+        deviance = fit._profile_deviance(y, fr.mu_hat, fr.k_hat)
         for endpoint in (lo, hi):
             if param == "mu":
-                dev = _gamma_profile_deviance(y, endpoint, None, fr.mu_hat, fr.k_hat)
+                dev = deviance(endpoint, None)
             else:
-                dev = _gamma_profile_deviance(y, None, endpoint, fr.mu_hat, fr.k_hat)
+                dev = deviance(None, endpoint)
             assert dev == pytest.approx(target, abs=1e-6)
 
 
@@ -400,7 +435,7 @@ def test_k_profile_matches_independent_maximizer(n, k, seed):
                                        bounds=(math.log(fr.k_hat) - 6, math.log(fr.k_hat) + 6),
                                        method="bounded", options={"xatol": 1e-12})
         want = 2.0 * (lmax + res.fun)
-        got = fit._gamma_profile_deviance(y, mu, None, fr.mu_hat, fr.k_hat)
+        got = fit._profile_deviance(y, fr.mu_hat, fr.k_hat)(mu, None)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -412,7 +447,7 @@ def test_k_profile_at_the_fitted_mean_is_the_fit():
         mu = fr.mu_hat
         s = np.log(mu) - np.log(y).mean() + (y.mean() / mu - 1.0)
         assert fit._shape_from_s(s) == pytest.approx(fr.k_hat, abs=1e-12)
-        assert fit._gamma_profile_deviance(y, mu, None, mu, fr.k_hat) == pytest.approx(0.0, abs=1e-12)
+        assert fit._profile_deviance(y, mu, fr.k_hat)(mu, None) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_profile_ci_collapses_at_zero_level():

@@ -177,7 +177,8 @@ def test_plugci_count_worked_numbers():
 
 def test_plugci_rejects_mean_limit_at_or_below_zero():
     # an identity-link Wald mean limit can reach 0 or below, where no sum
-    # distribution exists; the log-link fit of the same data stays positive
+    # distribution exists, and so can the identity link pivot's lower limit;
+    # the log-link fit of the same data stays positive
     y = np.array([0.2, 3.0, 0.5])
     events, exposure = np.array([0, 9, 0]), np.ones(3)
     for link in ("identity", "log"):
@@ -185,7 +186,9 @@ def test_plugci_rejects_mean_limit_at_or_below_zero():
         qp = fit_quasipoisson(events, exposure, link=link)
         calls = (lambda: predict_sum_plugci(fr, PredictionTarget(3, 5), 0.95),
                  lambda: tolerance_plugci(fr, 0.5, 0.95, 5),
-                 lambda: predict_sum_plugci(qp, PredictionTarget(3, 1), 0.95))
+                 lambda: predict_sum_plugci(qp, PredictionTarget(3, 1), 0.95),
+                 lambda: predict_sum_link(fr, PredictionTarget(3, 5), 0.95),
+                 lambda: predict_sum_link(qp, PredictionTarget(3, 5), 0.95))
         for call in calls:
             if link == "log":
                 assert 0 < call().lower
@@ -197,6 +200,14 @@ def test_plugci_rejects_mean_limit_at_or_below_zero():
         for lo in (0.0, -0.1):
             with pytest.raises(intervals.UnsupportedTargetError):
                 build(lo)
+    with pytest.raises(intervals.UnsupportedTargetError, match="log link"):
+        predict_sum_link_from(0.1, 1.0, 10, 10, 0.95, "identity")
+
+
+def test_plugci_tolerance_needs_a_shape_estimate():
+    qp = fit_quasipoisson([3, 7, 5], [10.0, 20.0, 15.0])
+    with pytest.raises(intervals.UnsupportedTargetError, match="no shape estimate"):
+        tolerance_plugci(qp, 0.5, 0.95, 5)
 
 
 def test_count_link_pivot_sqrt2():
