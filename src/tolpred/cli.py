@@ -235,7 +235,7 @@ def cmd_curve(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         spec = simlab.ScenarioSpec.from_json(args.scenario)
-    except FileNotFoundError as exc:
+    except OSError as exc:   # missing, a directory, unreadable
         raise ConfigError(str(exc)) from exc
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -243,9 +243,7 @@ def cmd_simulate(args) -> int:
     spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     if spec.n_runs > args.max_runs:
         raise BudgetError(f"{spec.n_runs} runs exceed the budget of {args.max_runs}")
-    runner = (simlab.run_gamma_coverage if spec.data_process == "gamma_fixed"
-              else simlab.run_poisson_gamma)
-    report = runner(spec)
+    report = simlab.run_coverage(spec)
     text = simlab.emit_table(report, fmt=args.format)
     if args.out:
         Path(args.out).write_text(text)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
+from scipy.special import ndtri, stdtr
 
 from .fit import FitResult
 from .intervals import METHODS, Method, UnsupportedTargetError, _combined_se
@@ -52,16 +52,26 @@ class CurveTable:
 
     def interval_at(self, level: float) -> tuple[float, float]:
         """Two-sided interval endpoints read from the H = alpha/2 and
-        H = 1-alpha/2 crossings (linear interpolation between grid points)."""
+        H = 1-alpha/2 crossings."""
         alpha = 1 - level
         return (self._crossing(alpha / 2), self._crossing(1 - alpha / 2))
 
     def _crossing(self, h: float) -> float:
+        """The total where H crosses h, clamped to the grid.  On the grid
+        segment that brackets h, log c is interpolated linearly against the
+        normal score ndtri(H), on which the pivots are near linear; where a
+        user grid reaches H = 0 or 1 at an end of that segment, c linearly
+        against H."""
         H, g = self.H, self.grid
         if h <= H[0]:
             return float(g[0])
         if h >= H[-1]:
             return float(g[-1])
+        i = int(np.searchsorted(H, h))   # H[i-1] < h <= H[i]
+        H, g = H[i - 1:i + 1], g[i - 1:i + 1]
+        z = ndtri(H)
+        if np.isfinite(z).all():
+            return float(np.exp(np.interp(ndtri(h), z, np.log(g))))
         return float(np.interp(h, H, g))
 
     def density_mode(self) -> float:

@@ -95,7 +95,6 @@ class FitResult:
     exposure_total: float | None = None
     loglik: float | None = None
     lam_hat: float | None = None               # weibull scale parameter
-    cov_log_params: np.ndarray | None = None   # weibull: cov of (log lam, log k)
     coef: np.ndarray | None = None             # regression fits
     cov_coef: np.ndarray | None = None
     data: tuple | None = field(default=None, repr=False, compare=False)
@@ -480,7 +479,6 @@ def fit_weibull_censored(data) -> FitResult:
         n_obs=t.size,
         loglik=ll,
         lam_hat=lam,
-        cov_log_params=cov_ab,
         data=(tuple(t), tuple(ev)),
     )
 

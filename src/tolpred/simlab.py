@@ -3,7 +3,8 @@
 Reproduces the gamma coverage tables (seven interval methods, prediction and
 tolerance targets) and the doubly stochastic Poisson-gamma site process in
 which per-site rates are drawn once and held fixed while exponential
-interarrivals accumulate to a study-level stream.
+interarrivals accumulate to a study-level stream.  One engine,
+``run_coverage``, runs any data process of the ``PROCESSES`` table.
 
 A cell streams through chunks of whole blocks of runs, each holding about
 ``_CHUNK_VALUES`` sample values.  The calling thread draws each chunk and
@@ -24,9 +25,12 @@ import contextvars
 import io
 import json
 import math
+import numbers
 import os
 from collections import deque
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,15 +42,19 @@ __all__ = [
     "ScenarioSpec",
     "CoverageCell",
     "CoverageReport",
+    "PROCESSES",
+    "run_coverage",
     "run_gamma_coverage",
     "run_poisson_gamma",
     "emit_table",
     "METHOD_ORDER",
 ]
 
-PREDICTION_METHODS = ("eq1", "eq2", "fpivot", "fpivot_k1", "plugin")
-TOLERANCE_METHODS = ("eq3", "eq4", "eq5")
 METHOD_ORDER = ("eq1", "eq2", "fpivot", "plugin", "eq3", "eq4", "eq5", "fpivot_k1")
+# the lab's methods of each kind, in the method table's order
+PREDICTION_METHODS, TOLERANCE_METHODS = (
+    tuple(m for m, e in intervals.METHODS.items() if m in METHOD_ORDER and e.kind == kind)
+    for kind in ("prediction", "tolerance"))
 METHOD_LABELS = {
     "eq1": "Link pivot",
     "eq2": "CI plug-in prediction",
@@ -70,11 +78,22 @@ BLOCK = 1024
 _CHUNK_VALUES = 2 ** 16
 
 
+# the least value of each integer field, and the fields that are positive
+# finite numbers
+_LEAST_INTEGER = {"n": 2, "N": 1, "n_runs": 1, "seed": 0, "n_sites": 1}
+_POSITIVE = ("k", "mu", "alpha", "beta")
+
+
+def _number(val, kind=numbers.Real) -> bool:
+    """Whether ``val`` is a number of ``kind``; JSON's true and false are not."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation cell: data process, sample sizes, methods, levels."""
 
-    data_process: str                      # "gamma_fixed" | "poisson_gamma_sites"
+    data_process: str                      # a ``PROCESSES`` key
     n: int
     N: int
     methods: tuple = ("eq1",)
@@ -82,31 +101,39 @@ class ScenarioSpec:
     content_p: float = 0.5
     n_runs: int = 10_000
     seed: int = 1
-    k: float | None = None                 # gamma_fixed
+    k: float | None = None                 # the process's fields: see PROCESSES
     mu: float | None = None
-    alpha: float | None = None             # poisson_gamma_sites
+    alpha: float | None = None
     beta: float | None = None
     n_sites: int | None = None
     fixed_rates: bool = False              # draw site rates once, reuse per trial
 
     def __post_init__(self):
-        if not (2 <= self.n < self.N):
-            raise ValueError("need 2 <= n < N")
-        if self.n_runs < 1:
-            raise ValueError("n_runs >= 1")
-        if any(not (0 < lv < 1) for lv in self.levels):
-            raise ValueError("levels must lie in (0,1)")
-        if self.data_process == "gamma_fixed":
-            if self.k is None or self.mu is None:
-                raise ValueError("gamma_fixed needs k and mu")
-        elif self.data_process == "poisson_gamma_sites":
-            if self.alpha is None or self.beta is None or self.n_sites is None:
-                raise ValueError("poisson_gamma_sites needs alpha, beta, n_sites")
-        else:
+        process = PROCESSES.get(self.data_process)
+        if process is None:
             raise ValueError(f"unknown data process {self.data_process!r}")
-        unknown = set(self.methods) - set(PREDICTION_METHODS) - set(TOLERANCE_METHODS)
+        if any(getattr(self, name) is None for name in process.fields):
+            raise ValueError(f"{self.data_process} needs {', '.join(process.fields)}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is None and f.default is None:   # a field of another process
+                continue
+            least = _LEAST_INTEGER.get(f.name)
+            if least is not None and not (_number(val, numbers.Integral) and val >= least):
+                raise ValueError(f"{f.name} must be an integer of at least {least}, got {val!r}")
+            if f.name in _POSITIVE and not (_number(val) and 0 < val < math.inf):
+                raise ValueError(f"{f.name} must be a positive finite number, got {val!r}")
+        if self.n >= self.N:
+            raise ValueError("need n < N")
+        if not all(_number(p) and 0 < p < 1 for p in (self.content_p, *self.levels)):
+            raise ValueError("levels and content_p must lie in (0,1)")
+        if not isinstance(self.fixed_rates, bool):
+            raise ValueError(f"fixed_rates must be true or false, got {self.fixed_rates!r}")
+        unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        if process.tolerance_target is None and set(self.methods) & set(TOLERANCE_METHODS):
+            raise ValueError(f"tolerance targets are undefined for {self.data_process}")
 
     @classmethod
     def from_json(cls, text_or_path) -> "ScenarioSpec":
@@ -115,10 +142,15 @@ class ScenarioSpec:
         else:
             with open(text_or_path) as fh:
                 raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a scenario must be a JSON object")
         raw.pop("schema_version", None)
         for key in ("methods", "levels"):
             if key in raw:
                 raw[key] = tuple(raw[key])
+                # a cell without methods only draws and fits: not a scenario
+                if not raw[key]:
+                    raise ValueError(f"a scenario needs at least one of its {key}")
         return cls(**raw)
 
     def to_json(self) -> str:
@@ -166,33 +198,32 @@ def _chunks(spec: ScenarioSpec):
             for start in range(0, spec.n_runs, step)]
 
 
-def _blocks(seed: int, runs: range):
-    """(generator, rows) for each block of ``BLOCK`` runs in ``runs``, which
-    starts on a block boundary; ``rows`` index the range's own arrays.
-    Block b draws from ``RngStream(seed).substream(b)``, and every block
-    draws as if full and is then cut to the range, so run r depends only on
-    (seed, r)."""
-    base = RngStream(seed)
+def _draw_runs(spec: ScenarioSpec, runs: range | None, block):
+    """The samples, one row per run, and the future totals of the runs in
+    ``runs`` (default: all of them), which starts on a block boundary.
+    ``block(gen)`` draws the samples and future totals of one whole block
+    of ``BLOCK`` runs from ``gen``.  Block b draws from
+    ``RngStream(seed).substream(b)``, and every block draws in full and is
+    then cut to the range, so run r depends only on (seed, r)."""
+    runs = range(spec.n_runs) if runs is None else runs
+    y = np.empty((len(runs), spec.n))
+    future = np.empty(len(runs))
+    base = RngStream(spec.seed)
     for start in range(runs.start, runs.stop, BLOCK):
-        stop = min(start + BLOCK, runs.stop)
-        yield (base.substream(start // BLOCK).generator(),
-               slice(start - runs.start, stop - runs.start))
+        i, m = start - runs.start, min(BLOCK, runs.stop - start)
+        sample, total = block(base.substream(start // BLOCK).generator())
+        y[i:i + m], future[i:i + m] = sample[:m], total[:m]
+    return y, future
 
 
 def _draw_gamma_runs(spec: ScenarioSpec, runs: range | None = None):
-    """The gamma samples, one row per run, and the realized future totals of
-    the runs in ``runs`` (default: all of them)."""
-    runs = range(spec.n_runs) if runs is None else runs
-    n, n_fut = spec.n, spec.N - spec.n
+    """The gamma samples and the realized future totals of the runs in
+    ``runs`` (default: all of them)."""
     scale = spec.mu / spec.k
-    y = np.empty((len(runs), n))
-    future = np.empty(len(runs))
-    for gen, rows in _blocks(spec.seed, runs):
-        m = rows.stop - rows.start
-        y[rows] = gen.gamma(spec.k, scale, size=(BLOCK, n))[:m]
-        # the future total of n_fut iid gammas is itself gamma distributed
-        future[rows] = gen.gamma(n_fut * spec.k, scale, size=BLOCK)[:m]
-    return y, future
+    # the future total of N - n iid gammas is itself gamma distributed
+    return _draw_runs(spec, runs, lambda gen: (
+        gen.gamma(spec.k, scale, size=(BLOCK, spec.n)),
+        gen.gamma((spec.N - spec.n) * spec.k, scale, size=BLOCK)))
 
 
 def _fixed_rates(spec: ScenarioSpec):
@@ -210,21 +241,44 @@ def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
     all of them) and the sum of the remaining N - n.  Per-trial site rates
     come from the run's block; fixed rates are ``fixed``, or
     ``_fixed_rates(spec)`` when not given."""
-    runs = range(spec.n_runs) if runs is None else runs
     fixed = _fixed_rates(spec) if fixed is None else fixed
-    n = spec.n
-    y = np.empty((len(runs), n))
-    future = np.empty(len(runs))
-    for gen, rows in _blocks(spec.seed, runs):
-        m = rows.stop - rows.start
+
+    def block(gen):
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
-        total = lam.sum(axis=-1, keepdims=True)[:m]
-        gaps = gen.random((BLOCK, spec.N))[:m]
+        total = lam.sum(axis=-1, keepdims=True)
+        gaps = gen.random((BLOCK, spec.N))
         np.divide(np.log(gaps, out=gaps), -total, out=gaps)   # in place: -log(u) / total
-        y[rows] = gaps[:, :n]
-        future[rows] = gaps[:, n:].sum(axis=1)
-    return y, future
+        return gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
+
+    return _draw_runs(spec, runs, block)
+
+
+class Process(NamedTuple):
+    """A data process of the lab: the ``ScenarioSpec`` fields it needs;
+    ``start(spec)``, run once per cell on the calling thread, which returns
+    the cell's chunk draw ``draw(runs) -> (samples, future totals)``; and
+    ``tolerance_target(spec)``, the two quantiles a tolerance interval must
+    contain, or None when the process has none."""
+
+    fields: tuple
+    start: Callable
+    tolerance_target: Callable | None
+
+
+# the draw functions are looked up when a cell starts, not captured here
+PROCESSES = {
+    # iid Gamma(k, mu/k) observations; the future total is gamma too, and a
+    # tolerance interval must hold the quantiles bounding its middle content_p
+    "gamma_fixed": Process(("k", "mu"), lambda spec: partial(_draw_gamma_runs, spec),
+                           lambda spec: tuple(dist.quantile(
+                               dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k),
+                               [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2]))),
+    # site rates from Gamma(alpha, beta), once per cell or per trial; given the
+    # rates, the merged stream is Poisson, so its interarrivals are exponential
+    "poisson_gamma_sites": Process(("alpha", "beta", "n_sites"), lambda spec: partial(
+        _draw_site_runs, spec, fixed=_fixed_rates(spec)), None),
+}
 
 
 def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
@@ -242,57 +296,49 @@ def _workers() -> int:
 
 
 def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
-    """(covered, usable) runs of one chunk for each (method, level) in
-    ``keys``.  A prediction interval covers when it contains the run's
+    """The (covered, usable) run counts of one chunk, a row for each
+    (method, level) in ``keys``.  A prediction interval covers when it contains the run's
     future total; a tolerance interval when it contains both
     ``tolerance_target`` quantiles."""
     fit, ok = fit_gamma_rows(y)
-    counts = []
-    for method, level in keys:
+    counts = np.zeros((len(keys), 2), dtype=np.int64)
+    for row, (method, level) in zip(counts, keys):
         lo, hi = _endpoints(method, fit, level, spec)
-        t_lo, t_hi = (tolerance_target if method in TOLERANCE_METHODS
+        t_lo, t_hi = (tolerance_target if intervals.METHODS[method].kind == "tolerance"
                       else (future, future))
         use = ok & np.isfinite(lo) & np.isfinite(hi)
-        counts.append((int(np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use)),
-                       int(np.count_nonzero(use))))
+        row[:] = np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use), np.count_nonzero(use)
     return counts
 
 
-def _stream(spec: ScenarioSpec, chunks, tolerance_target=None) -> CoverageReport:
-    """Coverage counts of every method x level, accumulated over ``chunks``
-    of (samples, future totals).  The chunks are drawn on the calling thread
-    and counted on a pool of ``_workers()`` threads, at most one chunk per
-    worker in flight; the counts are added in chunk order, and an exception
-    in a chunk stops the submitting and propagates."""
+def run_coverage(spec: ScenarioSpec) -> CoverageReport:
+    """Coverage of every method x level of ``spec`` under its data process.
+    Each chunk is drawn on the calling thread and counted on a pool of
+    ``_workers()`` threads, at most one chunk per worker in flight; the
+    counts are added in chunk order, and an exception in a chunk stops the
+    submitting and propagates."""
     # imported here, so that importing tolpred loads no thread pool module
     from concurrent.futures import ThreadPoolExecutor
 
-    totals = {(method, level): [0, 0] for method in spec.methods for level in spec.levels}
-    keys = list(totals)
-
-    def add(done):
-        for total, (covered, used) in zip(totals.values(), done.result()):
-            total[0] += covered
-            total[1] += used
-
+    process = PROCESSES[spec.data_process]
+    target = process.tolerance_target(spec) if process.tolerance_target else None
+    draw = process.start(spec)
+    keys = list(dict.fromkeys((m, level) for m in spec.methods for level in spec.levels))
+    totals = np.zeros((len(keys), 2), dtype=np.int64)   # covered and usable runs
     workers = _workers()
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
-        for y, future in chunks:
+        for runs in _chunks(spec):
             # each task runs in a copy of the caller's context, so the
             # caller's np.errstate holds in the workers too
             pending.append(pool.submit(contextvars.copy_context().run, _chunk_counts,
-                                       spec, keys, y, future, tolerance_target))
+                                       spec, keys, *draw(runs), target))
             if len(pending) == workers:
-                add(pending.popleft())
+                totals += pending.popleft().result()
         while pending:
-            add(pending.popleft())
-    return _aggregate(spec, totals)
-
-
-def _aggregate(spec, totals):
+            totals += pending.popleft().result()
     cells = []
-    for (method, level), (n_covered, n_used) in totals.items():
+    for (method, level), (n_covered, n_used) in zip(keys, totals.tolist()):
         obs = n_covered / n_used if n_used else float("nan")
         mc_se = math.sqrt(max(obs * (1 - obs), 1e-12) / n_used) if n_used else float("nan")
         cells.append(CoverageCell(method, level, obs, mc_se, n_used,
@@ -301,35 +347,17 @@ def _aggregate(spec, totals):
 
 
 def run_gamma_coverage(spec: ScenarioSpec) -> CoverageReport:
-    """Coverage under a fixed Gamma(k, mu/k) process.
-
-    Prediction methods must contain the realized future total; a middle-p
-    tolerance interval covers only if both true quantiles of the future-sum
-    distribution lie inside it.
-    """
+    """``run_coverage`` of a gamma_fixed scenario."""
     if spec.data_process != "gamma_fixed":
         raise ValueError("run_gamma_coverage needs a gamma_fixed scenario")
-    future_sum = dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k)
-    q_true = dist.quantile(future_sum,
-                           [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2])
-    return _stream(spec, (_draw_gamma_runs(spec, runs) for runs in _chunks(spec)),
-                   tuple(q_true))
+    return run_coverage(spec)
 
 
 def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
-    """Coverage under the staggered-site process: site rates lambda_j drawn
-    from Gamma(alpha, beta) (once, or per trial), sites run as independent
-    Poisson streams, and the merged study-level interarrivals are predicted.
-
-    Conditional on the rates, the merged stream is Poisson with the summed
-    rate, so study-level interarrivals are exponential.
-    """
+    """``run_coverage`` of a poisson_gamma_sites scenario."""
     if spec.data_process != "poisson_gamma_sites":
         raise ValueError("run_poisson_gamma needs a poisson_gamma_sites scenario")
-    if set(spec.methods) & set(TOLERANCE_METHODS):
-        raise ValueError("tolerance targets are undefined for the site process")
-    fixed = _fixed_rates(spec)   # once per cell, shared by every chunk
-    return _stream(spec, (_draw_site_runs(spec, runs, fixed) for runs in _chunks(spec)))
+    return run_coverage(spec)
 
 
 def emit_table(report: CoverageReport, fmt: str = "text") -> str:

@@ -17,6 +17,7 @@ import tolpred
 from tolpred import applications, curves, intervals
 from tolpred.cli import main
 from tolpred.fit import fit_binomial_logit, fit_gamma_intercept
+from tolpred.simlab import ScenarioSpec, emit_table, run_poisson_gamma
 
 
 @pytest.fixture
@@ -642,6 +643,48 @@ def test_simulate_missing_scenario(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"data_process": "gamma_fixed", "n": 20, "N": 300}))
     assert main(["simulate", "--scenario", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("text", [None, "5", '"eq1"', "[1, 2]"],
+                         ids=["directory", "number", "string", "list"])
+def test_unreadable_scenario_is_one_line_config_error(tmp_path, text):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+    code, out, err, caught = _call_quietly(["simulate", "--scenario", str(path)])
+    assert (code, out, caught) == (1, "", [])
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
+
+
+SITES = dict(data_process="poisson_gamma_sites", k=None, mu=None,
+             alpha=4.0, beta=0.033 / 4, n_sites=20)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 5.5}, {"N": "300"}, {"n_runs": 0}, {"n_runs": True}, {"seed": -3}, {"seed": 1.5},
+    {"k": -1}, {"mu": 0}, {"k": "2"}, {"k": True}, {"mu": math.inf}, {"content_p": 1.5},
+    {"methods": []}, {"levels": []}, {"fixed_rates": "no"},
+    {**SITES, "alpha": -2}, {**SITES, "beta": math.nan}, {**SITES, "n_sites": 0},
+    {**SITES, "n_sites": 2.0}, {**SITES, "methods": ["eq1", "eq3"]},
+], ids=["n_5.5", "N_text", "n_runs_0", "n_runs_true", "seed_-3", "seed_1.5", "k_-1",
+        "mu_0", "k_text", "k_true", "mu_inf", "content_1.5", "no_methods", "no_levels",
+        "fixed_rates_text", "sites_alpha_-2", "sites_beta_nan", "sites_n_sites_0",
+        "sites_n_sites_2.0", "sites_eq3"])
+def test_bad_scenario_is_one_line_config_error(tmp_path, fields):
+    code, out, err, caught = _call_quietly(
+        ["simulate", "--scenario", str(scenario_file(tmp_path, **fields))])
+    assert (code, out, caught) == (1, "", [])
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("fixed_rates", [False, True])
+def test_simulate_runs_the_site_process(tmp_path, capsys, fixed_rates):
+    scen = scenario_file(tmp_path, **SITES, fixed_rates=fixed_rates,
+                         methods=["eq1", "fpivot_k1"], levels=[0.8, 0.95])
+    code, out = run(capsys, "simulate", "--scenario", str(scen), "--format", "csv")
+    spec = ScenarioSpec.from_json(str(scen))
+    assert code == 0 and out == emit_table(run_poisson_gamma(spec), "csv")
 
 
 # ---------------------------------------------------------------------------

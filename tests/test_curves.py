@@ -186,6 +186,35 @@ def test_ci_plug_on_a_grid_wider_than_its_table(link):
     assert table.H[0] < 1e-8 and table.H[-1] > 1 - 1e-8   # the grid passes both ends
 
 
+def test_small_future_crossings_on_the_normal_score_scale():
+    # one future unit: c is far from linear in H between grid points, but
+    # log c is near linear in ndtri(H)
+    fr = fit_gamma_intercept(dist.sample(dist.gamma(4.0, 0.625), RngStream(8), 20))
+    table = build_curve(fr, "link_pivot", 1)
+    iv = intervals.predict_sum_link(fr, intervals.PredictionTarget(fr.n_obs, 1), 0.99)
+    np.testing.assert_allclose(table.interval_at(0.99), [iv.lower, iv.upper], rtol=5e-7)
+
+
+def test_crossings_on_a_grid_whose_H_is_zero_or_one():
+    # every node of this coarse grid has H exactly 0 or 1: no finite normal
+    # score, so the crossings fall back to c linear in H
+    table = build_curve(gamma_fit(seed=8), "f_pivot", 280,
+                        grid=np.array([1e-3, 1.0, 1e6, 1e9]))
+    assert set(table.H) == {0.0, 1.0}
+    np.testing.assert_allclose(table.interval_at(0.95), [1 + 0.025 * (1e6 - 1),
+                                                         1 + 0.975 * (1e6 - 1)])
+
+
+def test_crossings_in_a_segment_that_reaches_H_one():
+    # H = (1.3e-27, 1.5e-21, 1, 1): both crossings lie in the segment
+    # (1, 1e6), whose upper node has no finite normal score
+    fr = fit_gamma_intercept(dist.sample(dist.gamma(4.0, 0.625), RngStream(8), 20))
+    table = build_curve(fr, "link_pivot", 280, grid=np.array([1e-3, 1.0, 1e6, 1e9]))
+    assert 0 < table.H[1] < table.H[2] == 1
+    lo, hi = table.interval_at(0.95)
+    assert 1 < lo < hi < 1e6
+
+
 def test_curve_level_nesting():
     fr = gamma_fit(seed=4)
     table = build_curve(fr, "link_pivot", 280)

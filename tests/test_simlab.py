@@ -50,6 +50,16 @@ def test_spec_validation():
         ScenarioSpec(data_process="bootstrap", n=20, N=300)
 
 
+@pytest.mark.parametrize("key", ["methods", "levels"])
+def test_a_cell_without_methods_draws_and_fits_but_is_no_scenario(key):
+    # a method-less cell is the lab's base cost (draws and fits alone)
+    assert run_gamma_coverage(gamma_spec(**{key: ()})).cells == ()
+    raw = json.loads(gamma_spec().to_json())
+    raw[key] = []
+    with pytest.raises(ValueError, match=key):
+        ScenarioSpec.from_json(json.dumps(raw))
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = gamma_spec(methods=("eq1", "eq5"), levels=(0.8, 0.95))
     text = spec.to_json()
