@@ -131,18 +131,16 @@ def site_day_fit(series: RecruitmentSeries) -> FitResult:
     return fit_quasipoisson(series.events[keep], sd[keep])
 
 
-def predict_sitedays(fit: FitResult, series: RecruitmentSeries, level: float,
-                     days_per_period: float | None = None,
-                     se_kind: str = "sandwich") -> IntervalEstimate:
+def predict_sitedays(fit: FitResult, series: RecruitmentSeries,
+                     level: float) -> IntervalEstimate:
     """Interval for the additional subjects recruited over the scheduled
     future site-days, via the log-link pivot with the exposure-scaled
     future-variance term."""
-    future_sd = series.future_site_days(days_per_period)
+    future_sd = series.future_site_days()
     if future_sd <= 0:
         raise ValueError("future schedule has no site-days")
     target = intervals.PredictionTarget(fit.n_obs, future_sd)
-    return intervals.predict_sum_link(fit, target, level, se_kind=se_kind,
-                                      variance="scaled")
+    return intervals.predict_sum_link(fit, target, level, variance="scaled")
 
 
 def site_dispersion_diagnostic(series: RecruitmentSeries) -> dict:
@@ -269,18 +267,19 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
     raise ValueError(f"unknown trend kind {kind!r}")
 
 
-def _pivot_limits(trend: TrendFit, total, grad, spread, level: float,
-                  crit: str, df: int | None):
+def _pivot_limits(trend: TrendFit, total, grad, spread, level: float):
     """Link-pivot limits total * exp(-/+ c * se) of summed future means,
     elementwise: ``total`` the summed means, ``grad`` (..., 2) their
     gradient in the coefficients, and ``spread`` the sum whose
     phi-multiple is the future variance.  se is the delta-method SE of the
-    summed mean plus the dispersed future-variance term, on the log scale.
+    summed mean plus the dispersed future-variance term, on the log scale;
+    c is z for a rate trend and t on n-1 df for an interarrival trend.
     Call under ``np.errstate``; overflow shows as a non-finite limit."""
     var_mean = ((grad @ trend.cov)[..., None, :] @ grad[..., None])[..., 0, 0]
     var_future = trend.phi * spread
     se_log = np.sqrt(var_mean / total ** 2 + var_future / total ** 2)
-    c = critical_value(level, crit, df)
+    c = (critical_value(level) if trend.kind == "rate"
+         else critical_value(level, "t", trend.n_obs - 1))
     return link_limit(total, -c * se_log, "log"), link_limit(total, c * se_log, "log")
 
 
@@ -289,29 +288,26 @@ def _not_finite(h: int) -> FitError:
                     f"(its total, variance or limits are not finite)")
 
 
-def _sum_prediction(trend: TrendFit, periods, exposures, level: float,
-                    crit: str, df: int | None) -> IntervalEstimate:
-    """Link pivot for a summed future quantity: ``_pivot_limits`` of one
-    window."""
+def _sum_prediction(trend: TrendFit, periods, exposure: float,
+                    level: float) -> IntervalEstimate:
+    """Link pivot for a summed future quantity, ``exposure`` units per
+    period: ``_pivot_limits`` of one window."""
     periods = np.atleast_1d(np.asarray(periods, dtype=float))
-    exposures = np.broadcast_to(np.atleast_1d(np.asarray(exposures, dtype=float)),
-                                periods.shape)
     if periods.size == 0:
         raise ValueError("empty prediction range")
     with np.errstate(all="ignore"):
-        m = trend.mean_rate(periods) * exposures      # mean contribution per period
+        m = trend.mean_rate(periods) * exposure      # mean contribution per period
         total = np.sum(m)
-        grad = (trend._dmean_dbeta(periods) * exposures[:, None]).sum(axis=0)
+        grad = (trend._dmean_dbeta(periods) * exposure).sum(axis=0)
         # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
         spread = total if trend.kind == "rate" else np.sum(m ** 2)
-        lower, upper = _pivot_limits(trend, total, grad, spread, level, crit, df)
+        lower, upper = _pivot_limits(trend, total, grad, spread, level)
     if not np.isfinite([total, lower, upper]).all():
         raise _not_finite(periods.size)
     return IntervalEstimate(float(lower), float(upper), level, "link_pivot", "future_sum")
 
 
 def predict_sum_rate(trend: TrendFit, l_range, level: float,
-                     exposure: float | None = None,
                      extrapolation: str = "model") -> IntervalEstimate:
     """Prediction interval for the summed counts over future periods.
 
@@ -321,11 +317,9 @@ def predict_sum_rate(trend: TrendFit, l_range, level: float,
     if trend.kind != "rate":
         raise ValueError("predict_sum_rate applies to rate trends")
     l_range = np.asarray(list(l_range), dtype=float)
-    e = trend.exposure_per_period if exposure is None else exposure
     if extrapolation == "constant":
-        last = float(trend.fit_window[1])
-        l_range = np.full(l_range.size, last)
-    return _sum_prediction(trend, l_range, [e] * l_range.size, level, "z", None)
+        l_range = np.full(l_range.size, float(trend.fit_window[1]))
+    return _sum_prediction(trend, l_range, trend.exposure_per_period, level)
 
 
 def predict_sum_interarrival(trend: TrendFit, i_range, level: float) -> IntervalEstimate:
@@ -333,97 +327,67 @@ def predict_sum_interarrival(trend: TrendFit, i_range, level: float) -> Interval
     Student-t pivot with n-1 degrees of freedom."""
     if trend.kind != "interarrival":
         raise ValueError("needs an interarrival trend")
-    i_range = np.asarray(list(i_range), dtype=float)
-    return _sum_prediction(trend, i_range, np.ones(i_range.size), level,
-                           "t", trend.n_obs - 1)
+    return _sum_prediction(trend, list(i_range), 1.0, level)
 
 
 def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
-                        max_horizon: int = 100_000,
-                        exposure: float | None = None):
+                        max_horizon: int = 100_000):
     """Smallest number of future periods h whose cumulative mean meets the
     target (the point), and the first h whose interval upper (h_lo) and
     lower (h_hi) limit reaches it.
 
-    Each search doubles h, then bisects, on running sums: each future
-    period's mean and mean gradient is computed once, as far as the doubling
-    reaches, and ``np.cumsum`` gives the total and, through
-    ``_pivot_limits``, the limits of every window at once.  Each answer is
-    then checked against its definition at h and h-1 (the cumulative mean,
-    ``predict_sum_rate``'s limits) and stepped by one where running-sum
-    rounding disagrees, so it matches ``recruit --mode trend`` and a solve
-    makes at most four ``predict_sum_rate`` calls.
+    One pass doubles h.  At each h, ``np.cumsum`` of the future means gives
+    the total of every window up to h; once the last total reaches the
+    target, the cumulative mean gradient and ``_pivot_limits`` give every
+    window's limits as well, and the pass stops when the last lower limit
+    reaches it.  Each answer is the first window of its table that reaches
+    the target, checked against its definition at h and h-1 (the cumulative
+    mean, ``predict_sum_rate``'s limits) and stepped by one where
+    running-sum rounding disagrees, so it matches ``recruit --mode trend``
+    and a solve makes at most four ``predict_sum_rate`` calls.
 
     Raises ``FitError`` when the target is not reached within
     ``max_horizon`` periods, at the first period the doubling reaches whose
-    fitted mean is not positive, and at the first horizon read whose total
-    or limit is not finite.
+    fitted mean is not positive, and at the first doubled h whose total or
+    lower limit is not finite.
     """
     if target_subjects < 0:
         raise ValueError("target must be nonnegative")
     if target_subjects == 0:
         return 0, (0, 0)
-    d = trend.fit_window[1]
-    e = trend.exposure_per_period if exposure is None else exposure
-    means, tables = np.empty(0), {}
+    d, e = trend.fit_window[1], trend.exposure_per_period
+    h = 1
+    while True:
+        l = np.arange(d + 1.0, d + h + 1.0)
+        with np.errstate(all="ignore"):
+            total = np.cumsum(trend.mean_rate(l) * e)
+            reached = total[-1] >= target_subjects
+            if reached:     # the limits only once the mean reaches the target
+                grad = np.cumsum(trend._dmean_dbeta(l) * e, axis=0)
+                lower, upper = _pivot_limits(trend, total, grad, total, level)
+        if not math.isfinite(total[-1]) or (reached and not math.isfinite(lower[-1])):
+            raise _not_finite(h)
+        if reached and lower[-1] >= target_subjects:
+            break
+        h *= 2
+        if h > max_horizon:
+            raise FitError(f"target not reached within {max_horizon} periods")
 
-    def reaches(name):
-        def holds(h):
-            nonlocal means
-            if h > means.size:          # extend the means to horizon h
-                l = np.arange(d + means.size + 1.0, d + h + 1.0)
-                with np.errstate(all="ignore"):
-                    means = np.concatenate([means, trend.mean_rate(l) * e])
-                tables.clear()
-            if name not in tables:      # every window's value, from running sums
-                total = np.cumsum(means)
-                tables["mean"] = total.tolist()
-                if name != "mean":
-                    l = np.arange(d + 1.0, d + means.size + 1.0)
-                    with np.errstate(all="ignore"):
-                        grad = np.cumsum(trend._dmean_dbeta(l) * e, axis=0)
-                        limits = _pivot_limits(trend, total, grad, total, level, "z", None)
-                    tables["lower"], tables["upper"] = (a.tolist() for a in limits)
-            value = tables[name][h - 1]
-            if not math.isfinite(value):
-                raise _not_finite(h)
-            return value >= target_subjects
-        return holds
-
-    def first_h(predicate):
-        lo, hi = 1, 1
-        while not predicate(hi):
-            hi *= 2
-            if hi > max_horizon:
-                raise FitError(f"target not reached within {max_horizon} periods")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def settle(h, holds):
-        while not holds(h):
+    def first(table, value):
+        """The first h of ``table`` to reach the target, stepped by one until
+        its definition ``value`` reaches the target at h and not at h - 1."""
+        reaches = lambda h: value(h) >= target_subjects
+        h = int(np.argmax(table >= target_subjects)) + 1
+        while not reaches(h):
             h += 1
-        while h > 1 and holds(h - 1):
+        while h > 1 and reaches(h - 1):
             h -= 1
         return h
 
-    def by_definition(name):
-        def holds(h):
-            if name == "mean":
-                value = float(np.sum(trend.mean_rate(np.arange(d + 1, d + h + 1)) * e))
-            else:
-                value = getattr(predict_sum_rate(trend, range(d + 1, d + h + 1), level,
-                                                 exposure=e), name)
-            return value >= target_subjects
-        return holds
-
-    point, h_lo, h_hi = (settle(first_h(reaches(name)), by_definition(name))
-                         for name in ("mean", "upper", "lower"))
-    return point, (h_lo, h_hi)
+    mean = lambda h: float(np.sum(trend.mean_rate(np.arange(d + 1, d + h + 1)) * e))
+    window = lambda h: predict_sum_rate(trend, range(d + 1, d + h + 1), level)
+    return first(total, mean), (first(upper, lambda h: window(h).upper),
+                                first(lower, lambda h: window(h).lower))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +455,7 @@ def combine_link_pivots(g_point1: float, se1: float, g_point2: float, se2: float
 # ---------------------------------------------------------------------------
 # synthetic fixture
 
-def make_recruitment_fixture(seed: int = 38, n_periods: int = 31,
-                             fit_months: int = 12) -> RecruitmentSeries:
+def make_recruitment_fixture(seed: int = 38, n_periods: int = 31) -> RecruitmentSeries:
     """31-month synthetic recruitment series with a ramp-up shaped like a
     staggered multi-site study: mean monthly rate a*log(l)+b (increasing,
     concave), sites opening over the first 10 months, Poisson counts with

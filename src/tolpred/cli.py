@@ -243,7 +243,8 @@ def cmd_simulate(args) -> int:
     spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     if spec.n_runs > args.max_runs:
         raise BudgetError(f"{spec.n_runs} runs exceed the budget of {args.max_runs}")
-    report = simlab.run_coverage(spec)
+    with np.errstate(all="ignore"):   # the lab masks runs whose fit or endpoint fails
+        report = simlab.run_coverage(spec)
     text = simlab.emit_table(report, fmt=args.format)
     if args.out:
         Path(args.out).write_text(text)

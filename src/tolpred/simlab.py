@@ -361,20 +361,21 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
 
 
 def emit_table(report: CoverageReport, fmt: str = "text") -> str:
-    """Render a CoverageReport; rows follow the canonical method order."""
+    """Render a CoverageReport; rows follow the canonical method order.  A
+    cell with no usable run leaves its observed coverage and MC SE empty."""
     ordered = sorted(report.cells,
                      key=lambda c: (METHOD_ORDER.index(c.method), c.level))
     if fmt == "csv":
         buf = io.StringIO()
         buf.write("method,level,observed,mc_se,n_runs,n_failed\n")
         for c in ordered:
-            buf.write(f"{c.method},{c.level:g},{c.observed:.6f},"
-                      f"{c.mc_se:.6f},{c.n_runs},{c.n_failed}\n")
+            cover = f"{c.observed:.6f},{c.mc_se:.6f}" if c.n_runs else ","
+            buf.write(f"{c.method},{c.level:g},{cover},{c.n_runs},{c.n_failed}\n")
         return buf.getvalue()
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"{'Method':<24}{'Nominal':>9}{'Observed':>10}{'MC SE':>9}{'Runs':>8}"]
     for c in ordered:
-        lines.append(f"{METHOD_LABELS[c.method]:<24}{c.level:>9.3f}"
-                     f"{c.observed:>10.4f}{c.mc_se:>9.4f}{c.n_runs:>8}")
+        cover = f"{c.observed:>10.4f}{c.mc_se:>9.4f}" if c.n_runs else " " * (10 + 9)
+        lines.append(f"{METHOD_LABELS[c.method]:<24}{c.level:>9.3f}{cover}{c.n_runs:>8}")
     return "\n".join(lines) + "\n"

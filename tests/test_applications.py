@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from tolpred import applications as app
@@ -281,6 +283,37 @@ def test_solve_target_window(monkeypatch, link, transform, target):
         (h_hi, lambda h: window(h).lower),
     ]
     for h, value in definitions:   # each horizon is the first that reaches
+        assert value(h) >= target
+        assert h == 1 or value(h - 1) < target
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(st.integers(0, 60), min_size=12, max_size=12),
+       link=st.sampled_from(["identity", "log"]), transform=st.sampled_from(app.TRANSFORMS),
+       target=st.floats(0.0, 5.0).map(lambda x: 10.0 ** x),
+       level=st.sampled_from([0.8, 0.95, 0.99]))
+def test_any_window_solve_is_the_first_reaching_horizon_or_a_fit_error(
+        events, link, transform, target, level):
+    """On any 12-month series the solve returns, for the cumulative mean and
+    each interval limit, the first horizon that reaches the target, after at
+    most four ``predict_sum_rate`` calls; or it raises ``FitError``."""
+    s = app.RecruitmentSeries(np.arange(1, 13), np.asarray(events, float),
+                              np.full(12, 30.0), np.full(12, 10.0))
+    try:
+        tr = app.fit_trend(s, transform=transform, link=link)
+        with mock.patch.object(app, "predict_sum_rate", wraps=app.predict_sum_rate) as spy:
+            point, (h_lo, h_hi) = app.solve_target_window(tr, target, level)
+    except FitError:
+        return
+    assert spy.call_count <= 4 and h_lo <= point <= h_hi
+    d, e = tr.fit_window[1], tr.exposure_per_period
+    window = lambda h: app.predict_sum_rate(tr, range(d + 1, d + h + 1), level)
+    definitions = [
+        (point, lambda h: float(np.sum(tr.mean_rate(np.arange(d + 1.0, d + h + 1.0)) * e))),
+        (h_lo, lambda h: window(h).upper),
+        (h_hi, lambda h: window(h).lower),
+    ]
+    for h, value in definitions:
         assert value(h) >= target
         assert h == 1 or value(h - 1) < target
 

@@ -637,6 +637,20 @@ def test_simulate_budget_exceeded(tmp_path, capsys):
                  "--runs", "50", "--max-runs", "100"]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_cell_without_a_usable_run_prints_no_nan(tmp_path, fmt):
+    """Every run's fit fails (a mean of 1e-300 underflows the draws to 0):
+    the cells print no coverage, no numpy warning is shown, and the budget
+    error still exits 4."""
+    scen = scenario_file(tmp_path, n=2, k=1e-3, mu=1e-300, n_runs=50,
+                         methods=["eq1", "eq3", "eq4", "eq5", "plugin"])
+    code, out, err, caught = _call_quietly(["simulate", "--scenario", str(scen),
+                                            "--format", fmt])
+    assert (code, caught) == (4, [])
+    assert "nan" not in out.lower() and len(out.splitlines()) == 6
+    assert err.count("\n") == 1 and err.startswith("simulation budget error:")
+
+
 def test_simulate_missing_scenario(capsys, tmp_path):
     assert main(["simulate"]) == 1
     assert main(["simulate", "--scenario", str(tmp_path / "none.json")]) == 1
