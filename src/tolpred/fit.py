@@ -170,13 +170,12 @@ def gamma_shape_mle(y: np.ndarray):
     return _shape_from_s(s)
 
 
-def _gamma_loglik(y: np.ndarray, mu: float, k: float, log_y=None) -> float:
-    log_y = np.log(y) if log_y is None else log_y
+def _gamma_loglik(y: np.ndarray, mu: float, k: float) -> float:
     return float(
         np.sum(
             k * np.log(k / mu)
             - special.gammaln(k)
-            + (k - 1) * log_y
+            + (k - 1) * np.log(y)
             - k * y / mu
         )
     )
@@ -357,10 +356,12 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
     beta, _, hess = _newton(scoring, beta, 1e-10)
     phi = _dispersion(x, e * h(X @ beta), 2)
     cov = phi * np.linalg.inv(-hess)
+    with np.errstate(over="ignore"):   # the rate at z = 0 may leave the data's range
+        mu_hat = float(h(beta[0]))
     return FitResult(
         family="quasipoisson",
         link=link,
-        mu_hat=float(h(beta[0])),
+        mu_hat=mu_hat,
         phi_hat=phi,
         n_obs=n,
         exposure_total=float(e.sum()),
@@ -515,60 +516,112 @@ def km_estimator(data) -> KaplanMeier:
     return KaplanMeier(event_times, np.asarray(surv))
 
 
+def _profile(y, mu_hat: float, k_hat: float, param: str):
+    """``profile(x) -> (deviance, slope)``, elementwise in the value x of
+    ``param`` ("mu" or "k") for a gamma sample: the profile deviance
+    2*(l_max - l) with the other parameter at its profile MLE, and its
+    derivative in log x, in closed form by the envelope theorem.
+
+    Both come from n, ybar and mean(log y) alone: l/n + mean(log y) is
+    g(s(mu), k) = k log k - lgamma(k) - k (s(mu) + 1), where
+    s(mu) = log(mu/ybar) + log(ybar) - mean(log y) + ybar/mu - 1 is the
+    fit's own s at mu = ybar.  At fixed mu, k solves log(k) - digamma(k) =
+    s(mu) and dD/dlog mu = 2 n k (1 - ybar/mu); at fixed k, mu is mu_hat and
+    dD/dlog k = -2 n k (log k - digamma(k) - s(mu_hat)).
+    """
+    y = np.asarray(y, dtype=float)
+    n, ybar = y.size, y.mean()
+    s_ybar = math.log(ybar) - np.log(y).mean()
+    s_at = lambda mu: np.log(mu / ybar) + s_ybar + (ybar / mu - 1.0)
+    g = lambda s, k: k * np.log(k) - special.gammaln(k) - k * (s + 1.0)
+    s_hat = s_at(mu_hat)
+    lmax = g(s_hat, k_hat)
+
+    if param == "mu":
+        def profile(mu):
+            s = s_at(mu)
+            k = _shape_from_s(s)
+            return 2.0 * n * (lmax - g(s, k)), 2.0 * n * k * (1.0 - ybar / mu)
+    else:
+        def profile(k):
+            return (2.0 * n * (lmax - g(s_hat, k)),
+                    -2.0 * n * k * (np.log(k) - special.digamma(k) - s_hat))
+    return profile
+
+
 def _profile_deviance(y: np.ndarray, mu_hat: float, k_hat: float):
-    """``deviance(mu, k)``: 2*(l_max - l_profile) of a gamma sample with the
-    parameter passed as None profiled out.  l_max, log y, mean(log y) and
-    ybar are computed once, not per evaluation."""
-    log_y = np.log(y)
-    lmax = _gamma_loglik(y, mu_hat, k_hat, log_y)
-    mean_log, ybar = log_y.mean(), y.mean()
+    """``deviance(mu, k)``: the profile deviance of :func:`_profile` at the
+    parameter not passed as None."""
+    at_mu, at_k = (_profile(y, mu_hat, k_hat, param) for param in ("mu", "k"))
+    return lambda mu, k: float(at_mu(mu)[0] if k is None else at_k(k)[0])
 
-    def deviance(mu, k):
-        if k is None:  # fixed mu: log(k) - digamma(k) = s(mu), the fit's own s at mu = ybar
-            k = _shape_from_s(np.log(mu) - mean_log + (ybar / mu - 1.0))
-        else:  # fixed k: mu profile-MLE is ybar for every k
-            mu = mu_hat
-        return 2.0 * (lmax - _gamma_loglik(y, mu, k, log_y))
 
-    return deviance
+def _bracketed_limit(profile, center: float, target: float, direction: int) -> float:
+    """The profile limit on one side (``direction`` -1 or +1) of ``center``,
+    solved in u = log(x / center): steps of 0.5, 0.8, 1.28, ... out from
+    u = 0 until the deviance exceeds ``target``, then brentq to 1e-12 in u.
+    The fallback of :func:`profile_lr_ci`'s Newton.
+    """
+    dev = lambda u: float(profile(center * np.exp(u))[0]) - target
+    u, step = 0.0, 0.5
+    with np.errstate(all="ignore"):   # a step out of the domain ends the search
+        for _ in range(200):
+            u_new = u + direction * step
+            d = dev(u_new)
+            if not math.isfinite(d):
+                break
+            if d > 0:
+                return float(center * np.exp(brentq(dev, min(u, u_new), max(u, u_new),
+                                                     xtol=1e-12)))
+            u, step = u_new, step * 1.6
+    raise NonConvergenceError("profile deviance never crossed the target")
+
+
+# profile_lr_ci's Newton: its step cap and its stop on |step| in log x
+PROFILE_MAX_ITER, PROFILE_TOL = 12, 1e-11
 
 
 def profile_lr_ci(fit: FitResult, param: str, level: float):
-    """Profile likelihood-ratio CI endpoints for mu or k of a gamma fit.
+    """Profile likelihood-ratio CI endpoints (lower, upper) for mu or k of a
+    gamma fit: the two roots of profile deviance == the chi-square(1)
+    quantile of ``level``.
 
-    Endpoints solve profile deviance == chi-square(1) quantile of ``level``
-    by bracketed root-finding; returns (lower, upper).
+    One vectorized Newton iteration solves both limits together in
+    u = log(x / center), from the Wald limits u = -+sqrt(target) * se
+    (se = 1/sqrt(n k_hat) for mu, se_k/k_hat for k), with the closed-form
+    slope of :func:`_profile`; each limit stops after the step taken at its
+    first |step| <= ``PROFILE_TOL``.  A limit still moving after
+    ``PROFILE_MAX_ITER`` steps, not finite, or not on its own side of the
+    center goes to :func:`_bracketed_limit`: at levels near 0 the deviance
+    lies below the rounding error of l_max - l and Newton cannot resolve it.
+    Both solves are in log x, so the limits scale with the data.  A level
+    <= 1e-12 returns (center, center); a NaN level or one outside [0, 1)
+    raises ValueError.
     """
     if fit.family != "gamma":
         raise FitError("profile LR CI implemented for gamma fits")
-    y = np.asarray(fit.data[0], dtype=float)
-    target = 2 * special.gammaincinv(0.5, level)
-    deviance = _profile_deviance(y, fit.mu_hat, fit.k_hat)
-
-    if param == "mu":
-        dev = lambda m: deviance(m, None) - target
-        center = fit.mu_hat
-    elif param == "k":
-        dev = lambda kk: deviance(None, kk) - target
-        center = fit.k_hat
-    else:
+    if param not in ("mu", "k"):
         raise FitError(f"unknown parameter {param!r}")
-
+    if not 0.0 <= level < 1.0:
+        raise ValueError(f"level must be in [0, 1), got {level!r}")
+    center = fit.mu_hat if param == "mu" else fit.k_hat
     if level <= 1e-12:
         return center, center
 
-    def bracket(direction: int) -> float:
-        step = 0.5 * center
-        x = center
-        for _ in range(200):
-            x_new = x + direction * step
-            if x_new <= 0:
-                x_new = x / 2 if direction < 0 else x * 2
-            if dev(x_new) > 0:
-                return float(brentq(dev, min(x_new, x), max(x_new, x),
-                                   xtol=1e-12, rtol=1e-10))
-            x = x_new
-            step *= 1.6
-        raise NonConvergenceError("profile deviance never crossed the target")
-
-    return bracket(-1), bracket(+1)
+    target = 2 * special.gammaincinv(0.5, level)
+    se = 1.0 / math.sqrt(fit.n_obs * fit.k_hat) if param == "mu" else fit.se_k / fit.k_hat
+    profile = _profile(fit.data[0], fit.mu_hat, fit.k_hat, param)
+    side = np.array([-1.0, 1.0])
+    u, going = side * math.sqrt(target) * se, np.ones(2, dtype=bool)
+    with np.errstate(all="ignore"):   # a step that leaves the domain is NaN and falls back
+        for _ in range(PROFILE_MAX_ITER):
+            dev, slope = profile(center * np.exp(u[going]))
+            step = (dev - target) / slope
+            u[going] -= step
+            going[going] = ~(np.abs(step) <= PROFILE_TOL)
+            if not going.any():
+                break
+    solved = ~going & np.isfinite(u) & (side * u > 0)
+    return tuple(float(center * np.exp(u[i])) if solved[i]
+                 else _bracketed_limit(profile, center, target, int(side[i]))
+                 for i in range(2))

@@ -756,6 +756,8 @@ def test_recruit_window_needs_target(capsys, recruit_csv):
 # (events, active sites) per 30-day period
 NEGATIVE_TREND = list(zip([14, 10, 4, 29, 37, 10, 1, 3], [20, 20, 0, 0, 0, 0, 5, 1]))
 OVERFLOWING_TREND = list(zip([10, 0, 1, 10, 19], [0, 20, 5, 1, 0]))
+# a root-transform log-link rate that overflows at z = 0, ahead of the horizon
+VANISHING_TREND = list(zip([4, 0, 0], [1, 1, 1]))
 # no events in month 1: the identity-link likelihood peaks at a rate of 0 there
 BOUNDARY_TREND = list(zip([0, 6, 9, 5, 12, 19, 9, 14, 13, 11, 18, 19],
                           [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 20, 20]))
@@ -775,10 +777,13 @@ def _write_recruitment(path, rows, days=30.0):
                          "--target", "10"], "horizon 1024 leaves double precision"),
     (OVERFLOWING_TREND, ["--mode", "trend", "--transform", "identity", "--link", "log",
                          "--horizon", "2000"], "horizon 2000 leaves double precision"),
+    (VANISHING_TREND, ["--mode", "trend", "--transform", "root", "--link", "log"],
+     "leaves double precision"),
     (BOUNDARY_TREND, ["--mode", "window", "--link", "identity", "--target", "600"],
      "on the boundary, at a fitted rate of 0, where no Wald covariance holds; "
      "a log-link trend stays positive (--link log)"),
-], ids=["negative_log", "negative_root", "overflow_window", "overflow_trend", "boundary"])
+], ids=["negative_log", "negative_root", "overflow_window", "overflow_trend",
+        "vanishing_trend", "boundary"])
 def test_recruit_trend_faults_are_one_line_fit_errors(tmp_path, rows, flags, message):
     path = tmp_path / "recruit.csv"
     _write_recruitment(path, rows)
@@ -804,6 +809,8 @@ def test_recruit_trend_faults_are_one_line_fit_errors(tmp_path, rows, flags, mes
          transform="identity", horizon=18, target=10.0, level=0.95, schedule=False)
 @example(rows=OVERFLOWING_TREND, days=30.0, mode="trend", link="log",
          transform="identity", horizon=2000, target=10.0, level=0.95, schedule=False)
+@example(rows=VANISHING_TREND, days=30.0, mode="trend", link="log",
+         transform="root", horizon=18, target=10.0, level=0.95, schedule=False)
 def test_any_recruit_call_is_finite_json_or_a_typed_error(
         rows, days, mode, link, transform, horizon, target, level, schedule):
     """Any recruitment CSV, in any mode, link and transform, either exits 0

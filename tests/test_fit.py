@@ -465,3 +465,62 @@ def test_profile_ci_close_to_wald_large_n():
     wlo, whi = fr.ci_mu(0.95, se_kind="model", crit="z")
     assert lo == pytest.approx(wlo, rel=0.02)
     assert hi == pytest.approx(whi, rel=0.02)
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-9, 1e6])
+def test_profile_ci_is_scale_equivariant(c):
+    y = gamma_sample(20, seed=16)
+    base, scaled = fit_gamma_intercept(y), fit_gamma_intercept(c * y)
+    assert_allclose(profile_lr_ci(scaled, "mu", 0.95),
+                    c * np.array(profile_lr_ci(base, "mu", 0.95)), rtol=1e-12)
+    assert_allclose(profile_lr_ci(scaled, "k", 0.95), profile_lr_ci(base, "k", 0.95),
+                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("level", [-0.5, 1.0, 1.5, math.nan])
+def test_profile_ci_rejects_a_level_outside_0_1(level):
+    fr = fit_gamma_intercept(gamma_sample(20, seed=17))
+    for param in ("mu", "k"):
+        with pytest.raises(ValueError, match="level must be in"):
+            profile_lr_ci(fr, param, level)
+
+
+def _bracketed_reference(fr, param, level):
+    center = fr.mu_hat if param == "mu" else fr.k_hat
+    profile = fit._profile(fr.data[0], fr.mu_hat, fr.k_hat, param)
+    target = 2 * special.gammaincinv(0.5, level)
+    return [fit._bracketed_limit(profile, center, target, side) for side in (-1, 1)]
+
+
+def test_profile_ci_newton_matches_the_bracketed_path():
+    gen = np.random.default_rng(25)
+    for _ in range(200):
+        k = math.exp(gen.uniform(math.log(0.1), math.log(100.0)))
+        y = gen.gamma(k, math.exp(gen.uniform(-3, 3)) / k, size=int(gen.integers(3, 201)))
+        fr = fit_gamma_intercept(y)
+        for param in ("mu", "k"):
+            for level in (0.8, 0.95, 0.99):
+                assert_allclose(profile_lr_ci(fr, param, level),
+                                _bracketed_reference(fr, param, level), rtol=1e-9)
+
+
+def test_profile_ci_falls_back_to_brackets_near_level_0(monkeypatch):
+    fr = fit_gamma_intercept(gamma_sample(20, seed=18))
+    fallbacks = []
+    bracketed = fit._bracketed_limit
+    monkeypatch.setattr(fit, "_bracketed_limit",
+                        lambda *args: fallbacks.append(args) or bracketed(*args))
+    for param, center in (("mu", fr.mu_hat), ("k", fr.k_hat)):
+        lo, hi = profile_lr_ci(fr, param, 1e-6)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < center < hi
+    assert fallbacks
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_profile_ci_mu_takes_a_few_shape_solves(monkeypatch, seed):
+    fr = fit_gamma_intercept(gamma_sample(20, seed=seed, k=4))
+    calls = []
+    shape_from_s = fit._shape_from_s
+    monkeypatch.setattr(fit, "_shape_from_s", lambda s: calls.append(s) or shape_from_s(s))
+    profile_lr_ci(fr, "mu", 0.95)
+    assert len(calls) <= 6
