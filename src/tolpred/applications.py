@@ -192,13 +192,9 @@ class TrendFit:
     n_obs: int
     exposure_per_period: float = 1.0
 
-    def eta(self, l):
-        z = _transform(self.transform, self.transform_r)(l)
-        return self.coef[0] + self.coef[1] * z
-
     def mean_rate(self, l):
         """Fitted mean per exposure unit (rate) or mean interarrival time."""
-        eta = self.eta(l)
+        eta = self.coef[0] + self.coef[1] * _transform(self.transform, self.transform_r)(l)
         out = np.exp(eta) if self.link == "log" else eta
         bad = np.ravel(out) <= 0
         if bad.any():
@@ -207,12 +203,12 @@ class TrendFit:
                            f"a log-link trend stays positive (--link log)")
         return out
 
-    def _dmean_dbeta(self, l):
+    def _dmean_dbeta(self, l, mean):
+        """Gradient of ``mean = mean_rate(l)`` in the coefficients: d mean /
+        d eta is the mean itself on the log link and 1 on the identity link."""
         z = _transform(self.transform, self.transform_r)(l)
         X = np.column_stack([np.ones(np.size(z)), np.atleast_1d(z)])
-        eta = X @ self.coef
-        hp = np.exp(eta) if self.link == "log" else np.ones_like(eta)
-        return X * hp[:, None]
+        return X * mean[:, None] if self.link == "log" else X
 
 
 def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
@@ -296,9 +292,10 @@ def _sum_prediction(trend: TrendFit, periods, exposure: float,
     if periods.size == 0:
         raise ValueError("empty prediction range")
     with np.errstate(all="ignore"):
-        m = trend.mean_rate(periods) * exposure      # mean contribution per period
+        rate = trend.mean_rate(periods)
+        m = rate * exposure      # mean contribution per period
         total = np.sum(m)
-        grad = (trend._dmean_dbeta(periods) * exposure).sum(axis=0)
+        grad = (trend._dmean_dbeta(periods, rate) * exposure).sum(axis=0)
         # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
         spread = total if trend.kind == "rate" else np.sum(m ** 2)
         lower, upper = _pivot_limits(trend, total, grad, spread, level)
@@ -360,10 +357,11 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
     while True:
         l = np.arange(d + 1.0, d + h + 1.0)
         with np.errstate(all="ignore"):
-            total = np.cumsum(trend.mean_rate(l) * e)
+            rate = trend.mean_rate(l)
+            total = np.cumsum(rate * e)
             reached = total[-1] >= target_subjects
             if reached:     # the limits only once the mean reaches the target
-                grad = np.cumsum(trend._dmean_dbeta(l) * e, axis=0)
+                grad = np.cumsum(trend._dmean_dbeta(l, rate) * e, axis=0)
                 lower, upper = _pivot_limits(trend, total, grad, total, level)
         if not math.isfinite(total[-1]) or (reached and not math.isfinite(lower[-1])):
             raise _not_finite(h)

@@ -299,15 +299,11 @@ def cmd_survival(args) -> int:
         w = csv.writer(fh)
         w.writerow(["p", "quantile", "tol_lower", "tol_upper",
                     "pred_lower", "pred_upper"])
-        rows = []
-        for p in p_grid:
-            q = intervals._sum_quantile(fit, float(p), 1)
-            tol = applications.weibull_band_at(fit, float(p), level, "tolerance")
-            pred = applications.weibull_band_at(fit, float(p), level, "repeated",
-                                               events_future=m)
-            row = [p, q, tol.lower, tol.upper, pred.lower, pred.upper]
-            rows.append(row)
-            w.writerow([f"{v:.10g}" for v in row])
+        tol = applications.weibull_bands(fit, p_grid, level, "tolerance")
+        pred = applications.weibull_bands(fit, p_grid, level, "repeated", events_future=m)
+        rows = [[p, intervals._sum_quantile(fit, float(p), 1), t.lower, t.upper,
+                 r.lower, r.upper] for p, t, r in zip(p_grid, tol, pred)]
+        w.writerows([f"{v:.10g}" for v in row] for row in rows)
     km_path = out_dir / "survival_km.csv"
     with open(km_path, "w", newline="") as fh:
         w = csv.writer(fh)

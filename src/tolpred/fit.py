@@ -170,15 +170,11 @@ def gamma_shape_mle(y: np.ndarray):
     return _shape_from_s(s)
 
 
-def _gamma_loglik(y: np.ndarray, mu: float, k: float) -> float:
-    return float(
-        np.sum(
-            k * np.log(k / mu)
-            - special.gammaln(k)
-            + (k - 1) * np.log(y)
-            - k * y / mu
-        )
-    )
+def _gamma_g(s, k):
+    """g(s, k) = k log k - lgamma(k) - k (s + 1): a gamma sample's
+    log-likelihood per observation plus mean(log y), at shape k and
+    s = log(mu/ybar) + log(ybar) - mean(log y) + ybar/mu - 1."""
+    return k * np.log(k) - special.gammaln(k) - k * (s + 1.0)
 
 
 def fit_gamma_rows(y, link: str = "log"):
@@ -191,7 +187,8 @@ def fit_gamma_rows(y, link: str = "log"):
     GEE-independence form sqrt(sum((y-ybar)^2))/(n*ybar), and the SE of
     k_hat comes from the observed information n*(trigamma(k) - 1/k).  A row
     fits when log(ybar) > mean(log y) and every SE is finite and positive;
-    the fields of the other rows are meaningless.
+    the six per-row fields of the other rows are NaN, which every interval
+    constructor's input check lets through.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[1]
@@ -208,6 +205,8 @@ def fit_gamma_rows(y, link: str = "log"):
     se_k = 1.0 / np.sqrt(n * (special.zeta(2.0, k) - 1.0 / k))
     for se in (se_log_model, se_log_sand, se_k):
         ok &= (se > 0) & (se < np.inf)
+    ybar, k, se_log_model, se_log_sand, se_k = (
+        np.where(ok, v, np.nan) for v in (ybar, k, se_log_model, se_log_sand, se_k))
     fit = FitResult(
         family="gamma",
         link=link,
@@ -225,7 +224,9 @@ def fit_gamma_rows(y, link: str = "log"):
 
 def fit_gamma_intercept(data, link: str = "log") -> FitResult:
     """Intercept-only gamma fit of one sample: the one-row case of
-    :func:`fit_gamma_rows`, with its log-likelihood and data attached."""
+    :func:`fit_gamma_rows`, with its data and its log-likelihood attached:
+    n * (g(s, k_hat) - mean(log y)), g of :func:`_gamma_g` at
+    s = log(ybar) - mean(log y)."""
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise InsufficientDataError("need at least 2 observations")
@@ -237,7 +238,9 @@ def fit_gamma_intercept(data, link: str = "log") -> FitResult:
         rows, ok = fit_gamma_rows(y[None, :], link)
         row = {name: float(getattr(rows, name)[0]) for name in (
             "mu_hat", "k_hat", "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k")}
-        loglik = _gamma_loglik(y, row["mu_hat"], row["k_hat"])
+        mean_log = float(np.log(y).mean())
+        s = math.log(row["mu_hat"]) - mean_log
+        loglik = float(y.size * (_gamma_g(s, row["k_hat"]) - mean_log))
     if not (ok[0] and math.isfinite(loglik)):
         raise FitError("gamma fit is not finite: the shape, the mean, an SE or "
                        "the log-likelihood leaves the range of double precision")
@@ -330,7 +333,6 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
             se_g_mu_sandwich=se_log_sand if link == "log" else lam * se_log_sand,
             n_obs=n,
             exposure_total=float(e.sum()),
-            data=(tuple(x), tuple(e)),
         )
 
     # single-regressor GLM for the rate: mean count = exposure * h(b0 + b1*z)
@@ -367,7 +369,6 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
         exposure_total=float(e.sum()),
         coef=beta,
         cov_coef=cov,
-        data=(tuple(x), tuple(e), tuple(z)),
     )
 
 
@@ -403,7 +404,6 @@ def fit_binomial_logit(y, trt, continuity: bool = False) -> FitResult:
         se_g_mu_model=se,
         se_g_mu_sandwich=se,
         n_obs=y.size,
-        data=((a, b, c, d),),
     )
 
 
@@ -480,7 +480,6 @@ def fit_weibull_censored(data) -> FitResult:
         n_obs=t.size,
         loglik=ll,
         lam_hat=lam,
-        data=(tuple(t), tuple(ev)),
     )
 
 
@@ -533,18 +532,17 @@ def _profile(y, mu_hat: float, k_hat: float, param: str):
     n, ybar = y.size, y.mean()
     s_ybar = math.log(ybar) - np.log(y).mean()
     s_at = lambda mu: np.log(mu / ybar) + s_ybar + (ybar / mu - 1.0)
-    g = lambda s, k: k * np.log(k) - special.gammaln(k) - k * (s + 1.0)
     s_hat = s_at(mu_hat)
-    lmax = g(s_hat, k_hat)
+    lmax = _gamma_g(s_hat, k_hat)
 
     if param == "mu":
         def profile(mu):
             s = s_at(mu)
             k = _shape_from_s(s)
-            return 2.0 * n * (lmax - g(s, k)), 2.0 * n * k * (1.0 - ybar / mu)
+            return 2.0 * n * (lmax - _gamma_g(s, k)), 2.0 * n * k * (1.0 - ybar / mu)
     else:
         def profile(k):
-            return (2.0 * n * (lmax - g(s_hat, k)),
+            return (2.0 * n * (lmax - _gamma_g(s_hat, k)),
                     -2.0 * n * k * (np.log(k) - special.digamma(k) - s_hat))
     return profile
 

@@ -240,16 +240,23 @@ def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
     """The first n study-level interarrivals of the runs in ``runs`` (default:
     all of them) and the sum of the remaining N - n.  Per-trial site rates
     come from the run's block; fixed rates are ``fixed``, or
-    ``_fixed_rates(spec)`` when not given."""
+    ``_fixed_rates(spec)`` when not given.  A block draws its uniforms in
+    row slices of at most ``_CHUNK_VALUES`` values (at least one row), so
+    one draw holds at most max(``_CHUNK_VALUES``, N) doubles; PCG64 fills
+    rows in order, so the slices draw the stream one whole-block call would."""
     fixed = _fixed_rates(spec) if fixed is None else fixed
+    rows = max(1, _CHUNK_VALUES // spec.N)
 
     def block(gen):
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
-        total = lam.sum(axis=-1, keepdims=True)
-        gaps = gen.random((BLOCK, spec.N))
-        np.divide(np.log(gaps, out=gaps), -total, out=gaps)   # in place: -log(u) / total
-        return gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
+        total = np.broadcast_to(lam.sum(axis=-1, keepdims=True), (BLOCK, 1))
+        sample, rest = np.empty((BLOCK, spec.n)), np.empty(BLOCK)
+        for i in range(0, BLOCK, rows):
+            gaps = gen.random((min(rows, BLOCK - i), spec.N))
+            np.divide(np.log(gaps, out=gaps), -total[i:i + rows], out=gaps)   # -log(u) / total
+            sample[i:i + rows], rest[i:i + rows] = gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
+        return sample, rest
 
     return _draw_runs(spec, runs, block)
 

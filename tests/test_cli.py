@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import tolpred
 from tolpred import applications, curves, intervals
 from tolpred.cli import main
-from tolpred.fit import fit_binomial_logit, fit_gamma_intercept
-from tolpred.simlab import ScenarioSpec, emit_table, run_poisson_gamma
+from tolpred.fit import fit_binomial_logit, fit_gamma_intercept, fit_weibull_censored
+from tolpred.simlab import METHOD_ORDER, ScenarioSpec, emit_table, run_poisson_gamma
 
 
 @pytest.fixture
@@ -641,13 +641,14 @@ def test_simulate_budget_exceeded(tmp_path, capsys):
 def test_cell_without_a_usable_run_prints_no_nan(tmp_path, fmt):
     """Every run's fit fails (a mean of 1e-300 underflows the draws to 0):
     the cells print no coverage, no numpy warning is shown, and the budget
-    error still exits 4."""
+    error still exits 4.  The failed fits are NaN, so no method's input
+    check aborts the cell (the F pivot's did on a mean of 0)."""
     scen = scenario_file(tmp_path, n=2, k=1e-3, mu=1e-300, n_runs=50,
-                         methods=["eq1", "eq3", "eq4", "eq5", "plugin"])
+                         methods=list(METHOD_ORDER))
     code, out, err, caught = _call_quietly(["simulate", "--scenario", str(scen),
                                             "--format", fmt])
     assert (code, caught) == (4, [])
-    assert "nan" not in out.lower() and len(out.splitlines()) == 6
+    assert "nan" not in out.lower() and len(out.splitlines()) == 9
     assert err.count("\n") == 1 and err.startswith("simulation budget error:")
 
 
@@ -849,6 +850,14 @@ def test_survival_outputs(tmp_path, capsys, survival_csv):
     # prediction band anticipates re-estimation noise: contains tolerance band
     assert np.all(arr[:, 4] <= arr[:, 2]) and np.all(arr[:, 3] <= arr[:, 5])
     assert np.all((arr[:, 2] < arr[:, 1]) & (arr[:, 1] < arr[:, 3]))
+    # the rows are the library's bands, formatted as the CLI formats them
+    fr = fit_weibull_censored(applications.load_survival_csv(survival_csv))
+    p_grid = arr[:, 0]
+    tol = applications.weibull_bands(fr, p_grid, 0.95, "tolerance")
+    pred = applications.weibull_bands(fr, p_grid, 0.95, "repeated", events_future=50)
+    assert lines[1:] == [",".join(f"{v:.10g}" for v in (
+        p, intervals._sum_quantile(fr, float(p), 1), t.lower, t.upper, r.lower, r.upper))
+        for p, t, r in zip(p_grid, tol, pred)]
     km = (out_dir / "survival_km.csv").read_text().splitlines()
     assert km[0] == "time,survival"
     assert (out_dir / "survival.svg").read_text().startswith("<svg")

@@ -110,16 +110,28 @@ def test_gamma_rows_are_the_scalar_fits(link):
             assert rf.se_g_mu_sandwich[i] == (sand if link == "log" else row.mean() * sand)
         if rows < 3:
             continue
-        # a constant row and one whose spread underflows are masked; the
+        # a constant row, one whose draws underflowed to 0 and one whose
+        # spread underflows are masked and NaN in every per-row field; the
         # other rows of the same array fit as before
         bad = y.copy()
-        bad[0] = 2.5
+        bad[0], bad[1] = 2.5, 0.0
         bad[-1] = np.linspace(1e-320, 3e-310, n)
         with np.errstate(all="ignore"):
             rf2, ok2 = fit.fit_gamma_rows(bad, link)
-        assert not ok2[0] and not ok2[-1] and ok2[1:-1].all()
+        assert not ok2[[0, 1, -1]].any() and ok2[2:-1].all()
         for name in ROW_ARRAYS:
-            assert np.array_equal(getattr(rf2, name)[1:-1], getattr(rf, name)[1:-1])
+            assert np.isnan(getattr(rf2, name)[[0, 1, -1]]).all(), name
+            assert np.array_equal(getattr(rf2, name)[2:-1], getattr(rf, name)[2:-1])
+
+
+def test_gamma_loglik_is_the_summed_log_density():
+    gen = np.random.default_rng(23)
+    for _ in range(200):
+        k, mu = 10 ** gen.uniform(-1.5, 2.5), 10 ** gen.uniform(-5, 5)
+        fr = fit_gamma_intercept(gen.gamma(k, mu / k, size=int(gen.integers(2, 501))))
+        y = np.asarray(fr.data[0])
+        want = stats.gamma(fr.k_hat, scale=fr.mu_hat / fr.k_hat).logpdf(y).sum()
+        assert fr.loglik == pytest.approx(want, rel=1e-10)
 
 
 def test_gamma_shape_mle_score_solved():

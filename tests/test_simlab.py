@@ -10,7 +10,7 @@ from scipy import stats
 
 from tolpred import dist, intervals, simlab
 from tolpred.fit import fit_gamma_intercept, fit_gamma_rows
-from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table,
+from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table, run_coverage,
                             run_gamma_coverage, run_poisson_gamma)
 
 
@@ -432,6 +432,50 @@ def test_cell_memory_does_not_grow_with_runs():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("fixed_rates", [False, True])
+def test_site_draw_memory_does_not_grow_with_N(fixed_rates):
+    # one whole (BLOCK, N) draw of uniforms held about 39 MiB here
+    spec = site_spec(N=5000, n_runs=simlab.BLOCK, fixed_rates=fixed_rates)
+    fixed = simlab._fixed_rates(spec)
+    tracemalloc.start()
+    try:
+        simlab._draw_site_runs(spec, fixed=fixed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+# the (covered, usable) runs of each method and level of three cells at
+# seed 1, in the cells' order: any change that moves one run of a cell, in
+# its draw, its fit or its endpoints, moves a count
+PINNED_COUNTS = {
+    "gamma": [(2378, 3000), (2827, 3000), (2601, 3000), (2926, 3000), (2329, 3000),
+              (2789, 3000), (719, 3000), (1094, 3000), (2376, 3000), (2816, 3000),
+              (2387, 3000), (2824, 3000), (2410, 3000), (2839, 3000), (2968, 3000),
+              (3000, 3000)],
+    "sites": [(2339, 3000), (2816, 3000), (2561, 3000), (2915, 3000), (2311, 3000),
+              (2769, 3000), (2362, 3000), (2829, 3000), (730, 3000), (1096, 3000)],
+    "sites_fixed_rates": [(2364, 3000), (2828, 3000), (2602, 3000), (2919, 3000),
+                          (2324, 3000), (2788, 3000), (2417, 3000), (2829, 3000),
+                          (755, 3000), (1105, 3000)],
+}
+
+
+@pytest.mark.parametrize("name, spec, methods", [
+    ("gamma", gamma_spec, simlab.METHOD_ORDER),
+    ("sites", site_spec, simlab.PREDICTION_METHODS),
+    ("sites_fixed_rates", lambda **kw: site_spec(fixed_rates=True, **kw),
+     simlab.PREDICTION_METHODS),
+], ids=["gamma", "sites", "sites_fixed_rates"])
+def test_no_run_of_a_pinned_cell_moves(name, spec, methods):
+    spec = spec(methods=methods, levels=(0.8, 0.95), n_runs=3000, seed=1)
+    cells = run_coverage(spec).cells
+    assert [(c.method, c.level) for c in cells] == [
+        (m, level) for m in spec.methods for level in spec.levels]
+    assert [(round(c.observed * c.n_runs), c.n_runs) for c in cells] == PINNED_COUNTS[name]
 
 
 # ---------------------------------------------------------------------------
