@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
     else:
         sys.stdout.write(text)
     if report.failure_flagged:
-        raise BudgetError("more than 0.1% of runs failed to fit")
+        raise BudgetError("more than 0.1% of runs failed to fit or had no usable interval")
     return EXIT_OK
 
 

@@ -2,9 +2,13 @@
 used by the interval constructors, the noncentral t, and the two-sided
 critical values of the normal and Student-t pivots.
 
-The kernel is ``scipy.special``: each cdf and quantile is the ufunc that
-SciPy's distribution objects evaluate, on the same arguments, so results
-are theirs bit for bit without loading SciPy's statistics package.
+The kernel is ``scipy.special``: each family's row in ``_KERNEL`` holds its
+parameter domain, its cdf and quantile (the ufuncs SciPy's distribution
+objects evaluate, on the same arguments) and its sampler, so results are
+SciPy's bit for bit without loading its statistics package.  Two exceptions:
+SciPy evaluates the binomial cdf with boost, which differs from ``bdtr`` by
+up to a few 1e-12 relative, and the noncentral t at nc = 0 is the central t,
+whose quantile differs from ``nctdtrit``'s in the last few bits.
 
 All functions are pure; randomness is isolated in :class:`RngStream`, a value
 object whose (seed, stream_id) pair fully determines the draws.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import (bdtr, bdtrik, chdtr, expm1, fdtr, fdtri, gammainc,
@@ -52,36 +57,60 @@ def _discrete(cdf_at, inverse):
     return cdf_, quantile_
 
 
-# family -> (cdf(x, params), quantile(q, params)); the families on [0, inf)
-# see x clipped at 0, where their cdf is 0
+class _Row(NamedTuple):
+    """A family's kernel row: whether its params lie in the domain, its
+    cdf(x, params) and quantile(q, params), and its native sampler
+    draw(gen, params, count), or None to draw by inverting the uniforms."""
+
+    domain: Callable
+    cdf: Callable
+    quantile: Callable
+    draw: Callable | None = None
+
+
+def _positive(*names):
+    return lambda p: all(p[name] > 0 for name in names)
+
+
+# the families on [0, inf) see x clipped at 0, where their cdf is 0; the
+# noncentral t is exactly the central t at nc = 0
 _KERNEL = {
-    "normal": (lambda x, p: ndtr((x - p["mean"]) / p["sd"]),
-               lambda q, p: ndtri(q) * p["sd"] + p["mean"]),
-    "student_t": (lambda x, p: stdtr(p["df"], x), lambda q, p: stdtrit(p["df"], q)),
-    "noncentral_t": (lambda x, p: nctdtr(p["df"], p["nc"], x),
-                     lambda q, p: nctdtrit(p["df"], p["nc"], q)),
-    "chi_square": (lambda x, p: chdtr(p["df"], np.maximum(x, 0.0)),
-                   lambda q, p: 2 * gammaincinv(p["df"] / 2, q)),
-    "f": (lambda x, p: fdtr(p["df1"], p["df2"], np.maximum(x, 0.0)),
-          lambda q, p: fdtri(p["df1"], p["df2"], q)),
-    "gamma": (lambda x, p: gammainc(p["shape"], np.maximum(x, 0.0) / p["scale"]),
-              lambda q, p: gammaincinv(p["shape"], q) * p["scale"]),
-    "exponential": (lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["mean"])),
-                    lambda q, p: -log1p(-q) * p["mean"]),
-    "poisson": _discrete(lambda k, p: pdtr(k, p["lam"]),
-                         lambda q, p: pdtrik(q, p["lam"])),
+    "normal": _Row(_positive("sd"), lambda x, p: ndtr((x - p["mean"]) / p["sd"]),
+                   lambda q, p: ndtri(q) * p["sd"] + p["mean"],
+                   lambda gen, p, m: gen.normal(p["mean"], p["sd"], size=m)),
+    "student_t": _Row(_positive("df"), lambda x, p: stdtr(p["df"], x),
+                      lambda q, p: stdtrit(p["df"], q)),
+    "noncentral_t": _Row(
+        lambda p: p["df"] > 0 and math.isfinite(p["nc"]),
+        lambda x, p: stdtr(p["df"], x) if p["nc"] == 0 else nctdtr(p["df"], p["nc"], x),
+        lambda q, p: stdtrit(p["df"], q) if p["nc"] == 0 else nctdtrit(p["df"], p["nc"], q)),
+    "chi_square": _Row(_positive("df"), lambda x, p: chdtr(p["df"], np.maximum(x, 0.0)),
+                       lambda q, p: 2 * gammaincinv(p["df"] / 2, q)),
+    "f": _Row(_positive("df1", "df2"), lambda x, p: fdtr(p["df1"], p["df2"], np.maximum(x, 0.0)),
+              lambda q, p: fdtri(p["df1"], p["df2"], q)),
+    "gamma": _Row(_positive("shape", "scale"),
+                  lambda x, p: gammainc(p["shape"], np.maximum(x, 0.0) / p["scale"]),
+                  lambda q, p: gammaincinv(p["shape"], q) * p["scale"],
+                  lambda gen, p, m: gen.gamma(p["shape"], p["scale"], size=m)),
+    # drawn by inversion, -mean*log(U), so the draws line up with the uniforms
+    "exponential": _Row(_positive("mean"), lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["mean"])),
+                        lambda q, p: -log1p(-q) * p["mean"],
+                        lambda gen, p, m: -p["mean"] * np.log(gen.random(m))),
+    "poisson": _Row(_positive("lam"), *_discrete(lambda k, p: pdtr(k, p["lam"]),
+                                                 lambda q, p: pdtrik(q, p["lam"])),
+                    lambda gen, p, m: gen.poisson(p["lam"], size=m).astype(float)),
     # bdtrik is NaN at p=0, where all the mass sits at 0
-    "binomial": _discrete(lambda k, p: bdtr(np.minimum(k, p["n"]), int(p["n"]), p["p"]),
-                          lambda q, p: np.nan_to_num(bdtrik(q, int(p["n"]), p["p"]))),
-    "weibull": (lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["scale"]) ** p["shape"]),
-                lambda q, p: (-log1p(-q)) ** (1.0 / p["shape"]) * p["scale"]),
+    "binomial": _Row(
+        lambda p: int(p["n"]) == p["n"] and p["n"] >= 1 and 0.0 <= p["p"] <= 1.0,
+        *_discrete(lambda k, p: bdtr(np.minimum(k, p["n"]), int(p["n"]), p["p"]),
+                   lambda q, p: np.nan_to_num(bdtrik(q, int(p["n"]), p["p"]))),
+        lambda gen, p, m: gen.binomial(int(p["n"]), p["p"], size=m).astype(float)),
+    "weibull": _Row(_positive("shape", "scale"),
+                    lambda x, p: -expm1(-(np.maximum(x, 0.0) / p["scale"]) ** p["shape"]),
+                    lambda q, p: (-log1p(-q)) ** (1.0 / p["shape"]) * p["scale"],
+                    lambda gen, p, m: p["scale"] * gen.weibull(p["shape"], size=m)),
 }
 FAMILIES = tuple(_KERNEL)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterDomainError(msg)
 
 
 @dataclass(frozen=True)
@@ -99,31 +128,10 @@ class DistSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require(self.family in FAMILIES, f"unknown family {self.family!r}")
-        p = self.params
-        fam = self.family
-        if fam == "normal":
-            _require(p["sd"] > 0, "normal sd must be > 0")
-        elif fam == "student_t":
-            _require(p["df"] > 0, "t df must be > 0")
-        elif fam == "noncentral_t":
-            _require(p["df"] > 0, "noncentral t df must be > 0")
-            _require(math.isfinite(p["nc"]), "noncentrality must be finite")
-        elif fam == "chi_square":
-            _require(p["df"] > 0, "chi-square df must be > 0")
-        elif fam == "f":
-            _require(p["df1"] > 0 and p["df2"] > 0, "F df must be > 0")
-        elif fam == "gamma":
-            _require(p["shape"] > 0 and p["scale"] > 0, "gamma shape/scale must be > 0")
-        elif fam == "exponential":
-            _require(p["mean"] > 0, "exponential mean must be > 0")
-        elif fam == "poisson":
-            _require(p["lam"] > 0, "poisson rate must be > 0")
-        elif fam == "binomial":
-            _require(int(p["n"]) == p["n"] and p["n"] >= 1, "binomial n must be integer >= 1")
-            _require(0.0 <= p["p"] <= 1.0, "binomial p must be in [0,1]")
-        elif fam == "weibull":
-            _require(p["shape"] > 0 and p["scale"] > 0, "weibull shape/scale must be > 0")
+        if self.family not in _KERNEL:
+            raise ParameterDomainError(f"unknown family {self.family!r}")
+        if not _KERNEL[self.family].domain(self.params):
+            raise ParameterDomainError(f"{self.family} params {self.params} are out of domain")
 
 
 # convenience constructors
@@ -150,7 +158,7 @@ def weibull(shape: float, scale: float) -> DistSpec:
 
 def cdf(spec: DistSpec, x) -> float | np.ndarray:
     """Cumulative distribution function, vectorized over ``x``."""
-    return _KERNEL[spec.family][0](np.asarray(x, dtype=float), spec.params)
+    return _KERNEL[spec.family].cdf(np.asarray(x, dtype=float), spec.params)
 
 
 def quantile(spec: DistSpec, p) -> float | np.ndarray:
@@ -158,7 +166,7 @@ def quantile(spec: DistSpec, p) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ParameterDomainError("quantile probability must be in (0,1)")
-    out = _KERNEL[spec.family][1](p, spec.params)
+    out = _KERNEL[spec.family].quantile(p, spec.params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -198,48 +206,28 @@ class RngStream:
 def sample(spec: DistSpec, rng: RngStream, count: int) -> np.ndarray:
     """Draw ``count`` variates; identical (seed, stream_id) reproduce draws.
 
-    Exponential draws use inversion (-mean*log(U)) so they line up with the
-    stream's uniforms; other families use the generator's native samplers.
+    Each family draws with its kernel row's sampler, or by inversion of the
+    stream's uniforms where the row has none.
     """
     if count < 0:
         raise ParameterDomainError("count must be >= 0")
     if count == 0:
         return np.empty(0)
     gen = rng.generator()
-    p = spec.params
-    fam = spec.family
-    if fam == "exponential":
-        return -p["mean"] * np.log(gen.random(count))
-    if fam == "gamma":
-        return gen.gamma(p["shape"], p["scale"], size=count)
-    if fam == "normal":
-        return gen.normal(p["mean"], p["sd"], size=count)
-    if fam == "poisson":
-        return gen.poisson(p["lam"], size=count).astype(float)
-    if fam == "binomial":
-        return gen.binomial(int(p["n"]), p["p"], size=count).astype(float)
-    if fam == "weibull":
-        return p["scale"] * gen.weibull(p["shape"], size=count)
-    # remaining families via inversion of uniforms
-    return np.asarray(quantile(spec, gen.random(count)))
+    draw = _KERNEL[spec.family].draw
+    if draw is None:
+        return np.asarray(quantile(spec, gen.random(count)))
+    return draw(gen, spec.params, count)
 
 
 def noncentral_t_cdf(x, df: float, nc: float) -> float | np.ndarray:
     """Noncentral-t cdf; reduces exactly to the central t at nc=0."""
-    if df <= 0:
-        raise ParameterDomainError("df must be > 0")
-    return stdtr(df, x) if nc == 0.0 else nctdtr(df, nc, x)
+    return cdf(DistSpec("noncentral_t", {"df": df, "nc": nc}), x)
 
 
 def noncentral_t_quantile(p, df: float, nc: float) -> float | np.ndarray:
     """Inverse of :func:`noncentral_t_cdf`."""
-    if df <= 0:
-        raise ParameterDomainError("df must be > 0")
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ParameterDomainError("probability must be in (0,1)")
-    out = stdtrit(df, p) if nc == 0.0 else nctdtrit(df, nc, p)
-    return float(out) if out.ndim == 0 else out
+    return quantile(DistSpec("noncentral_t", {"df": df, "nc": nc}), p)
 
 
 def critical_value(level: float, crit: str = "z", df: float | None = None) -> float:

@@ -503,16 +503,10 @@ def km_estimator(data) -> KaplanMeier:
         raise InsufficientDataError("empty survival sample")
     t = np.array([s.time for s in data], dtype=float)
     ev = np.array([bool(s.event) for s in data])
-    order = np.argsort(t, kind="stable")
-    t, ev = t[order], ev[order]
-    event_times = np.unique(t[ev])
-    surv, s = [], 1.0
-    for et in event_times:
-        at_risk = float(np.sum(t >= et))
-        d = float(np.sum((t == et) & ev))
-        s *= 1.0 - d / at_risk
-        surv.append(s)
-    return KaplanMeier(event_times, np.asarray(surv))
+    event_times, d = np.unique(t[ev], return_counts=True)
+    # subjects still at risk at each event time: those with t >= it
+    at_risk = t.size - np.searchsorted(np.sort(t), event_times, side="left")
+    return KaplanMeier(event_times, np.cumprod(1.0 - d / at_risk))
 
 
 def _profile(y, mu_hat: float, k_hat: float, param: str):

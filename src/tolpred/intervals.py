@@ -313,23 +313,28 @@ def predict_sum_link(fit: FitResult, target: PredictionTarget, level: float,
 _PLUGCI = ("gamma", "quasipoisson")
 
 
-def _check_mean_limits(mu_lower, mu_upper) -> None:
-    """Reject mean limits out of order, or a lower mean limit <= 0, which an
-    identity-link Wald interval can reach: no sum distribution has a mean
-    <= 0, so no plug-in quantile exists there."""
+def _check_mean_limits(mu_lower, mu_upper):
+    """The lower mean limit, checked.  Limits out of order raise.  No sum
+    distribution has a mean <= 0, so no plug-in quantile exists at a lower
+    mean limit <= 0, which an identity-link Wald interval can reach and a
+    log-link one underflow to: a scalar one raises, and the runs of per-run
+    limits that have one get a NaN limit, so their interval is unusable."""
     if _any(mu_lower > mu_upper):
         raise ValueError("mu CI out of order")
-    if _any(mu_lower <= 0):
+    if np.ndim(mu_lower):
+        return np.where(mu_lower > 0, mu_lower, np.nan)
+    if mu_lower <= 0:
         raise UnsupportedTargetError(
-            f"the lower mean limit {np.nanmin(mu_lower):.6g} is <= 0, where the sum "
+            f"the lower mean limit {mu_lower:.6g} is <= 0, where the sum "
             "distribution is undefined; the log link keeps every mean limit positive")
+    return mu_lower
 
 
 def _plugci_sum(fit: FitResult, mu_lo, mu_hi, n_future: float,
                 level: float) -> IntervalEstimate:
     """CI-plug-in prediction: the alpha/2 and 1-alpha/2 quantiles of the sum
     distribution at the lower and upper mean limits."""
-    _check_mean_limits(mu_lo, mu_hi)
+    mu_lo = _check_mean_limits(mu_lo, mu_hi)
     alpha = 1 - level
     return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
                             _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
@@ -531,7 +536,7 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
     if mu_ci is None:
         mu_ci = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo, mu_hi = mu_ci
-    _check_mean_limits(mu_lo, mu_hi)
+    mu_lo = _check_mean_limits(mu_lo, mu_hi)
     if k_lower is None:
         c = critical_value(level, crit, fit.n_obs - 1)
         k_lower = link_limit(fit.k_hat, -c * fit.se_k / fit.k_hat, "log")

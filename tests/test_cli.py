@@ -17,7 +17,8 @@ import tolpred
 from tolpred import applications, curves, intervals
 from tolpred.cli import main
 from tolpred.fit import fit_binomial_logit, fit_gamma_intercept, fit_weibull_censored
-from tolpred.simlab import METHOD_ORDER, ScenarioSpec, emit_table, run_poisson_gamma
+from tolpred.simlab import (METHOD_ORDER, PREDICTION_METHODS, ScenarioSpec, emit_table,
+                            run_poisson_gamma)
 
 
 @pytest.fixture
@@ -134,6 +135,17 @@ def test_unknown_config_key(capsys, tmp_path, gamma_csv):
     cfg.write_text(json.dumps({"family": "gamma", "input": str(path),
                                "bootstrap": True}))
     assert main(["fit", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("text", ['["--family", "gamma"]', '{"level": {"value": 0.9}}'],
+                         ids=["array", "object_value"])
+def test_config_that_stands_for_no_flags_is_one_line_config_error(tmp_path, gamma_csv, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err, caught = _call_quietly(
+        ["predict", "--family", "gamma", "--input", str(gamma_csv[0]), "--config", str(cfg)])
+    assert (code, out, caught) == (1, "", [])
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
 
 
 def test_near_equal_sample_is_one_line_fit_error(tmp_path):
@@ -700,6 +712,46 @@ def test_simulate_runs_the_site_process(tmp_path, capsys, fixed_rates):
     code, out = run(capsys, "simulate", "--scenario", str(scen), "--format", "csv")
     spec = ScenarioSpec.from_json(str(scen))
     assert code == 0 and out == emit_table(run_poisson_gamma(spec), "csv")
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario of either data process, small enough to run quickly:
+    at most 300 runs and N at most n + 2000."""
+    sites = draw(st.booleans())
+    n = draw(st.integers(2, 40))
+    pool = PREDICTION_METHODS if sites else METHOD_ORDER
+    scenario = dict(
+        data_process="poisson_gamma_sites" if sites else "gamma_fixed",
+        n=n, N=n + draw(st.integers(1, 2000)),
+        methods=draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)),
+        levels=draw(st.lists(st.floats(0.5, 0.9999), min_size=1, max_size=3)),
+        content_p=draw(st.floats(0.05, 0.95)), n_runs=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 10 ** 6)))
+    if sites:
+        scenario.update(alpha=draw(st.floats(0.1, 20.0)), beta=draw(st.floats(1e-3, 1.0)),
+                        n_sites=draw(st.integers(1, 30)), fixed_rates=draw(st.booleans()))
+    else:
+        scenario.update(k=draw(st.floats(0.01, 100.0)), mu=draw(st.floats(1e-3, 1e3)))
+    return scenario
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=scenarios())
+# a run that fits, whose lower eq2/eq5 mean limit mu_hat*exp(-t*se) underflows
+# to 0 (t on 1 df at 0.999 is 637): the run is unusable, the cell goes on
+@example(scenario=dict(data_process="gamma_fixed", n=2, N=300, k=0.05, mu=0.001,
+                       methods=["eq2", "eq5"], levels=[0.999], n_runs=200, seed=1))
+def test_any_simulate_call_prints_coverage_or_a_budget_error(scenario):
+    """Any valid scenario exits 0 with no nan in its table, or exits 4 with
+    one line on stderr, and never warns."""
+    code, out, err, caught = _call_quietly(["simulate", "--scenario", json.dumps(scenario)])
+    assert caught == []
+    if code == 0:
+        assert "nan" not in out.lower() and err == ""
+    else:
+        assert code == 4 and err.count("\n") == 1
+        assert err.startswith("simulation budget error:")
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,15 @@ def test_crossings_in_a_segment_that_reaches_H_one():
     assert 1 < lo < hi < 1e6
 
 
+def test_crossings_outside_the_grid_clamp_to_its_ends():
+    # H < 0.025 on the first grid, so both crossings clamp to its last node;
+    # H is about 1 on the second, so both clamp to its first
+    fr = fit_gamma_intercept(dist.sample(dist.gamma(4.0, 0.625), RngStream(8), 20))
+    assert build_curve(fr, "link_pivot", 280, grid=[40, 50, 60]).interval_at(0.95) == (60, 60)
+    high = build_curve(fr, "link_pivot", 280, grid=[1e4, 1e5, 1e6])
+    assert high.H[0] > 0.975 and high.interval_at(0.95) == (1e4, 1e4)
+
+
 def test_curve_level_nesting():
     fr = gamma_fit(seed=4)
     table = build_curve(fr, "link_pivot", 280)

@@ -140,6 +140,67 @@ def test_kernel_equals_scipy_stats(spec):
     assert_array_equal(dist.cdf(spec, x), ref.cdf(x))
 
 
+DISCRETE_SPECS = [
+    DistSpec("poisson", {"lam": 3.7}),
+    DistSpec("binomial", {"n": 12, "p": 0.3}),
+]
+
+
+@pytest.mark.parametrize("spec", DISCRETE_SPECS, ids=lambda s: s.family)
+def test_discrete_kernel_equals_scipy_stats(spec):
+    # the quantile is scipy's exactly; so is the poisson cdf, while SciPy
+    # evaluates the binomial cdf with boost, which differs from bdtr by up
+    # to a few 1e-12 relative
+    p = spec.params
+    ref = (stats.poisson(p["lam"]) if spec.family == "poisson"
+           else stats.binom(p["n"], p["p"]))
+    prob = np.arange(0.01, 1.0, 0.01)
+    q = dist.quantile(spec, prob)
+    assert_array_equal(q, ref.ppf(prob))
+    # integers, points between them, and points below the support
+    x = np.concatenate([np.arange(0.0, 31.0), np.arange(0.5, 31.0), [-1.0, -0.5]])
+    got, want = dist.cdf(spec, x), ref.cdf(x)
+    if spec.family == "poisson":
+        assert_array_equal(got, want)
+    else:
+        assert_allclose(got, want, rtol=5e-12, atol=0)
+    assert dist.cdf(spec, 2.5) == dist.cdf(spec, 2.0)
+
+
+def _native_draws(spec, gen, count):
+    """The documented draws of ``sample``: the generator's own sampler for
+    normal, gamma, poisson, binomial and weibull, -mean*log(U) for the
+    exponential, and the quantile of the stream's uniforms otherwise."""
+    p = spec.params
+    native = {
+        "normal": lambda: gen.normal(p["mean"], p["sd"], size=count),
+        "gamma": lambda: gen.gamma(p["shape"], p["scale"], size=count),
+        "poisson": lambda: gen.poisson(p["lam"], size=count).astype(float),
+        "binomial": lambda: gen.binomial(p["n"], p["p"], size=count).astype(float),
+        "weibull": lambda: p["scale"] * gen.weibull(p["shape"], size=count),
+        "exponential": lambda: -p["mean"] * np.log(gen.random(count)),
+    }.get(spec.family, lambda: dist.quantile(spec, gen.random(count)))
+    return native()
+
+
+@pytest.mark.parametrize("spec", CONTINUOUS_SPECS + DISCRETE_SPECS,
+                         ids=lambda s: s.family)
+def test_every_family_samples_its_documented_draws(spec):
+    draws = dist.sample(spec, RngStream(3, 2), 1000)
+    assert_array_equal(draws, dist.sample(spec, RngStream(3, 2), 1000))
+    assert_array_equal(draws, _native_draws(spec, RngStream(3, 2).generator(), 1000))
+    assert draws.dtype == np.float64
+
+
+def test_every_family_is_sampled():
+    assert {s.family for s in CONTINUOUS_SPECS + DISCRETE_SPECS} == set(dist.FAMILIES)
+
+
+def test_negative_sample_count_rejected():
+    with pytest.raises(ParameterDomainError):
+        dist.sample(dist.normal(0.0, 1.0), RngStream(1), -1)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(tolpred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -202,6 +263,13 @@ def test_noncentral_t_quantile_roundtrip():
 def test_noncentral_t_domain():
     with pytest.raises(ParameterDomainError):
         dist.noncentral_t_cdf(0.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("nc", [math.inf, -math.inf, math.nan])
+def test_noncentral_t_rejects_a_non_finite_noncentrality(nc):
+    for helper in (dist.noncentral_t_cdf, dist.noncentral_t_quantile):
+        with pytest.raises(ParameterDomainError):
+            helper(0.5, 5.0, nc)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,38 @@ def test_km_hand_computed_fixture():
     assert km(5.0) == pytest.approx(5 / 6 * 3 / 4 * 2 / 3)
 
 
+def test_km_hand_computed_tied_events():
+    # two events at 1 (of 6 at risk), one at 3 (of 3 at risk), and at 4 one
+    # event and one censoring (of 2 at risk); censored at 2
+    data = [SurvivalSample(1.0, True), SurvivalSample(2.0, False),
+            SurvivalSample(1.0, True), SurvivalSample(4.0, False),
+            SurvivalSample(3.0, True), SurvivalSample(4.0, True)]
+    km = km_estimator(data)
+    assert_allclose(km.times, [1.0, 3.0, 4.0], rtol=0)
+    assert km(1.0) == pytest.approx(4 / 6)
+    assert km(2.5) == pytest.approx(4 / 6)
+    assert km(3.0) == pytest.approx(4 / 6 * 2 / 3)
+    assert km(4.0) == pytest.approx(4 / 6 * 2 / 3 * 1 / 2)
+
+
+def test_km_equals_the_product_limit_loop():
+    # the loop the one-pass estimator replaced, as the reference: rounded
+    # times give tied events and censorings; the arithmetic is the same,
+    # so the survival values are equal, not close
+    gen = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(gen.integers(1, 60))
+        t = np.round(gen.exponential(5.0, n), 1) + 1.0
+        ev = gen.random(n) < 0.6
+        km = km_estimator([SurvivalSample(float(a), bool(b)) for a, b in zip(t, ev)])
+        times, surv, s = np.unique(t[ev]), [], 1.0
+        for et in times:
+            s *= 1.0 - float(np.sum((t == et) & ev)) / float(np.sum(t >= et))
+            surv.append(s)
+        np.testing.assert_array_equal(km.times, times)
+        np.testing.assert_array_equal(km.survival, np.asarray(surv, dtype=float))
+
+
 def test_km_empty():
     with pytest.raises(InsufficientDataError):
         km_estimator([])

@@ -124,6 +124,15 @@ def test_normal_one_sided_tolerance():
     assert iv.upper > stats.norm.ppf(0.9)
 
 
+def test_normal_one_sided_lower_tolerance_mirrors_the_upper():
+    upper = normal_exact_tolerance(10.0, 2.0, 25, 0.9, 0.95, sided="upper")
+    lower = normal_exact_tolerance(10.0, 2.0, 25, 0.9, 0.95, sided="lower")
+    assert lower.upper == math.inf and lower.target == "population_percentile"
+    assert 10.0 - lower.lower == pytest.approx(upper.upper - 10.0, rel=1e-14)
+    # the tabulated one-sided factor for n 25, p 0.9 at 95% confidence
+    assert (10.0 - lower.lower) / 2.0 == pytest.approx(1.838, abs=5e-4)
+
+
 def test_normal_approx_wider_than_exact():
     # algebraic identity behind the conservativeness claim
     for n in (1, 2, 5, 20, 100, 10 ** 6):
