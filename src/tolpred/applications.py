@@ -1,8 +1,8 @@
 """Application drivers.
 
-Recruitment forecasting with staggered sites and time-varying rates,
-Weibull time-on-treatment bands with a Kaplan-Meier overlay, and the
-phase-3 success adapter (thin wrappers over ``intervals`` and ``curves``).
+Recruitment forecasting with staggered sites and time-varying rates, and
+Weibull time-on-treatment bands, on the ``intervals`` formulas.  The
+phase-3 success confidence is ``curves.success_confidence``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ __all__ = [
     "solve_target_window",
     "weibull_band_at",
     "weibull_bands",
-    "combine_link_pivots",
     "site_dispersion_diagnostic",
-    "make_recruitment_fixture",
 ]
 
 
@@ -60,6 +58,16 @@ class RecruitmentSeries:
             raise ValueError("events and active_sites must be nonnegative")
         if np.any(np.asarray(self.exposure_days) <= 0):
             raise ValueError("exposure_days must be positive")
+        if (self.future_period is None) != (self.future_sites is None):
+            raise ValueError("a schedule needs both future periods and future sites")
+        if self.future_period is not None:
+            fut = np.asarray(self.future_period)
+            if np.shape(self.future_sites) != fut.shape:
+                raise ValueError("future periods and future sites differ in length")
+            if not np.array_equal(fut, np.arange(per.size + 1, per.size + fut.size + 1)):
+                raise ValueError(f"scheduled periods must be contiguous from {per.size + 1}")
+            if np.any(np.asarray(self.future_sites) < 0):
+                raise ValueError("scheduled active_sites must be nonnegative")
 
     @property
     def n_periods(self) -> int:
@@ -69,12 +77,10 @@ class RecruitmentSeries:
     def site_days(self) -> np.ndarray:
         return self.active_sites * self.exposure_days
 
-    def future_site_days(self, days_per_period: float | None = None) -> float:
+    def future_site_days(self) -> float:
         if self.future_sites is None:
             raise ValueError("no future schedule attached")
-        if days_per_period is None:
-            days_per_period = float(np.mean(self.exposure_days))
-        return float(np.sum(self.future_sites) * days_per_period)
+        return float(np.sum(self.future_sites) * np.mean(self.exposure_days))
 
 
 def _read_rows(path, columns):
@@ -348,8 +354,8 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
     fitted mean is not positive, and at the first doubled h whose total or
     lower limit is not finite.
     """
-    if target_subjects < 0:
-        raise ValueError("target must be nonnegative")
+    if not (math.isfinite(target_subjects) and target_subjects >= 0):
+        raise ValueError("target must be finite and nonnegative")
     if target_subjects == 0:
         return 0, (0, 0)
     d, e = trend.fit_window[1], trend.exposure_per_period
@@ -429,43 +435,3 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
 def weibull_bands(fit: FitResult, p_grid, level: float, band: str = "tolerance",
                   events_future: int | None = None) -> list[IntervalEstimate]:
     return [weibull_band_at(fit, p, level, band, events_future) for p in p_grid]
-
-
-# ---------------------------------------------------------------------------
-# generic pivot combination (e.g. enrollment + attrition)
-
-def combine_link_pivots(g_point1: float, se1: float, g_point2: float, se2: float,
-                        level: float, link: str = "log") -> IntervalEstimate:
-    """Combine two independent link-scale pivots by variance addition:
-    g^{-1}{ (g1 + g2) +/- z * sqrt(se1^2 + se2^2) }."""
-    if se1 < 0 or se2 < 0:
-        raise ValueError("standard errors must be nonnegative")
-    se = math.sqrt(se1 ** 2 + se2 ** 2)
-    c = critical_value(level)
-    center = g_point1 + g_point2
-    point = math.exp(center) if link == "log" else center
-    with np.errstate(over="ignore"):   # an infinite limit, as in the link pivot
-        return IntervalEstimate(link_limit(point, -c * se, link),
-                                link_limit(point, c * se, link), level,
-                                "combined_pivot", "future_sum")
-
-
-# ---------------------------------------------------------------------------
-# synthetic fixture
-
-def make_recruitment_fixture(seed: int = 38, n_periods: int = 31) -> RecruitmentSeries:
-    """31-month synthetic recruitment series with a ramp-up shaped like a
-    staggered multi-site study: mean monthly rate a*log(l)+b (increasing,
-    concave), sites opening over the first 10 months, Poisson counts with
-    mild extra dispersion.  Values are synthetic; only the shape matters.
-    """
-    gen = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    months = np.arange(1, n_periods + 1)
-    mean_rate = 5.0 * np.log(months) + 4.0
-    mult = gen.gamma(50.0, 1.0 / 50.0, size=n_periods)  # mild overdispersion
-    events = gen.poisson(mean_rate * mult).astype(float)
-    sites = np.minimum(months, 10) * 2
-    exposure = np.full(n_periods, 30.0)
-    future = np.arange(n_periods + 1, n_periods + 19)
-    return RecruitmentSeries(months, events, exposure, sites.astype(float),
-                             future, np.full(future.size, 20.0))

@@ -29,6 +29,11 @@ __all__ = [
     "ParameterDomainError",
     "DistSpec",
     "RngStream",
+    "normal",
+    "gamma",
+    "exponential",
+    "f_dist",
+    "weibull",
     "cdf",
     "quantile",
     "sample",

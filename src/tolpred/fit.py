@@ -110,12 +110,6 @@ class FitResult:
             raise FitError(f"no {kind} SE available for this fit")
         return se
 
-    def ci_g_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
-        """Wald CI for g{mu} on the link scale."""
-        half = critical_value(level, crit, self.n_obs - 1) * self.se_g_mu(se_kind)
-        g = np.log(self.mu_hat) if self.link == "log" else self.mu_hat
-        return g - half, g + half
-
     def mu_limit(self, z, se_kind: str = "sandwich"):
         """Wald limit g^{-1}(g(mu_hat) + z * se) of the mean, elementwise in z."""
         return link_limit(self.mu_hat, z * self.se_g_mu(se_kind), self.link)

@@ -47,8 +47,8 @@ __all__ = [
     "tolerance_delta",
     "tolerance_nct",
     "tolerance_plugci",
+    "kris_count_cdf",
     "predict_count_kris",
-    "predict_or",
     "predict_or_from",
     "Method",
     "METHODS",
@@ -591,12 +591,6 @@ def predict_or_from(log_or: float, se_log_or: float, n: int, m: int,
     ``predict_sum_link`` on the binomial-logit fit these summaries describe."""
     fit = FitResult("binomial_logit", "logit", log_or, n, se_g_mu_model=se_log_or)
     return predict_sum_link(fit, PredictionTarget(n, m), level, se_kind="model")
-
-
-def predict_or(fit2: FitResult, n: int, m: int, level: float) -> IntervalEstimate:
-    if fit2.family != "binomial_logit":
-        raise ValueError("odds-ratio prediction requires a binomial-logit fit")
-    return predict_or_from(fit2.mu_hat, fit2.se_g_mu("model"), n, m, level)
 
 
 # ---------------------------------------------------------------------------

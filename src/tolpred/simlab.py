@@ -42,6 +42,7 @@ __all__ = [
     "ScenarioSpec",
     "CoverageCell",
     "CoverageReport",
+    "Process",
     "PROCESSES",
     "run_coverage",
     "run_gamma_coverage",

@@ -11,6 +11,8 @@ from tolpred import intervals
 from tolpred.fit import (FitError, InsufficientDataError, SurvivalSample,
                          fit_gamma_intercept, fit_weibull_censored)
 
+from recruitment_fixture import make_recruitment_fixture
+
 
 def simple_series(**kw):
     base = dict(period=np.arange(1, 7), events=np.array([3., 5., 4., 6., 5., 7.]),
@@ -40,13 +42,23 @@ def test_series_validation():
         simple_series(exposure_days=np.zeros(6))
     with pytest.raises(ValueError):
         app.RecruitmentSeries(np.array([]), np.array([]), np.array([]), np.array([]))
+    # the schedule follows the observed rules, from the period after the last
+    for future_period, future_sites in [
+            (np.array([7., 8.]), np.array([-10., 30.])),    # negative sites
+            (np.array([2., 40.]), np.array([10., 10.])),    # inside the window, gap
+            (np.array([7., 7., 8.]), np.array([6., 6., 6.])),   # period listed twice
+            (np.array([8., 9.]), np.array([6., 6.])),       # not from period 7
+            (np.array([7., 8.]), np.array([6.])),           # lengths differ
+            (np.array([7., 8.]), None),                     # periods without sites
+            (None, np.array([6., 6.]))]:                    # sites without periods
+        with pytest.raises(ValueError):
+            simple_series(future_period=future_period, future_sites=future_sites)
 
 
 def test_series_site_days_and_schedule():
     s = simple_series()
     assert_allclose(s.site_days, s.active_sites * 30.0)
     assert s.future_site_days() == pytest.approx(12 * 30.0)
-    assert s.future_site_days(days_per_period=10.0) == pytest.approx(120.0)
     bare = simple_series(future_period=None, future_sites=None)
     with pytest.raises(ValueError):
         bare.future_site_days()
@@ -192,7 +204,7 @@ def test_identity_trend_halves_its_steps_to_an_interior_optimum(events):
 
 
 def test_fixture_trend_increasing():
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     tr = app.fit_trend(s, transform="log", link="identity")
     rates = tr.mean_rate(np.arange(1.0, 32.0))
     assert np.all(np.diff(rates) > 0)
@@ -200,7 +212,7 @@ def test_fixture_trend_increasing():
 
 
 def test_predict_sum_rate_center_additive():
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     tr = app.fit_trend(s, transform="log", link="identity")
     iv = app.predict_sum_rate(tr, range(32, 44), 0.95)
     total = float(np.sum(tr.mean_rate(np.arange(32.0, 44.0)) * tr.exposure_per_period))
@@ -208,7 +220,7 @@ def test_predict_sum_rate_center_additive():
 
 
 def test_predict_sum_rate_constant_extension_lower():
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     tr = app.fit_trend(s, transform="log", link="identity")
     model = app.predict_sum_rate(tr, range(32, 44), 0.95)
     const = app.predict_sum_rate(tr, range(32, 44), 0.95, extrapolation="constant")
@@ -218,7 +230,7 @@ def test_predict_sum_rate_constant_extension_lower():
 
 
 def test_predict_sum_rate_validation():
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     tr = app.fit_trend(s, transform="log", link="identity")
     with pytest.raises(ValueError):
         app.predict_sum_rate(tr, [], 0.95)
@@ -257,11 +269,12 @@ def test_interarrival_constant_times_collapse():
 @pytest.mark.parametrize("transform", app.TRANSFORMS)
 @pytest.mark.parametrize("link", ["identity", "log"])
 def test_solve_target_window(monkeypatch, link, transform, target):
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     tr = app.fit_trend(s, transform=transform, link=link)
     assert app.solve_target_window(tr, 0, 0.95) == (0, (0, 0))
-    with pytest.raises(ValueError):
-        app.solve_target_window(tr, -1, 0.95)
+    for bad in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            app.solve_target_window(tr, bad, 0.95)
     calls = []
 
     def counted(*args, **kwargs):
@@ -410,32 +423,16 @@ def test_weibull_band_se_is_delta_se():
 
 
 # ---------------------------------------------------------------------------
-# pivot combination
-
-
-def test_combine_link_pivots_reduces_and_adds():
-    one = app.combine_link_pivots(math.log(100.0), 0.1, 0.0, 0.0, 0.95)
-    assert math.sqrt(one.lower * one.upper) == pytest.approx(100.0, rel=1e-12)
-    both = app.combine_link_pivots(math.log(100.0), 0.1, math.log(2.0), 0.05, 0.95)
-    assert math.sqrt(both.lower * both.upper) == pytest.approx(200.0, rel=1e-12)
-    assert both.upper / 200.0 > one.upper / 100.0   # extra variance widens
-    ident = app.combine_link_pivots(3.0, 1.0, 1.0, 0.0, 0.95, link="identity")
-    assert ident.lower == pytest.approx(4.0 - 1.959964 * 1.0, abs=1e-4)
-    with pytest.raises(ValueError):
-        app.combine_link_pivots(0.0, -0.1, 0.0, 0.1, 0.95)
-
-
-# ---------------------------------------------------------------------------
 # fixture
 
 
 def test_fixture_shape():
-    s = app.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     assert s.n_periods == 31
     assert np.all(s.events >= 0)
     assert s.future_period[0] == 32 and s.future_period[-1] == 49
     assert np.all(s.future_sites == 20.0)
-    again = app.make_recruitment_fixture()
+    again = make_recruitment_fixture()
     assert_allclose(s.events, again.events)
 
 

@@ -20,6 +20,8 @@ from tolpred.fit import fit_binomial_logit, fit_gamma_intercept, fit_weibull_cen
 from tolpred.simlab import (METHOD_ORDER, PREDICTION_METHODS, ScenarioSpec, emit_table,
                             run_poisson_gamma)
 
+from recruitment_fixture import make_recruitment_fixture
+
 
 @pytest.fixture
 def gamma_csv(tmp_path):
@@ -32,7 +34,7 @@ def gamma_csv(tmp_path):
 
 @pytest.fixture
 def recruit_csv(tmp_path):
-    s = applications.make_recruitment_fixture()
+    s = make_recruitment_fixture()
     p = tmp_path / "recruit.csv"
     lines = ["period,events,exposure_days,active_sites"]
     for row in zip(s.period, s.events, s.exposure_days, s.active_sites):
@@ -576,7 +578,8 @@ def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):
     got = json.loads(out)["eq1"]
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     fit = fit_binomial_logit(rows[:, 0], rows[:, 1])
-    want = intervals.predict_or(fit, fit.n_obs, 600, 0.95)
+    want = intervals.predict_or_from(fit.mu_hat, fit.se_g_mu("model"), fit.n_obs, 600,
+                                     0.95)
     assert (got["lower"], got["upper"]) == pytest.approx((want.lower, want.upper), rel=1e-12)
     assert got["method"] == "or_prediction" and got["target"] == "observable_estimate"
 
@@ -769,6 +772,13 @@ def test_recruit_sitedays(capsys, recruit_csv):
     assert lo == math.floor(payload["prediction"]["lower"])
     assert hi == math.ceil(payload["prediction"]["upper"])
     assert "pearson_dispersion" in payload["diagnostic"]
+    # a schedule it cannot mean: negative sites, a gap, a period listed twice
+    for rows in ("32,-10\n33,30\n", "50,10\n2,10\n", "32,20\n32,20\n33,20\n"):
+        sched.write_text("period,active_sites\n" + rows)
+        code, out, err, caught = _call_quietly(["recruit", "--input", str(data),
+                                                "--schedule", str(sched)])
+        assert (code, out, caught) == (2, "", [])
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
 
 
 def test_recruit_trend_and_window(capsys, recruit_csv):
@@ -784,6 +794,11 @@ def test_recruit_trend_and_window(capsys, recruit_csv):
     win = json.loads(out)
     lo, hi = win["horizon_interval"]
     assert lo <= win["horizon_point"] <= hi
+    for target in ("nan", "inf"):
+        code, out, err, caught = _call_quietly(["recruit", "--input", str(data), "--mode",
+                                                "window", "--target", target])
+        assert (code, out, caught) == (2, "", [])
+        assert err == "parse error: target must be finite and nonnegative\n"
 
 
 @pytest.mark.parametrize("events, window", [

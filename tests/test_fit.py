@@ -264,7 +264,7 @@ def test_binomial_wald_ci_consistency():
     y = [1] * 15 + [0] * 45 + [1] * 6 + [0] * 34
     trt = [1] * 60 + [0] * 40
     fr = fit_binomial_logit(y, trt)
-    lo, hi = fr.ci_g_mu(0.95, crit="z")
+    lo, hi = fr.ci_mu(0.95, crit="z")
     z = stats.norm.ppf(0.975)
     assert lo == pytest.approx(fr.mu_hat - z * fr.se_g_mu_model)
     assert hi == pytest.approx(fr.mu_hat + z * fr.se_g_mu_model)
