@@ -42,9 +42,7 @@ class CurveTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid)
-        if g.ndim != 1 or g.size < 3 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 3 points")
+        _check_grid(np.asarray(self.grid))
 
     @property
     def point_estimate(self) -> float:
@@ -97,9 +95,14 @@ def _method(name: str) -> Method:
 
 def _hypotheses(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
-    if np.any(c <= 0):
-        raise ValueError("hypothesised totals must be positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("hypothesised totals must be finite and positive")
     return c
+
+
+def _check_grid(g: np.ndarray) -> None:
+    if g.ndim != 1 or g.size < 3 or not np.all(np.diff(g) > 0):
+        raise ValueError("grid must be strictly increasing with >= 3 points")
 
 
 def pvalue_upper(fit: FitResult, hypothesis: float, method: str,
@@ -136,6 +139,7 @@ def build_curve(fit: FitResult, method: str, n_future: float,
                                          f"{n_points} distinct totals")
     else:
         grid = _hypotheses(grid)
+    _check_grid(grid)
     H = np.asarray(H_fun(grid), dtype=float)
     H_minus = 1.0 - H
     C = np.where(grid <= point, H, H_minus)

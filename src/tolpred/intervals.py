@@ -369,24 +369,53 @@ def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
     return _plugci_sum(fit, mu_lo, mu_hi, target.future_units, level)
 
 
+def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Monotone cubic Hermite interpolant of increasing y on strictly
+    increasing x (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17(2)) with
+    PCHIP's slopes: Fritsch-Butland harmonic means inside, shape-preserving
+    three-point ends.  Clamped to y[0] and y[-1] outside [x[0], x[-1]], and
+    linear on fewer than 3 nodes."""
+    if x.size < 3:
+        return lambda t: np.interp(t, x, y)
+    h = np.diff(x)
+    d = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    m = np.empty_like(x)
+    m[1:-1] = (w1 + w2) / (w1 / d[:-1] + w2 / d[1:])
+    m[0] = max(((2 * h[0] + h[1]) * d[0] - h[0] * d[1]) / (h[0] + h[1]), 0.0)
+    m[-1] = max(((2 * h[-1] + h[-2]) * d[-1] - h[-1] * d[-2]) / (h[-1] + h[-2]), 0.0)
+    c2 = (3 * d - 2 * m[:-1] - m[1:]) / h
+    c3 = (m[:-1] + m[1:] - 2 * d) / h ** 2
+
+    def interpolant(t):
+        t = np.clip(t, x[0], x[-1])
+        i = np.searchsorted(x[1:-1], t, side="right")   # the segment, 0 .. x.size - 2
+        t = t - x[i]
+        return y[i] + t * (m[i] + t * (c2[i] + t * c3[i]))
+    return interpolant
+
+
 def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     """Upper p-value function of the CI-plug-in prediction and its point
     prediction.  H has no closed form, so it is tabulated on the
-    normal-score scale, where the Wald pivot is linear: at 1001 nodes z
+    normal-score scale, where the Wald pivot is linear: at 201 nodes z
     uniform over [ndtri(1e-9), -ndtri(1e-9)], c(z) is the ndtr(z)-quantile
     of the sum distribution at the Wald mean limit ``fit.mu_limit(z)``,
     dropped where not positive (an identity-link limit <= 0, or a quantile
-    that underflows).  H(c) = ndtr(z), with z linear in log c between nodes
-    and clamped at the end nodes, so H stays within [1e-9, 1 - 1e-9]."""
-    z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 1001)
+    that underflows) or not above every earlier node.  H(c) = ndtr(z), with
+    z a monotone cubic in log c between nodes, whose error falls as the cube
+    of the node spacing, clamped at the end nodes, so H stays within
+    [1e-9, 1 - 1e-9]."""
+    z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 201)
     mu = fit.mu_limit(z_ref, se_kind)
     if fit.family not in _PLUGCI:
         raise ValueError(f"no sum distribution for family {fit.family!r}")
     # k passed: the fit's memo keys scalar probabilities only
     c_ref = _sum_quantile(fit, ndtr(z_ref), n_future, mu=mu, k=fit.k_hat)
-    keep = c_ref > 0
-    log_c_ref, z_ref = np.log(c_ref[keep]), z_ref[keep]
-    return (lambda c: ndtr(np.interp(np.log(c), log_c_ref, z_ref))), n_future * fit.mu_hat
+    log_c_ref = np.log(c_ref, where=c_ref > 0, out=np.full_like(c_ref, -np.inf))
+    keep = log_c_ref > np.maximum.accumulate(np.r_[-np.inf, log_c_ref[:-1]])
+    z_of_log_c = _monotone_cubic(log_c_ref[keep], z_ref[keep])
+    return (lambda c: ndtr(z_of_log_c(np.log(c)))), n_future * fit.mu_hat
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,12 @@ def test_pvalue_success_threshold():
     assert pvalue_upper(fr, 1.71, "or_prediction", 600) == pytest.approx(0.14, abs=0.01)
 
 
-def test_pvalue_domain():
+@pytest.mark.parametrize("hypothesis", [-1.0, math.nan, math.inf])
+def test_pvalue_domain(hypothesis):
     fr = gamma_fit()
-    with pytest.raises(ValueError):
-        pvalue_upper(fr, -1.0, "link_pivot", 280)
+    for method in ("link_pivot", "ci_plug", "f_pivot", "f_pivot_k1"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            pvalue_upper(fr, hypothesis, method, 280)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,25 @@ def test_curve_invariants(method):
     else:
         # F reference: H at the point prediction is near, not exactly, 0.5
         assert table.C[i_max] == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": [1.0, math.nan, 3.0, 4.0]}, "finite and positive"),
+    ({"grid": [1.0, 2.0, 3.0, math.inf]}, "finite and positive"),
+    ({"n_points": 0}, "strictly increasing"),
+    ({"n_points": 2}, "strictly increasing"),
+    ({"grid": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}, "strictly increasing"),
+    ({"grid": [1.0, 3.0, 2.0]}, "strictly increasing"),
+], ids=["nan", "inf", "0_points", "2_points", "2d", "unordered"])
+def test_malformed_grid_is_a_value_error(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_curve(gamma_fit(), "link_pivot", 280, **kwargs)
+
+
+def test_curve_table_rejects_a_nan_grid():
+    g = np.array([1.0, math.nan, 3.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        curves.CurveTable(g, g, g, g, g)
 
 
 def qp_fit(link="log"):
@@ -154,12 +175,66 @@ def _plugci_fits():
 
 
 def test_ci_plug_table_tracks_the_exact_pvalue():
-    # the table is linear in the normal score between nodes, where the Wald
-    # pivot is exactly linear: every grid point within 2e-6 of the exact H
+    # H is tabulated on the normal score, where the Wald pivot is exactly
+    # linear: every grid point within 2e-6 of the exact H
     for fr, n_future in _plugci_fits():
         table = build_curve(fr, "ci_plug", n_future)
         exact = _exact_plugci_H(fr, table.grid, n_future)
         assert np.max(np.abs(table.H - exact)) < 2e-6, (fr.family, fr.link)
+
+
+def test_ci_plug_cubic_table_is_within_1e_7_of_the_exact_pvalue():
+    # a monotone cubic in log c between the 201 nodes; linear interpolation
+    # between 1001 nodes read up to 7.3e-7
+    for fr, n_future in _plugci_fits():
+        table = build_curve(fr, "ci_plug", n_future)
+        exact = _exact_plugci_H(fr, table.grid, n_future)
+        assert np.max(np.abs(table.H - exact)) < 1e-7, (fr.family, fr.link)
+
+
+def test_ci_plug_lower_crossing_at_a_small_count_shape():
+    # negative-binomial counts of mean 0.3 per unit over 12 exposures, an
+    # identity-link fit, a future exposure of 0.5: mu*E/phi is far below 1,
+    # so log c is far from linear in the normal score.  Linear interpolation
+    # between 1001 nodes read lower crossings up to 4.9e-3 off eq2.
+    checked = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        exposure = rng.uniform(5, 15, 12)
+        counts = rng.negative_binomial(5, 5 / (5 + 0.3 * exposure))
+        fr = fit_quasipoisson(counts, exposure, link="identity")
+        try:
+            table = build_curve(fr, "ci_plug", 0.5)
+            iv = intervals.predict_sum_plugci(fr, intervals.PredictionTarget(fr.n_obs, 0.5),
+                                              0.99)
+        except intervals.UnsupportedTargetError:   # a lower mean limit <= 0, or
+            continue                                # a grid too wide for a density
+        assert table.interval_at(0.99)[0] == pytest.approx(iv.lower, rel=1e-3, abs=0), seed
+        checked += 1
+    assert checked >= 35
+
+
+@pytest.mark.parametrize("nodes", ["one", "two", "three", "tied"])
+def test_ci_plug_table_on_few_or_tied_nodes(monkeypatch, nodes):
+    # quantiles dropped (<= 0) down to 1-3 surviving nodes, or every other
+    # node tying its predecessor: linear below 3 nodes, no division by a zero
+    # step, and H finite and monotone either way
+    real = intervals._sum_quantile
+
+    def degraded(*args, **kwargs):
+        c = real(*args, **kwargs)
+        if nodes == "tied":
+            c[1::2] = c[:-1:2]
+            return c
+        kept = {"one": [100], "two": [90, 110], "three": [80, 100, 120]}[nodes]
+        return np.where(np.isin(np.arange(c.size), kept), c, 0.0)
+    monkeypatch.setattr(intervals, "_sum_quantile", degraded)
+    fr = gamma_fit(seed=3)
+    point = 280 * fr.mu_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_curve(fr, "ci_plug", 280, grid=np.geomspace(point / 2, point * 2, 401))
+    assert np.all(np.isfinite(table.H)) and np.all(np.diff(table.H) >= 0)
 
 
 def test_ci_plug_crossings_match_the_closed_form_interval():

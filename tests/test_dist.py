@@ -201,15 +201,24 @@ def test_negative_sample_count_rejected():
         dist.sample(dist.normal(0.0, 1.0), RngStream(1), -1)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _loaded_by_import_tolpred(module: str) -> str:
     src = str(Path(tolpred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, tolpred; print('scipy.stats' in sys.modules)"],
+         f"import sys, tolpred; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert _loaded_by_import_tolpred("scipy.stats") == "False"
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the ci_plug p-value interpolant is numpy only
+    assert _loaded_by_import_tolpred("scipy.interpolate") == "False"
 
 
 def test_f_reciprocal_symmetry():
