@@ -16,7 +16,7 @@ import numpy as np
 from . import intervals
 from .dist import critical_value
 from .fit import (FitError, FitResult, InsufficientDataError, NonConvergenceError,
-                  SurvivalSample, _newton, fit_quasipoisson, link_limit)
+                  SurvivalSample, _dispersion, _newton, fit_quasipoisson, link_limit)
 from .intervals import IntervalEstimate
 
 __all__ = [
@@ -54,6 +54,9 @@ class RecruitmentSeries:
             raise ValueError("empty series")
         if not np.array_equal(per, np.arange(1, per.size + 1)):
             raise ValueError("periods must be contiguous from 1")
+        if any(np.shape(col) != per.shape
+               for col in (self.events, self.exposure_days, self.active_sites)):
+            raise ValueError("events, exposure_days and active_sites need one value per period")
         if np.any(np.asarray(self.events) < 0) or np.any(np.asarray(self.active_sites) < 0):
             raise ValueError("events and active_sites must be nonnegative")
         if np.any(np.asarray(self.exposure_days) <= 0):
@@ -171,12 +174,15 @@ def site_dispersion_diagnostic(series: RecruitmentSeries) -> dict:
 
 TRANSFORMS = ("log", "root", "identity")
 
+# the root transform's exponent: z = l ** (1 / ROOT_R)
+ROOT_R = 20.0
 
-def _transform(name: str, r: float):
+
+def _transform(name: str):
     if name == "log":
         return lambda l: np.log(np.asarray(l, dtype=float))
     if name == "root":
-        return lambda l: np.asarray(l, dtype=float) ** (1.0 / r)
+        return lambda l: np.asarray(l, dtype=float) ** (1.0 / ROOT_R)
     if name == "identity":
         return lambda l: np.asarray(l, dtype=float)
     raise ValueError(f"unknown transform {name!r}")
@@ -191,7 +197,6 @@ class TrendFit:
     cov: np.ndarray
     link: str
     transform: str
-    transform_r: float
     phi: float
     fit_window: tuple[int, int]
     kind: str
@@ -200,7 +205,7 @@ class TrendFit:
 
     def mean_rate(self, l):
         """Fitted mean per exposure unit (rate) or mean interarrival time."""
-        eta = self.coef[0] + self.coef[1] * _transform(self.transform, self.transform_r)(l)
+        eta = self.coef[0] + self.coef[1] * _transform(self.transform)(l)
         out = np.exp(eta) if self.link == "log" else eta
         bad = np.ravel(out) <= 0
         if bad.any():
@@ -212,23 +217,42 @@ class TrendFit:
     def _dmean_dbeta(self, l, mean):
         """Gradient of ``mean = mean_rate(l)`` in the coefficients: d mean /
         d eta is the mean itself on the log link and 1 on the identity link."""
-        z = _transform(self.transform, self.transform_r)(l)
+        z = _transform(self.transform)(l)
         X = np.column_stack([np.ones(np.size(z)), np.atleast_1d(z)])
         return X * mean[:, None] if self.link == "log" else X
 
 
 def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
-              transform_r: float = 20.0, kind: str = "rate") -> TrendFit:
-    """Fit the per-period rate trend (quasi-Poisson on counts with exposure)
-    or the interarrival trend (log-link gamma-type fit on times vs index)."""
+              kind: str = "rate") -> TrendFit:
+    """Fit the per-period rate trend (quasi-Poisson on counts with exposure:
+    mean count = exposure * h(b0 + b1 z)) or the interarrival trend (log-link
+    gamma-type fit on times vs index), each by ``_newton`` to score norm
+    <= 1e-10, with cov = phi * inv(information)."""
     if kind == "rate":
         series: RecruitmentSeries = series_or_y
         if series.n_periods < 3:
             raise InsufficientDataError("need >= 3 periods for a trend")
-        z = _transform(transform, transform_r)(series.period)
+        x = np.asarray(series.events, dtype=float)
+        e = np.asarray(series.exposure_days, dtype=float)
+        if x.sum() < 1:
+            raise InsufficientDataError("no events observed")
+        X = np.column_stack([np.ones(x.size), _transform(transform)(series.period)])
+        h = np.exp if link == "log" else (lambda eta: eta)
+
+        def scoring(beta):
+            """Poisson log-likelihood, score and minus the Fisher information."""
+            m = h(X @ beta)
+            if not np.all(m > 0):
+                return -math.inf, None, None
+            mu = e * m
+            d = mu if link == "log" else e   # d mu / d eta
+            return (float(np.sum(x * np.log(mu) - mu)), X.T @ (d * (x - mu) / mu),
+                    -(X.T @ ((d ** 2 / mu)[:, None] * X)))
+
+        rate0 = x.sum() / e.sum()
         try:
-            fr = fit_quasipoisson(series.events, series.exposure_days,
-                                  regressors=z, link=link)
+            beta, _, hess = _newton(scoring, np.array(
+                [math.log(rate0) if link == "log" else rate0, 0.0]), 1e-10)
         except NonConvergenceError as exc:
             if link == "log":
                 raise
@@ -236,10 +260,10 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
                 f"identity-link trend: {exc}; with a period of no events its likelihood "
                 "can peak on the boundary, at a fitted rate of 0, where no Wald "
                 "covariance holds; a log-link trend stays positive (--link log)") from None
-        lo, hi = int(series.period[0]), int(series.period[-1])
-        tf = TrendFit(fr.coef, fr.cov_coef, link, transform, transform_r,
-                      fr.phi_hat, (lo, hi), "rate", series.n_periods,
-                      exposure_per_period=float(np.mean(series.exposure_days)))
+        phi = _dispersion(x, e * h(X @ beta), 2)
+        tf = TrendFit(beta, phi * np.linalg.inv(-hess), link, transform, phi,
+                      (int(series.period[0]), int(series.period[-1])), "rate",
+                      series.n_periods, exposure_per_period=float(np.mean(e)))
         tf.mean_rate(series.period)  # surfaces negative in-window fits
         return tf
     if kind == "interarrival":
@@ -248,9 +272,7 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
             raise InsufficientDataError("need >= 3 interarrival times")
         if np.any(y <= 0):
             raise FitError("interarrival times must be positive")
-        idx = np.arange(1, y.size + 1)
-        z = _transform(transform, transform_r)(idx)
-        X = np.column_stack([np.ones(y.size), z])
+        X = np.column_stack([np.ones(y.size), _transform(transform)(np.arange(1, y.size + 1))])
         if link != "log":
             raise ValueError("interarrival trend implemented for the log link")
 
@@ -264,7 +286,7 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
         mu = np.exp(X @ beta)
         phi = float(np.sum(((y - mu) / mu) ** 2) / max(y.size - 2, 1))
         cov = phi * np.linalg.inv(X.T @ X)
-        return TrendFit(beta, cov, "log", transform, transform_r, phi,
+        return TrendFit(beta, cov, "log", transform, phi,
                         (1, int(y.size)), "interarrival", int(y.size))
     raise ValueError(f"unknown trend kind {kind!r}")
 
@@ -333,8 +355,12 @@ def predict_sum_interarrival(trend: TrendFit, i_range, level: float) -> Interval
     return _sum_prediction(trend, list(i_range), 1.0, level)
 
 
-def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
-                        max_horizon: int = 100_000):
+# the most future periods a prediction spans (``recruit --horizon``) or a
+# target-window solve searches
+MAX_HORIZON = 100_000
+
+
+def solve_target_window(trend: TrendFit, target_subjects: float, level: float):
     """Smallest number of future periods h whose cumulative mean meets the
     target (the point), and the first h whose interval upper (h_lo) and
     lower (h_hi) limit reaches it.
@@ -350,7 +376,7 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
     and a solve makes at most four ``predict_sum_rate`` calls.
 
     Raises ``FitError`` when the target is not reached within
-    ``max_horizon`` periods, at the first period the doubling reaches whose
+    ``MAX_HORIZON`` periods, at the first period the doubling reaches whose
     fitted mean is not positive, and at the first doubled h whose total or
     lower limit is not finite.
     """
@@ -373,9 +399,9 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float,
             raise _not_finite(h)
         if reached and lower[-1] >= target_subjects:
             break
-        h *= 2
-        if h > max_horizon:
-            raise FitError(f"target not reached within {max_horizon} periods")
+        if h == MAX_HORIZON:
+            raise FitError(f"target not reached within {MAX_HORIZON} periods")
+        h = min(2 * h, MAX_HORIZON)
 
     def first(table, value):
         """The first h of ``table`` to reach the target, stepped by one until

@@ -352,6 +352,15 @@ def positive_int(text: str) -> int:
     return val
 
 
+def horizon(text: str) -> int:
+    """A number of future periods: an integer from 1 to ``MAX_HORIZON``."""
+    val = positive_int(text)
+    if val > applications.MAX_HORIZON:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {applications.MAX_HORIZON}, got {text}")
+    return val
+
+
 def non_negative_int(text: str) -> int:
     """A seed: an integer of at least 0."""
     val = int(text)
@@ -421,7 +430,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--mode", choices=["sitedays", "trend", "window"], default="sitedays")
     p.add_argument("--transform", choices=applications.TRANSFORMS, default="log")
     p.add_argument("--link", choices=LINKS, default="identity")
-    p.add_argument("--horizon", type=positive_int, default=18)
+    p.add_argument("--horizon", type=horizon, default=18)
     p.add_argument("--target", type=float)
 
     p = command("survival", cmd_survival, data, level, plots)

@@ -95,8 +95,6 @@ class FitResult:
     exposure_total: float | None = None
     loglik: float | None = None
     lam_hat: float | None = None               # weibull scale parameter
-    coef: np.ndarray | None = None             # regression fits
-    cov_coef: np.ndarray | None = None
     data: tuple | None = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -294,12 +292,9 @@ def _dispersion(x: np.ndarray, mu: np.ndarray, p: int) -> float:
     return max(float(2.0 * np.sum(term - (x - mu))) / max(x.size - p, 1), PHI_FLOOR)
 
 
-def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> FitResult:
-    """Quasi-Poisson fit of event counts with exposure offsets.
-
-    Intercept-only: lambda_hat = sum(events)/sum(exposure) exactly and
-    phi_hat = deviance/(n-p).  With a single regressor, Fisher scoring with
-    step halving (``_newton``) to score norm <= 1e-10.
+def fit_quasipoisson(events, exposure, link: str = "log") -> FitResult:
+    """Intercept-only quasi-Poisson fit of event counts with exposure offsets:
+    lambda_hat = sum(events)/sum(exposure) exactly and phi_hat = deviance/(n-1).
     """
     x = np.asarray(events, dtype=float)
     e = np.asarray(exposure, dtype=float)
@@ -309,60 +304,21 @@ def fit_quasipoisson(events, exposure, regressors=None, link: str = "log") -> Fi
         raise FitError("exposures must be positive")
     if x.sum() < 1:
         raise InsufficientDataError("no events observed")
-    n = x.size
-
-    if regressors is None:
-        lam = float(x.sum() / e.sum())
-        mu = lam * e
-        phi = _dispersion(x, mu, 1)
-        se_log_model = math.sqrt(phi / x.sum())
-        se_log_sand = math.sqrt(float(np.sum((x - mu) ** 2))) / x.sum()
-        return FitResult(
-            family="quasipoisson",
-            link=link,
-            mu_hat=lam,
-            phi_hat=phi,
-            se_mu=lam * se_log_model,
-            se_g_mu_model=se_log_model if link == "log" else lam * se_log_model,
-            se_g_mu_sandwich=se_log_sand if link == "log" else lam * se_log_sand,
-            n_obs=n,
-            exposure_total=float(e.sum()),
-        )
-
-    # single-regressor GLM for the rate: mean count = exposure * h(b0 + b1*z)
-    z = np.asarray(regressors, dtype=float)
-    if z.shape != x.shape:
-        raise FitError("regressor length differs from events")
-    X = np.column_stack([np.ones(n), z])
-    h = (lambda eta: np.exp(eta)) if link == "log" else (lambda eta: eta)
-
-    def scoring(beta):
-        """Poisson log-likelihood, score and minus the Fisher information."""
-        m = h(X @ beta)
-        if not np.all(m > 0):
-            return -math.inf, None, None
-        mu = e * m
-        d = e * m if link == "log" else e   # d mu / d eta
-        score = X.T @ (d * (x - mu) / mu)
-        info = X.T @ ((d ** 2 / mu)[:, None] * X)
-        return float(np.sum(x * np.log(mu) - mu)), score, -info
-
-    rate0 = x.sum() / e.sum()
-    beta = np.array([math.log(rate0), 0.0]) if link == "log" else np.array([rate0, 0.0])
-    beta, _, hess = _newton(scoring, beta, 1e-10)
-    phi = _dispersion(x, e * h(X @ beta), 2)
-    cov = phi * np.linalg.inv(-hess)
-    with np.errstate(over="ignore"):   # the rate at z = 0 may leave the data's range
-        mu_hat = float(h(beta[0]))
+    lam = float(x.sum() / e.sum())
+    mu = lam * e
+    phi = _dispersion(x, mu, 1)
+    se_log_model = math.sqrt(phi / x.sum())
+    se_log_sand = math.sqrt(float(np.sum((x - mu) ** 2))) / x.sum()
     return FitResult(
         family="quasipoisson",
         link=link,
-        mu_hat=mu_hat,
+        mu_hat=lam,
         phi_hat=phi,
-        n_obs=n,
+        se_mu=lam * se_log_model,
+        se_g_mu_model=se_log_model if link == "log" else lam * se_log_model,
+        se_g_mu_sandwich=se_log_sand if link == "log" else lam * se_log_sand,
+        n_obs=x.size,
         exposure_total=float(e.sum()),
-        coef=beta,
-        cov_coef=cov,
     )
 
 

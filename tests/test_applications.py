@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import optimize
 
 from tolpred import applications as app
 from tolpred import intervals
@@ -42,6 +43,13 @@ def test_series_validation():
         simple_series(exposure_days=np.zeros(6))
     with pytest.raises(ValueError):
         app.RecruitmentSeries(np.array([]), np.array([]), np.array([]), np.array([]))
+    # each column holds one value per period: a short column must not index
+    # out of range, nor a 1-element one broadcast
+    for column in [dict(events=np.array([3., 5., 4., 6., 5.])),
+                   dict(exposure_days=np.array([30.0])),
+                   dict(active_sites=np.full(7, 2.0))]:
+        with pytest.raises(ValueError, match="one value per period"):
+            simple_series(**column)
     # the schedule follows the observed rules, from the period after the last
     for future_period, future_sites in [
             (np.array([7., 8.]), np.array([-10., 30.])),    # negative sites
@@ -168,6 +176,41 @@ def test_fit_trend_recovers_truth():
     assert abs(tr.coef[0] - b) < 3 * se[0]
 
 
+# each --transform's regressor, the root one with exponent 1/20
+TRANSFORM_Z = {"log": np.log, "root": lambda l: l ** (1 / 20), "identity": lambda l: l}
+
+
+@pytest.mark.parametrize("transform", TRANSFORM_Z)
+@pytest.mark.parametrize("link", ["log", "identity"])
+def test_rate_trend_maximises_the_poisson_likelihood(link, transform):
+    gen = np.random.default_rng(9)
+    months = np.arange(1, 25)
+    x, e = gen.poisson(6.0 * np.sqrt(months)).astype(float), np.full(24, 30.0)
+    tr = app.fit_trend(app.RecruitmentSeries(months, x, e, np.ones(24)),
+                       transform=transform, link=link)
+    # an independent maximiser: BFGS on the standardised regressor
+    zz = TRANSFORM_Z[transform](months.astype(float))
+    zbar, sd = zz.mean(), zz.std()
+    X = np.column_stack([np.ones(24), (zz - zbar) / sd])
+    h = np.exp if link == "log" else (lambda eta: eta)
+
+    def nll(c):
+        mu = e * h(X @ c)
+        if not np.all(mu > 0):
+            return math.inf, np.zeros(2)
+        d = mu if link == "log" else e
+        return (-float(np.sum(x * np.log(mu) - mu)) / x.sum(),
+                -(X.T @ (d * (x - mu) / mu)) / x.sum())
+
+    rate = x.sum() / e.sum()
+    c = optimize.minimize(nll, [math.log(rate) if link == "log" else rate, 0.0],
+                          jac=True, method="BFGS", options={"gtol": 1e-13}).x
+    assert_allclose(tr.coef, [c[0] - c[1] * zbar / sd, c[1] / sd], rtol=1e-6)
+    mu = e * tr.mean_rate(months)
+    deviance = 2.0 * np.sum(x * np.log(x / mu) - (x - mu))
+    assert tr.phi == pytest.approx(deviance / 22, rel=1e-12)
+
+
 def test_fit_trend_validation():
     short = app.RecruitmentSeries(np.array([1, 2]), np.array([3., 4.]),
                                   np.full(2, 30.0), np.full(2, 2.0))
@@ -175,6 +218,8 @@ def test_fit_trend_validation():
         app.fit_trend(short)
     with pytest.raises(ValueError):
         app.fit_trend(simple_series(), transform="spline")
+    with pytest.raises(InsufficientDataError, match="no events observed"):
+        app.fit_trend(simple_series(events=np.zeros(6)))
     with pytest.raises(InsufficientDataError):
         app.fit_trend(np.array([1.0, 2.0]), link="log", kind="interarrival")
     with pytest.raises(FitError):
@@ -247,7 +292,7 @@ def test_interarrival_flat_trend_reduces_to_link_pivot():
     se_log = g.se_g_mu("model")
     tr = app.TrendFit(coef=np.array([math.log(g.mu_hat), 0.0]),
                       cov=np.array([[se_log ** 2, 0.0], [0.0, 0.0]]),
-                      link="log", transform="log", transform_r=20.0,
+                      link="log", transform="log",
                       phi=1.0 / g.k_hat, fit_window=(1, 20),
                       kind="interarrival", n_obs=20)
     got = app.predict_sum_interarrival(tr, range(21, 301), 0.95)
@@ -334,8 +379,14 @@ def test_any_window_solve_is_the_first_reaching_horizon_or_a_fit_error(
 def test_solve_target_window_horizon_guard():
     s = simple_series(events=np.full(6, 1.0), active_sites=np.full(6, 2.0))
     tr = app.fit_trend(s, transform="log", link="identity")
-    with pytest.raises(FitError):
-        app.solve_target_window(tr, 10_000.0, 0.95, max_horizon=50)
+    with mock.patch.object(app, "MAX_HORIZON", 50), pytest.raises(FitError):
+        app.solve_target_window(tr, 10_000.0, 0.95)
+    # the last doubling stops at the cap: a window of 40 periods is found
+    # although the doubling jumps from 32 to 64
+    flat = app.TrendFit(np.array([math.log(1 / 30), 0.0]), np.zeros((2, 2)), "log", "log",
+                        1e-8, (1, 6), "rate", 6, exposure_per_period=30.0)
+    with mock.patch.object(app, "MAX_HORIZON", 50):
+        assert app.solve_target_window(flat, 40.0, 0.95)[0] == 40
 
 
 def fault_series(events, sites):

@@ -240,6 +240,7 @@ TREND_ARGS = ["recruit", "--input", "{recruit}", "--mode", "trend"]
     (["simulate", "--scenario", "{scenario}"], {"format": "xml"}, "--format"),
     (TREND_ARGS, {"transform": "root"}, ["--transform", "root"]),
     (TREND_ARGS + ["--horizon", "0"], {}, "--horizon"),
+    (TREND_ARGS + ["--horizon", "100001"], {}, "--horizon"),
     (["simulate", "--scenario", "{scenario}", "--runs", "0"], {}, "--runs"),
     (["simulate", "--scenario", "{scenario}", "--seed", "-1"], {}, "--seed"),
     (["simulate", "--scenario", "{scenario}", "--max-runs", "-1"], {}, "--max-runs"),
@@ -252,7 +253,7 @@ TREND_ARGS = ["recruit", "--input", "{recruit}", "--mode", "trend"]
     (["curve", *GAMMA_ARGS, "--out-dir", "{out_dir}"], {}, "--method"),
     (["predict", *GAMMA_ARGS], {"method": "eq2"}, ["--method", "eq2"]),
 ], ids=["config_se_kind_bogus", "config_format_xml", "config_transform_root",
-        "horizon_0", "runs_0", "seed_-1", "max_runs_-1", "max_runs_0",
+        "horizon_0", "horizon_100001", "runs_0", "seed_-1", "max_runs_-1", "max_runs_0",
         "events_future_0", "link_foo", "recruit_link_foo",
         "tolerance_without_method", "curve_without_method", "config_method_string"])
 def test_config_values_and_flags_pass_the_same_checks(capsys, tmp_path, gamma_csv,
