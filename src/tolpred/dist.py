@@ -238,6 +238,13 @@ def noncentral_t_quantile(p, df: float, nc: float) -> float | np.ndarray:
 def critical_value(level: float, crit: str = "z", df: float | None = None) -> float:
     """Two-sided critical value: the 1-(1-level)/2 quantile of the standard
     normal (``crit='z'``) or of Student t with ``df`` degrees of freedom
-    (``crit='t'``)."""
+    (``crit='t'``).  Any other ``crit``, or 't' without ``df``, raises
+    ``ValueError``."""
     q = 1 - (1 - level) / 2
-    return stdtrit(df, q) if crit == "t" else ndtri(q)
+    if crit == "z":
+        return ndtri(q)
+    if crit != "t":
+        raise ValueError(f"crit must be 'z' or 't', got {crit!r}")
+    if df is None:
+        raise ValueError("crit 't' needs its degrees of freedom df")
+    return stdtrit(df, q)

@@ -103,6 +103,8 @@ class FitResult:
         return None if self.phi_hat is None else math.sqrt(self.phi_hat)
 
     def se_g_mu(self, kind: str = "sandwich") -> float:
+        if kind not in ("model", "sandwich"):
+            raise ValueError(f"se_kind must be 'model' or 'sandwich', got {kind!r}")
         se = self.se_g_mu_sandwich if kind == "sandwich" else self.se_g_mu_model
         if se is None:
             raise FitError(f"no {kind} SE available for this fit")

@@ -550,8 +550,6 @@ def tolerance_nct(fit: FitResult, p: float, level: float,
 
 
 def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
-                     mu_ci: tuple[float, float] | None = None,
-                     k_lower: float | None = None,
                      se_kind: str = "sandwich", crit: str = "z") -> IntervalEstimate:
     """CI-plug-in tolerance (q_{(1-p)/2}(mu_l, k_l), q_{(1+p)/2}(mu_u, k_l)).
 
@@ -562,13 +560,10 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
     """
     if fit.k_hat is None:
         raise UnsupportedTargetError(f"a {fit.family} fit has no shape estimate")
-    if mu_ci is None:
-        mu_ci = fit.ci_mu(level, se_kind=se_kind, crit=crit)
-    mu_lo, mu_hi = mu_ci
+    mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo = _check_mean_limits(mu_lo, mu_hi)
-    if k_lower is None:
-        c = critical_value(level, crit, fit.n_obs - 1)
-        k_lower = link_limit(fit.k_hat, -c * fit.se_k / fit.k_hat, "log")
+    c = critical_value(level, crit, fit.n_obs - 1)
+    k_lower = link_limit(fit.k_hat, -c * fit.se_k / fit.k_hat, "log")
     lo = _sum_quantile(fit, (1 - p) / 2, n_future, mu=mu_lo, k=k_lower)
     hi = _sum_quantile(fit, (1 + p) / 2, n_future, mu=mu_hi, k=k_lower)
     return IntervalEstimate(lo, hi, level, "ci_plug_tolerance",
@@ -634,8 +629,9 @@ class Method:
     function, ``pvalue(fit, n_future, se_kind) -> (H, point)`` with H
     defined on positive hypothesised totals.  ``families`` lists the fit
     families the constructor has a formula for (None: any fit).
-    ``se_kind`` and ``crit`` set the Wald mean limits of eq2 and eq5 and the
-    eq5 shape limit; the other methods carry their own convention."""
+    ``se_kind`` sets the link-scale SE of eq1 and the Wald mean limits of
+    eq2 and eq5, and ``crit`` those mean limits' and the eq5 shape limit's
+    critical value; the other methods carry their own convention."""
 
     kind: str
     build: Callable[..., IntervalEstimate]

@@ -11,7 +11,8 @@ A cell streams through chunks of whole blocks of runs, each holding about
 hands it to a thread pool with one worker per usable CPU, which fits it with
 ``fit.fit_gamma_rows`` (whose fields are per-run arrays), builds its
 endpoints with the ``intervals.METHODS`` constructors for every method and
-level, and keeps only its covered and usable counts; scipy's special
+level (the F pivot is scored by its p-value at the future total instead),
+and keeps only its covered and usable counts; scipy's special
 functions and numpy's array loops release the GIL, so the workers overlap.
 At most one chunk per worker is in flight, so lab memory does not grow with
 ``n_runs``.  Run r depends only on (seed, r) and the counts are integers
@@ -289,6 +290,12 @@ PROCESSES = {
 }
 
 
+# the methods scored by their exact upper p-value function H: an interval of
+# H's (1-level)/2 and 1-(1-level)/2 crossings holds t exactly when H(t) lies
+# between them, so one fdtr per run replaces the F pivot's two fdtri per level
+_BY_PVALUE = ("fpivot",)
+
+
 def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
     iv = intervals.METHODS[method].build(fit, level, spec.N - spec.n, spec.content_p,
                                          SE_KIND, CRIT)
@@ -310,11 +317,18 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
     ``tolerance_target`` quantiles."""
     fit, ok = fit_gamma_rows(y)
     counts = np.zeros((len(keys), 2), dtype=np.int64)
+    h = {m: intervals.METHODS[m].pvalue(fit, spec.N - spec.n, SE_KIND)[0](future)
+         for m in _BY_PVALUE if m in spec.methods}
     for row, (method, level) in zip(counts, keys):
-        lo, hi = _endpoints(method, fit, level, spec)
-        t_lo, t_hi = (tolerance_target if intervals.METHODS[method].kind == "tolerance"
-                      else (future, future))
-        use = ok & np.isfinite(lo) & np.isfinite(hi)
+        if method in h:   # H at the future total between H's two crossings
+            tail = (1 - level) / 2
+            lo, hi, t_lo, t_hi = tail, 1 - tail, h[method], h[method]
+            use = ok & np.isfinite(h[method])
+        else:
+            lo, hi = _endpoints(method, fit, level, spec)
+            t_lo, t_hi = (tolerance_target if intervals.METHODS[method].kind == "tolerance"
+                          else (future, future))
+            use = ok & np.isfinite(lo) & np.isfinite(hi)
         row[:] = np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use), np.count_nonzero(use)
     return counts
 

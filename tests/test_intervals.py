@@ -65,6 +65,28 @@ def test_se_from_ci_sides():
     assert t_se == pytest.approx(0.6657, abs=2e-4)
 
 
+@pytest.mark.parametrize("bad", ["tee", "student", "Z", "", "sandwitch"])
+@pytest.mark.parametrize("call", [
+    lambda bad: dist.critical_value(0.95, bad, 5),
+    lambda bad: se_from_ci(2.0, 1.0, 4.0, crit=bad, df=5),
+    lambda bad: gamma_fit().se_g_mu(bad),
+    lambda bad: intervals.METHODS["eq2"].build(gamma_fit(), 0.95, 10, None, bad, "z"),
+    lambda bad: intervals.METHODS["eq2"].build(gamma_fit(), 0.95, 10, None, "model", bad),
+], ids=["critical_value", "se_from_ci", "se_g_mu", "build_se_kind", "build_crit"])
+def test_unknown_convention_strings_raise(call, bad):
+    # an unknown crit or SE kind names the accepted values instead of
+    # falling back to z or the model SE
+    with pytest.raises(ValueError, match=r"must be '(z' or 't|model' or 'sandwich)', got"):
+        call(bad)
+
+
+def test_t_critical_value_needs_df():
+    for call in (lambda: dist.critical_value(0.95, "t"),
+                 lambda: se_from_ci(2.0, 1.0, 4.0, crit="t")):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # normal theory
 
@@ -393,10 +415,10 @@ def test_nct_reduces_to_central_t():
 
 
 def test_plugci_tolerance_monotone_in_k_lower():
+    # a larger shape SE lowers the shape limit k_lower and nothing else
     fr = gamma_fit(seed=39)
-    ci = fr.ci_mu(0.95)
-    wide = tolerance_plugci(fr, 0.5, 0.95, 280, mu_ci=ci, k_lower=fr.k_hat * 0.5)
-    narrow = tolerance_plugci(fr, 0.5, 0.95, 280, mu_ci=ci, k_lower=fr.k_hat)
+    wide = tolerance_plugci(replace(fr, se_k=2 * fr.se_k), 0.5, 0.95, 280)
+    narrow = tolerance_plugci(replace(fr, se_k=0.0), 0.5, 0.95, 280)
     assert wide.lower <= narrow.lower
     assert wide.upper >= narrow.upper
 
@@ -408,16 +430,17 @@ def test_plugci_tolerance_shape_limit_at_crit(crit):
     q = 0.975
     c = stats.t.ppf(q, fr.n_obs - 1) if crit == "t" else stats.norm.ppf(q)
     got = tolerance_plugci(fr, 0.5, 0.95, 280, se_kind="model", crit=crit)
-    want = tolerance_plugci(fr, 0.5, 0.95, 280, se_kind="model", crit=crit,
-                            k_lower=fr.k_hat * math.exp(-c * fr.se_k / fr.k_hat))
-    assert got.lower == pytest.approx(want.lower, rel=1e-12)
-    assert got.upper == pytest.approx(want.upper, rel=1e-12)
+    k_lower = fr.k_hat * math.exp(-c * fr.se_k / fr.k_hat)
+    mu_lo, mu_hi = fr.ci_mu(0.95, se_kind="model", crit=crit)
+    want = stats.gamma.ppf([0.25, 0.75], 280 * k_lower, scale=[mu_lo / k_lower, mu_hi / k_lower])
+    assert got.lower == pytest.approx(want[0], rel=1e-12)
+    assert got.upper == pytest.approx(want[1], rel=1e-12)
 
 
 def test_plugci_tolerance_degenerate_is_plugin_pair():
-    fr = gamma_fit(seed=40)
-    iv = tolerance_plugci(fr, 0.5, 0.95, 280, mu_ci=(fr.mu_hat, fr.mu_hat),
-                          k_lower=fr.k_hat)
+    # with zero SEs the mean limits are mu_hat and the shape limit k_hat
+    fr = replace(gamma_fit(seed=40), se_g_mu_sandwich=0.0, se_k=0.0)
+    iv = tolerance_plugci(fr, 0.5, 0.95, 280)
     assert iv.lower == pytest.approx(
         stats.gamma.ppf(0.25, 280 * fr.k_hat, scale=fr.mu_hat / fr.k_hat))
     assert iv.upper == pytest.approx(

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -476,6 +477,60 @@ def test_no_run_of_a_pinned_cell_moves(name, spec, methods):
     assert [(c.method, c.level) for c in cells] == [
         (m, level) for m in spec.methods for level in spec.levels]
     assert [(round(c.observed * c.n_runs), c.n_runs) for c in cells] == PINNED_COUNTS[name]
+
+
+# the pinned cells, and a stress grid over small n, extreme shapes and means
+# and the ends of the future size
+FPIVOT_SCORED_SPECS = [
+    gamma_spec(n_runs=3000, seed=1),
+    site_spec(n_runs=3000, seed=1),
+    site_spec(n_runs=3000, seed=1, fixed_rates=True),
+    *(gamma_spec(n=n, N=n + n_fut, k=k, mu=mu, n_runs=simlab.BLOCK, seed=5)
+      for n in (2, 50) for n_fut in (1, 5000) for k in (0.05, 1000.0) for mu in (1e-6, 1e6)),
+]
+
+
+@pytest.mark.parametrize("spec", FPIVOT_SCORED_SPECS)
+def test_fpivot_pvalue_scoring_is_endpoint_scoring_run_by_run(spec):
+    # a run's F pivot interval holds its future total exactly when the
+    # pivot's p-value there lies between the two tails, and both are usable
+    # on the same runs
+    spec = replace(spec, methods=("fpivot",), levels=(0.5, 0.8, 0.95, 0.999))
+    y, future = simlab.PROCESSES[spec.data_process].start(spec)(range(spec.n_runs))
+    fit, ok = fit_gamma_rows(y)
+    h = intervals.METHODS["fpivot"].pvalue(fit, spec.N - spec.n, simlab.SE_KIND)[0](future)
+    h_use = ok & np.isfinite(h)
+    counts = []
+    for level in spec.levels:
+        lo, hi = simlab._endpoints("fpivot", fit, level, spec)
+        use = ok & np.isfinite(lo) & np.isfinite(hi)
+        covered = (lo <= future) & (future <= hi) & use
+        tail = (1 - level) / 2
+        np.testing.assert_array_equal(h_use, use)
+        np.testing.assert_array_equal((tail <= h) & (h <= 1 - tail) & h_use, covered)
+        counts.append((np.count_nonzero(covered), np.count_nonzero(use)))
+    keys = [("fpivot", level) for level in spec.levels]
+    assert simlab._chunk_counts(spec, keys, y, future, None).tolist() == [list(c) for c in counts]
+
+
+def test_fpivot_cells_make_one_fdtr_call_per_chunk_and_no_fdtri(monkeypatch):
+    # the lab scores the F pivot by its p-value, not by its endpoints
+    calls = {"fdtr": 0, "fdtri": 0}
+
+    def counted(name):
+        real = getattr(intervals, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(intervals, name, counted(name))
+    spec = gamma_spec(n=50, methods=("fpivot",), levels=(0.8, 0.95), n_runs=3000)
+    assert len(simlab._chunks(spec)) == 3
+    run_coverage(spec)
+    assert calls == {"fdtr": 3, "fdtri": 0}
 
 
 # ---------------------------------------------------------------------------
