@@ -59,7 +59,9 @@ class NonConvergenceError(FitError):
 
 def link_limit(point, step, link: str):
     """Wald limit g^{-1}(g(point) + step), elementwise: ``point * exp(step)``
-    on the log link, ``point + step`` otherwise."""
+    on the log link, ``point + step`` on the identity link."""
+    if link not in ("log", "identity"):
+        raise ValueError(f"link must be 'log' or 'identity', got {link!r}")
     return point * np.exp(step) if link == "log" else point + step
 
 
@@ -111,8 +113,10 @@ class FitResult:
         return se
 
     def mu_limit(self, z, se_kind: str = "sandwich"):
-        """Wald limit g^{-1}(g(mu_hat) + z * se) of the mean, elementwise in z."""
-        return link_limit(self.mu_hat, z * self.se_g_mu(se_kind), self.link)
+        """Wald limit g^{-1}(g(mu_hat) + z * se) of the mean, elementwise in z;
+        a binomial-logit fit's mu_hat, the log odds ratio, is link-scale."""
+        link = "identity" if self.family == "binomial_logit" else self.link
+        return link_limit(self.mu_hat, z * self.se_g_mu(se_kind), link)
 
     def ci_mu(self, level: float, se_kind: str = "sandwich", crit: str = "z"):
         """Wald CI for mu, transformed back from the link scale."""

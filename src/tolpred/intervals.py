@@ -5,8 +5,9 @@ prediction intervals for sums, three approximate tolerance intervals
 (delta-method, noncentral-t, CI-plug-in), the F-pivot and plug-in
 comparators, the dispersed-count predictors, and the future-study
 odds-ratio predictor.  ``METHODS`` maps each coverage-table method name to
-its constructor and, for the pivots, its upper p-value function; the
-coverage lab, the CLI and the confidence curves all dispatch through it.
+its constructor, for the pivots its upper p-value function and for the
+quantile intervals the arguments of their endpoint quantiles; the coverage
+lab, the CLI and the confidence curves all dispatch through it.
 
 The gamma-path constructors compute elementwise: a ``FitResult`` whose
 numeric fields are per-run arrays yields per-run endpoints.  Every
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.special import fdtr, fdtri, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
+from scipy.special import fdtr, fdtri, gammainc, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
 
 from .dist import critical_value
 from .fit import FitResult, link_limit
@@ -125,16 +126,15 @@ def se_from_ci(point: float, lower: float, upper: float, level: float = 0.95,
     symmetric around the point estimate on the link scale (rounding, or a
     likelihood-ratio interval): 'lower', 'upper', or 'symmetric' (average).
     """
+    if link not in ("log", "identity"):
+        raise ValueError(f"link must be 'log' or 'identity', got {link!r}")
+    if side not in ("lower", "upper", "symmetric"):
+        raise ValueError(f"side must be 'lower', 'upper' or 'symmetric', got {side!r}")
     g = math.log if link == "log" else (lambda v: v)
     c = critical_value(level, crit, df)
     w_lo = g(point) - g(lower)
     w_hi = g(upper) - g(point)
-    if side == "lower":
-        w = w_lo
-    elif side == "upper":
-        w = w_hi
-    else:
-        w = 0.5 * (w_lo + w_hi)
+    w = {"lower": w_lo, "upper": w_hi, "symmetric": 0.5 * (w_lo + w_hi)}[side]
     if w <= 0:
         raise ValueError("confidence limits do not bracket the point estimate")
     return w / c
@@ -330,15 +330,27 @@ def _check_mean_limits(mu_lower, mu_upper):
     return mu_lower
 
 
+def _quantile_interval(fit: FitResult, ends, n_future: float, level: float, *labels, **kw):
+    """The sum-distribution quantiles at the ``Method.ends`` pair ``ends``."""
+    return IntervalEstimate(*(_sum_quantile(fit, prob, n_future, mu, k) for prob, mu, k in ends),
+                            level, *labels, **kw)
+
+
+def _central_ends(level: float, mu_lo=None, mu_hi=None):
+    """The alpha/2 and 1-alpha/2 ends at the fitted shape and at the mean
+    limits, the lower one checked (None: at the fitted mean)."""
+    alpha = 1 - level
+    if mu_lo is not None:
+        mu_lo = _check_mean_limits(mu_lo, mu_hi)
+    return (alpha / 2, mu_lo, None), (1 - alpha / 2, mu_hi, None)
+
+
 def _plugci_sum(fit: FitResult, mu_lo, mu_hi, n_future: float,
                 level: float) -> IntervalEstimate:
     """CI-plug-in prediction: the alpha/2 and 1-alpha/2 quantiles of the sum
     distribution at the lower and upper mean limits."""
-    mu_lo = _check_mean_limits(mu_lo, mu_hi)
-    alpha = 1 - level
-    return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future, mu=mu_lo),
-                            _sum_quantile(fit, 1 - alpha / 2, n_future, mu=mu_hi),
-                            level, "ci_plug_prediction", "future_sum")
+    return _quantile_interval(fit, _central_ends(level, mu_lo, mu_hi), n_future, level,
+                              "ci_plug_prediction", "future_sum")
 
 
 def predict_sum_plugci_gamma(mu_lower: float, mu_upper: float, k: float,
@@ -359,14 +371,19 @@ def predict_count_plugci(count_lower: float, count_upper: float,
     return _plugci_sum(fit, count_lower, count_upper, 1, level)
 
 
+def _plugci_ends(fit: FitResult, level: float, se_kind: str, crit: str):
+    """eq2's ends: the central quantiles at the fit's Wald mean limits."""
+    if fit.family not in _PLUGCI:
+        raise ValueError(f"no sum distribution for family {fit.family!r}")
+    return _central_ends(level, *fit.ci_mu(level, se_kind=se_kind, crit=crit))
+
+
 def predict_sum_plugci(fit: FitResult, target: PredictionTarget, level: float,
                        se_kind: str = "sandwich", crit: str = "z") -> IntervalEstimate:
     """CI-plug-in prediction from a fit: Wald CI for mu on the link scale,
     then sum-distribution quantiles at the limits."""
-    mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
-    if fit.family not in _PLUGCI:
-        raise ValueError(f"no sum distribution for family {fit.family!r}")
-    return _plugci_sum(fit, mu_lo, mu_hi, target.future_units, level)
+    return _quantile_interval(fit, _plugci_ends(fit, level, se_kind, crit),
+                              target.future_units, level, "ci_plug_prediction", "future_sum")
 
 
 def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> Callable:
@@ -406,10 +423,10 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
     z a monotone cubic in log c between nodes, whose error falls as the cube
     of the node spacing, clamped at the end nodes, so H stays within
     [1e-9, 1 - 1e-9]."""
-    z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 201)
-    mu = fit.mu_limit(z_ref, se_kind)
     if fit.family not in _PLUGCI:
         raise ValueError(f"no sum distribution for family {fit.family!r}")
+    z_ref = np.linspace(ndtri(1e-9), -ndtri(1e-9), 201)
+    mu = fit.mu_limit(z_ref, se_kind)
     # k passed: the fit's memo keys scalar probabilities only
     c_ref = _sum_quantile(fit, ndtr(z_ref), n_future, mu=mu, k=fit.k_hat)
     log_c_ref = np.log(c_ref, where=c_ref > 0, out=np.full_like(c_ref, -np.inf))
@@ -448,10 +465,8 @@ def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
     """Central quantile interval of the plug-in sum distribution,
     Gamma((N-n)k_hat, mu_hat/k_hat) for a gamma fit (one observation of a
     Weibull fit)."""
-    alpha, n_future = 1 - level, target.future_units
-    return IntervalEstimate(_sum_quantile(fit, alpha / 2, n_future),
-                            _sum_quantile(fit, 1 - alpha / 2, n_future),
-                            level, "plug_in", "future_sum")
+    return _quantile_interval(fit, _central_ends(level), target.future_units, level,
+                              "plug_in", "future_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +505,23 @@ def _sum_quantile(fit: FitResult, prob: float, n_future: float,
     else:
         q = _unit_quantile(fit.family, prob, n_future, k)
     return q * (mu / k if fit.family == "gamma" else mu / special.gamma(1 + 1 / k))
+
+
+def _sum_cdf(fit: FitResult, t, n_future: float, mu, k, prob: float):
+    """Cdf at ``t`` of a gamma fit's sum distribution at (mu, k) as in
+    ``_sum_quantile``, its inverse in t; NaN where the ``prob`` quantile is
+    not a finite number.  Gamma(a, 1)'s quantiles below prob 1 lie under
+    2a + 100 (a Chernoff bound), so the quantile is computed only where
+    scale * (2a + 100) exceeds 1e308; elsewhere it is finite, or NaN with
+    the cdf."""
+    if fit.family != "gamma":
+        raise ValueError(f"no sum cdf for family {fit.family!r}")
+    mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
+    a, scale = n_future * shape, mu / shape
+    f = gammainc(a, t / scale)
+    if prob >= 1 or _any(scale * (2 * a + 100) > 1e308):
+        f = np.where(np.isfinite(_sum_quantile(fit, prob, n_future, mu, k)), f, np.nan)
+    return f
 
 
 def _delta_se(fit: FitResult, prob: float, n_future: float):
@@ -558,16 +590,21 @@ def tolerance_plugci(fit: FitResult, p: float, level: float, n_future: float,
     the mean limits.  A fit with no shape estimate (quasi-Poisson) raises
     ``UnsupportedTargetError``.
     """
+    return _quantile_interval(fit, _tolerance_plugci_ends(fit, level, p, se_kind, crit),
+                              n_future, level, "ci_plug_tolerance", "middle_content",
+                              content_p=p)
+
+
+def _tolerance_plugci_ends(fit: FitResult, level: float, p: float, se_kind: str, crit: str):
+    """eq5's ends: the (1-p)/2 and (1+p)/2 quantiles at the fit's Wald mean
+    limits, the lower one checked, and its lower Wald shape limit."""
     if fit.k_hat is None:
         raise UnsupportedTargetError(f"a {fit.family} fit has no shape estimate")
     mu_lo, mu_hi = fit.ci_mu(level, se_kind=se_kind, crit=crit)
     mu_lo = _check_mean_limits(mu_lo, mu_hi)
     c = critical_value(level, crit, fit.n_obs - 1)
     k_lower = link_limit(fit.k_hat, -c * fit.se_k / fit.k_hat, "log")
-    lo = _sum_quantile(fit, (1 - p) / 2, n_future, mu=mu_lo, k=k_lower)
-    hi = _sum_quantile(fit, (1 + p) / 2, n_future, mu=mu_hi, k=k_lower)
-    return IntervalEstimate(lo, hi, level, "ci_plug_tolerance",
-                            "middle_content", content_p=p)
+    return ((1 - p) / 2, mu_lo, k_lower), ((1 + p) / 2, mu_hi, k_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +668,18 @@ class Method:
     families the constructor has a formula for (None: any fit).
     ``se_kind`` sets the link-scale SE of eq1 and the Wald mean limits of
     eq2 and eq5, and ``crit`` those mean limits' and the eq5 shape limit's
-    critical value; the other methods carry their own convention."""
+    critical value; the other methods carry their own convention.  The
+    quantile intervals (plugin, eq2, eq5) give ``ends(fit, level, n_future,
+    p, se_kind, crit) -> ((p_lo, mu_lo, k_lo), (p_hi, mu_hi, k_hi))``, the
+    ``_sum_quantile`` arguments of their endpoints (None: the fitted value),
+    so they hold t_lo and t_hi exactly where p_lo <= F(t_lo; mu_lo, k_lo)
+    and F(t_hi; mu_hi, k_hi) <= p_hi, F the cdf ``_sum_cdf``."""
 
     kind: str
     build: Callable[..., IntervalEstimate]
     pvalue: Callable | None = None
     families: tuple | None = None
+    ends: Callable | None = None
 
 
 def _target(fit: FitResult, n_future: float) -> PredictionTarget:
@@ -653,7 +696,8 @@ METHODS = {
     "eq2": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                   predict_sum_plugci(fit, _target(fit, n_future), level,
                                      se_kind=se_kind, crit=crit), _plugci_pvalue,
-                  families=_PLUGCI),
+                  families=_PLUGCI, ends=lambda fit, level, n_future, p, se_kind, crit:
+                  _plugci_ends(fit, level, se_kind, crit)),
     "fpivot": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_fpivot(fit.mu_hat, fit.n_obs, n_future, fit.k_hat, level),
                      _fpivot_pvalue, families=_SHAPED),
@@ -664,7 +708,7 @@ METHODS = {
                         families=("gamma",)),
     "plugin": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                      predict_sum_plugin(fit, _target(fit, n_future), level),
-                     families=_SHAPED),
+                     families=_SHAPED, ends=lambda fit, level, *_: _central_ends(level)),
     "kris": Method("prediction", lambda fit, level, n_future, p, se_kind, crit:
                    predict_count_kris(fit, n_future, level), families=("quasipoisson",)),
     "eq3": Method("tolerance", lambda fit, level, n_future, p, se_kind, crit:
@@ -674,5 +718,6 @@ METHODS = {
                   families=("gamma", "quasipoisson", "weibull")),
     "eq5": Method("tolerance", lambda fit, level, n_future, p, se_kind, crit:
                   tolerance_plugci(fit, p, level, n_future, se_kind=se_kind, crit=crit),
-                  families=_SHAPED),
+                  families=_SHAPED, ends=lambda fit, level, n_future, p, se_kind, crit:
+                  _tolerance_plugci_ends(fit, level, p, se_kind, crit)),
 }

@@ -9,15 +9,15 @@ interarrivals accumulate to a study-level stream.  One engine,
 A cell streams through chunks of whole blocks of runs, each holding about
 ``_CHUNK_VALUES`` sample values.  The calling thread draws each chunk and
 hands it to a thread pool with one worker per usable CPU, which fits it with
-``fit.fit_gamma_rows`` (whose fields are per-run arrays), builds its
-endpoints with the ``intervals.METHODS`` constructors for every method and
-level (the F pivot is scored by its p-value at the future total instead),
-and keeps only its covered and usable counts; scipy's special
-functions and numpy's array loops release the GIL, so the workers overlap.
-At most one chunk per worker is in flight, so lab memory does not grow with
-``n_runs``.  Run r depends only on (seed, r) and the counts are integers
-added in chunk order, so the cells depend neither on the chunking nor on the
-worker count.
+``fit.fit_gamma_rows`` (whose fields are per-run arrays), scores every
+method and level with ``intervals.METHODS`` (the F pivot by its p-value and
+plugin, eq2 and eq5 by their sum cdf at the targets, which is exact, the
+rest by their endpoints), and keeps only its covered and usable counts;
+scipy's special functions and numpy's array loops release the GIL, so the
+workers overlap.  At most one chunk per worker is in flight, so lab memory
+does not grow with ``n_runs``.  Run r depends only on (seed, r) and the
+counts are integers added in chunk order, so the cells depend neither on
+the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -292,7 +292,9 @@ PROCESSES = {
 
 # the methods scored by their exact upper p-value function H: an interval of
 # H's (1-level)/2 and 1-(1-level)/2 crossings holds t exactly when H(t) lies
-# between them, so one fdtr per run replaces the F pivot's two fdtri per level
+# between them, so one fdtr per run replaces the F pivot's two fdtri per
+# level.  eq2's p-value is a table, not exact; the methods with
+# ``Method.ends`` are scored by their sum cdf, one gammainc per gammaincinv
 _BY_PVALUE = ("fpivot",)
 
 
@@ -314,21 +316,29 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
     """The (covered, usable) run counts of one chunk, a row for each
     (method, level) in ``keys``.  A prediction interval covers when it contains the run's
     future total; a tolerance interval when it contains both
-    ``tolerance_target`` quantiles."""
+    ``tolerance_target`` quantiles: lo <= t_lo and t_hi <= hi, or the same
+    test of probabilities and p-values or cdfs.  A run is usable where its
+    fit is and all four are finite."""
     fit, ok = fit_gamma_rows(y)
+    n_future = spec.N - spec.n
     counts = np.zeros((len(keys), 2), dtype=np.int64)
-    h = {m: intervals.METHODS[m].pvalue(fit, spec.N - spec.n, SE_KIND)[0](future)
+    h = {m: intervals.METHODS[m].pvalue(fit, n_future, SE_KIND)[0](future)
          for m in _BY_PVALUE if m in spec.methods}
     for row, (method, level) in zip(counts, keys):
+        entry = intervals.METHODS[method]
+        targets = tolerance_target if entry.kind == "tolerance" else (future, future)
         if method in h:   # H at the future total between H's two crossings
             tail = (1 - level) / 2
             lo, hi, t_lo, t_hi = tail, 1 - tail, h[method], h[method]
-            use = ok & np.isfinite(h[method])
+        elif entry.ends:   # the cdf at each target against its end's probability
+            ends = entry.ends(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
+            (lo, *_), (hi, *_) = ends
+            t_lo, t_hi = (intervals._sum_cdf(fit, t, n_future, mu, k, prob)
+                          for t, (prob, mu, k) in zip(targets, ends))
         else:
             lo, hi = _endpoints(method, fit, level, spec)
-            t_lo, t_hi = (tolerance_target if intervals.METHODS[method].kind == "tolerance"
-                          else (future, future))
-            use = ok & np.isfinite(lo) & np.isfinite(hi)
+            t_lo, t_hi = targets
+        use = ok & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
         row[:] = np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use), np.count_nonzero(use)
     return counts
 

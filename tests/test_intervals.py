@@ -9,7 +9,7 @@ from scipy import stats
 from tolpred import applications, dist, intervals
 from tolpred.dist import RngStream
 from tolpred.fit import (FitResult, SurvivalSample, fit_binomial_logit, fit_gamma_intercept,
-                         fit_gamma_rows, fit_quasipoisson, fit_weibull_censored)
+                         fit_gamma_rows, fit_quasipoisson, fit_weibull_censored, link_limit)
 from tolpred.intervals import (IntervalEstimate, PredictionTarget,
                                normal_approx_prediction, normal_approx_tolerance,
                                normal_exact_prediction, normal_exact_tolerance,
@@ -78,6 +78,41 @@ def test_unknown_convention_strings_raise(call, bad):
     # falling back to z or the model SE
     with pytest.raises(ValueError, match=r"must be '(z' or 't|model' or 'sandwich)', got"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", ["lgo", "Log", "logit", ""])
+@pytest.mark.parametrize("call", [
+    lambda bad: se_from_ci(2.0, 1.0, 4.0, link=bad),
+    lambda bad: link_limit(2.0, 0.5, bad),
+], ids=["se_from_ci", "link_limit"])
+def test_unknown_link_raises(call, bad):
+    # before: any link other than 'log' was taken as the identity link
+    with pytest.raises(ValueError, match=r"link must be 'log' or 'identity', got"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", ["lowr", "Lower", "both", ""])
+def test_unknown_ci_side_raises(bad):
+    # before: any side other than 'lower'/'upper' was taken as 'symmetric'
+    with pytest.raises(ValueError, match=r"side must be 'lower', 'upper' or 'symmetric', got"):
+        se_from_ci(2.0, 1.0, 4.0, side=bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fit: intervals.METHODS["eq2"].pvalue(fit, 10, "model"),
+    lambda fit: intervals.METHODS["eq2"].build(fit, 0.95, 10, None, "model", "z"),
+    lambda fit: intervals.METHODS["eq2"].ends(fit, 0.95, 10, None, "model", "z"),
+], ids=["pvalue", "build", "ends"])
+def test_plugci_checks_the_family_before_the_mean_limits(call):
+    # a binomial-logit fit is named as the unsupported family, and a fit
+    # whose link no mean limit has is never asked for one
+    trt = np.r_[np.ones(60), np.zeros(40)]
+    binomial = fit_binomial_logit(np.r_[np.ones(15), np.zeros(45), np.ones(6), np.zeros(34)], trt)
+    with pytest.raises(ValueError, match="no sum distribution for family 'binomial_logit'"):
+        call(binomial)
+    weibull = replace(gamma_fit(), family="weibull", link="lgo")
+    with pytest.raises(ValueError, match="no sum distribution for family 'weibull'"):
+        call(weibull)
 
 
 def test_t_critical_value_needs_df():
@@ -604,3 +639,15 @@ def test_fpivot_width_increases_with_level(level, k, mu):
     iv_lo = predict_sum_fpivot(mu, 20, 100, k, level)
     iv_hi = predict_sum_fpivot(mu, 20, 100, k, min(level + 0.005, 0.995))
     assert iv_hi.width >= iv_lo.width
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(0.05, 1000.0), mu=st.floats(1e-6, 1e6), n_fut=st.integers(1, 5000),
+       p=st.floats(1e-6, 1 - 1e-6))
+def test_sum_cdf_inverts_sum_quantile(k, mu, n_fut, p):
+    # on a gamma fit, the only family _sum_cdf serves, at the fitted (mu, k)
+    # and at given ones
+    fit = FitResult("gamma", "log", 2 * mu, 20, k_hat=2 * k)
+    for mu_k in ((None, None), (mu, k), (mu, None)):
+        t = intervals._sum_quantile(fit, p, n_fut, *mu_k)
+        assert intervals._sum_cdf(fit, t, n_fut, *mu_k, p) == pytest.approx(p, rel=0, abs=1e-10)

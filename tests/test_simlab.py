@@ -214,9 +214,9 @@ def test_lab_endpoints_are_the_table_run_by_run():
 
 
 def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
-    # eq2 and plugin share their two quantiles per level, and eq3 computes
-    # its quantiles and delta-method SEs once for both levels: 4 + 6 + 4
-    # (eq5's shape limit depends on the level) array calls per gamma cell
+    # eq3 computes its quantiles and delta-method SEs once for both levels:
+    # 2 + 4 array calls per gamma cell; plugin, eq2 and eq5 are scored by
+    # the sum distribution's cdf and call gammaincinv not at all
     calls = []
 
     def counted(a, p):
@@ -226,10 +226,10 @@ def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
     real = intervals.gammaincinv
     monkeypatch.setattr(intervals, "gammaincinv", counted)
     run_gamma_coverage(gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)))
-    assert len(calls) == 14
+    assert len(calls) == 6
     calls.clear()
     run_poisson_gamma(site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)))
-    assert len(calls) == 4
+    assert len(calls) == 0
 
 
 def test_wrong_process_rejected():
@@ -481,7 +481,7 @@ def test_no_run_of_a_pinned_cell_moves(name, spec, methods):
 
 # the pinned cells, and a stress grid over small n, extreme shapes and means
 # and the ends of the future size
-FPIVOT_SCORED_SPECS = [
+SCORED_SPECS = [
     gamma_spec(n_runs=3000, seed=1),
     site_spec(n_runs=3000, seed=1),
     site_spec(n_runs=3000, seed=1, fixed_rates=True),
@@ -490,7 +490,7 @@ FPIVOT_SCORED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", FPIVOT_SCORED_SPECS)
+@pytest.mark.parametrize("spec", SCORED_SPECS)
 def test_fpivot_pvalue_scoring_is_endpoint_scoring_run_by_run(spec):
     # a run's F pivot interval holds its future total exactly when the
     # pivot's p-value there lies between the two tails, and both are usable
@@ -531,6 +531,61 @@ def test_fpivot_cells_make_one_fdtr_call_per_chunk_and_no_fdtri(monkeypatch):
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
     assert calls == {"fdtr": 3, "fdtri": 0}
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS)
+def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
+    # a run's plugin, eq2 or eq5 interval holds its targets exactly when the
+    # sum distribution's cdf at each target lies on the right side of its
+    # end's probability, and both are usable on the same runs
+    process = simlab.PROCESSES[spec.data_process]
+    methods = ("plugin", "eq2", "eq5") if process.tolerance_target else ("plugin", "eq2")
+    # the largest level below 1 puts the upper end at probability 1.0
+    spec = replace(spec, methods=methods,
+                   levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
+    y, future = process.start(spec)(range(spec.n_runs))
+    target = process.tolerance_target(spec) if process.tolerance_target else None
+    fit, ok = fit_gamma_rows(y)
+    n_fut, counts = spec.N - spec.n, []
+    with np.errstate(all="ignore"):   # the stress grid's limits overflow and underflow
+        for method in methods:
+            entry = intervals.METHODS[method]
+            t_lo, t_hi = target if entry.kind == "tolerance" else (future, future)
+            for level in spec.levels:
+                lo, hi = simlab._endpoints(method, fit, level, spec)
+                use = ok & np.isfinite(lo) & np.isfinite(hi)
+                covered = (lo <= t_lo) & (t_hi <= hi) & use
+                (p_lo, mu_lo, k_lo), (p_hi, mu_hi, k_hi) = entry.ends(
+                    fit, level, n_fut, spec.content_p, simlab.SE_KIND, simlab.CRIT)
+                f_lo = intervals._sum_cdf(fit, t_lo, n_fut, mu_lo, k_lo, p_lo)
+                f_hi = intervals._sum_cdf(fit, t_hi, n_fut, mu_hi, k_hi, p_hi)
+                f_use = ok & np.isfinite(f_lo) & np.isfinite(f_hi)
+                np.testing.assert_array_equal(f_use, use)
+                np.testing.assert_array_equal((p_lo <= f_lo) & (f_hi <= p_hi) & f_use, covered)
+                counts.append([np.count_nonzero(covered), np.count_nonzero(use)])
+        keys = [(m, level) for m in methods for level in spec.levels]
+        assert simlab._chunk_counts(spec, keys, y, future, target).tolist() == counts
+
+
+def test_quantile_interval_cells_make_one_gammainc_call_per_end_and_no_gammaincinv(monkeypatch):
+    # the lab scores plugin, eq2 and eq5 by the cdf at their targets: one
+    # gammainc per end, method and level in each of the 3 chunks
+    calls = {"gammainc": 0, "gammaincinv": 0}
+
+    def counted(name):
+        real = getattr(intervals, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(intervals, name, counted(name))
+    spec = gamma_spec(n=50, methods=("plugin", "eq2", "eq5"), levels=(0.8, 0.95), n_runs=3000)
+    assert len(simlab._chunks(spec)) == 3
+    run_coverage(spec)
+    assert calls == {"gammainc": 3 * 3 * 2 * 2, "gammaincinv": 0}
 
 
 # ---------------------------------------------------------------------------
