@@ -128,25 +128,14 @@ def _fit_from_args(args) -> FitResult:
     return fit_weibull_censored(applications.load_survival_csv(args.input))
 
 
-def _fit_to_dict(fit: FitResult) -> dict:
-    out = {}
-    for name in ("family", "link", "mu_hat", "n_obs", "k_hat", "phi_hat",
-                 "se_mu", "se_g_mu_model", "se_g_mu_sandwich", "se_k",
-                 "cov_mu_k", "exposure_total", "loglik", "lam_hat"):
-        val = getattr(fit, name)
-        if val is not None:
-            out[name] = val
-    if fit.phi_hat is not None:
-        out["dispersion_scale"] = fit.dispersion_scale
+def _to_dict(obj) -> dict:
+    """The fields of a fit or interval that its repr shows and that are set,
+    and a fit's ``dispersion_scale`` where its ``phi_hat`` is."""
+    out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+    out = {name: val for name, val in out.items() if val is not None}
+    if "phi_hat" in out:
+        out["dispersion_scale"] = obj.dispersion_scale
     return out
-
-
-def _interval_to_dict(iv: intervals.IntervalEstimate) -> dict:
-    d = {"lower": iv.lower, "upper": iv.upper, "level": iv.level,
-         "method": iv.method, "target": iv.target, "sided": iv.sided}
-    if iv.content_p is not None:
-        d["content_p"] = iv.content_p
-    return d
 
 
 def _emit(args, payload: dict) -> None:
@@ -165,7 +154,7 @@ def _emit(args, payload: dict) -> None:
 
 def cmd_fit(args) -> int:
     fit = _fit_from_args(args)
-    _emit(args, _fit_to_dict(fit))
+    _emit(args, _to_dict(fit))
     return EXIT_OK
 
 
@@ -201,7 +190,7 @@ def cmd_interval(args) -> int:
         method = _table_method(args, fit, name)
         with _unsupported_as_config(fit, name):
             iv = method.build(fit, args.level, args.n_future, p, args.se_kind, "z")
-        out[name] = _interval_to_dict(iv)
+        out[name] = _to_dict(iv)
     _emit(args, out)
     return EXIT_OK
 
@@ -260,11 +249,11 @@ def cmd_recruit(args) -> int:
     out = {}
     if args.mode == "sitedays":
         fit = applications.site_day_fit(series)
-        out["fit"] = _fit_to_dict(fit)
+        out["fit"] = _to_dict(fit)
         out["diagnostic"] = applications.site_dispersion_diagnostic(series)
         if series.future_sites is not None:
             iv = applications.predict_sitedays(fit, series, args.level)
-            out["prediction"] = _interval_to_dict(iv)
+            out["prediction"] = _to_dict(iv)
             out["prediction_rounded"] = list(iv.rounded())
     else:
         trend = applications.fit_trend(series, transform=args.transform, link=args.link)
@@ -274,7 +263,7 @@ def cmd_recruit(args) -> int:
             d = trend.fit_window[1]
             iv = applications.predict_sum_rate(trend, range(d + 1, d + args.horizon + 1),
                                                args.level)
-            out["sum_prediction"] = _interval_to_dict(iv)
+            out["sum_prediction"] = _to_dict(iv)
             out["sum_prediction_rounded"] = list(iv.rounded())
         else:
             if args.target is None:
@@ -323,7 +312,7 @@ def cmd_survival(args) -> int:
                           np.repeat(np.concatenate([[1.0], km.survival]), 2)[:-1],
                           "#000000")],
                         xlabel="time", ylabel="survival")
-    _emit(args, {"fit": _fit_to_dict(fit), "bands_csv": str(band_path),
+    _emit(args, {"fit": _to_dict(fit), "bands_csv": str(band_path),
                  "km_csv": str(km_path)})
     return EXIT_OK
 

@@ -12,12 +12,13 @@ hands it to a thread pool with one worker per usable CPU, which fits it with
 ``fit.fit_gamma_rows`` (whose fields are per-run arrays), scores every
 method and level with ``intervals.METHODS`` (the F pivot by its p-value and
 plugin, eq2 and eq5 by their sum cdf at the targets, which is exact, the
-rest by their endpoints), and keeps only its covered and usable counts;
-scipy's special functions and numpy's array loops release the GIL, so the
-workers overlap.  At most one chunk per worker is in flight, so lab memory
-does not grow with ``n_runs``.  Run r depends only on (seed, r) and the
-counts are integers added in chunk order, so the cells depend neither on
-the chunking nor on the worker count.
+rest by their endpoints; a run is usable where its endpoints are finite, so
+for the F pivot none where 1-(1-level)/2 rounds to 1), and keeps only its
+covered and usable counts; scipy's special functions and numpy's array
+loops release the GIL, so the workers overlap.  At most one chunk per
+worker is in flight, so lab memory does not grow with ``n_runs``.  Run r
+depends only on (seed, r) and the counts are integers added in chunk
+order, so the cells depend neither on the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import dist, intervals
 from .dist import RngStream
-from .fit import FitResult, fit_gamma_rows
+from .fit import fit_gamma_rows
 
 __all__ = [
     "ScenarioSpec",
@@ -52,21 +53,21 @@ __all__ = [
     "METHOD_ORDER",
 ]
 
-METHOD_ORDER = ("eq1", "eq2", "fpivot", "plugin", "eq3", "eq4", "eq5", "fpivot_k1")
-# the lab's methods of each kind, in the method table's order
-PREDICTION_METHODS, TOLERANCE_METHODS = (
-    tuple(m for m, e in intervals.METHODS.items() if m in METHOD_ORDER and e.kind == kind)
-    for kind in ("prediction", "tolerance"))
-METHOD_LABELS = {
+METHOD_LABELS = {   # the lab's methods and their table labels, in print order
     "eq1": "Link pivot",
     "eq2": "CI plug-in prediction",
     "fpivot": "F pivot",
-    "fpivot_k1": "F pivot (k=1)",
     "plugin": "Plug-in",
     "eq3": "Delta tolerance",
     "eq4": "Noncentral-t tolerance",
     "eq5": "CI plug-in tolerance",
+    "fpivot_k1": "F pivot (k=1)",
 }
+METHOD_ORDER = tuple(METHOD_LABELS)
+# the lab's methods of each kind, in the method table's order
+PREDICTION_METHODS, TOLERANCE_METHODS = (
+    tuple(m for m, e in intervals.METHODS.items() if m in METHOD_ORDER and e.kind == kind)
+    for kind in ("prediction", "tolerance"))
 # the lab's convention for the eq2/eq5 mean and shape limits: model-based SE
 # with the t critical value on n-1 df; it reproduces the published coverage
 # columns
@@ -293,15 +294,10 @@ PROCESSES = {
 # the methods scored by their exact upper p-value function H: an interval of
 # H's (1-level)/2 and 1-(1-level)/2 crossings holds t exactly when H(t) lies
 # between them, so one fdtr per run replaces the F pivot's two fdtri per
-# level.  eq2's p-value is a table, not exact; the methods with
-# ``Method.ends`` are scored by their sum cdf, one gammainc per gammaincinv
+# level; a run is usable where H(t) is finite and 1-(1-level)/2 below 1.
+# eq2's p-value is a table, not exact; the methods with ``Method.ends`` are
+# scored by their sum cdf, one gammainc per gammaincinv
 _BY_PVALUE = ("fpivot",)
-
-
-def _endpoints(method: str, fit: FitResult, level: float, spec: ScenarioSpec):
-    iv = intervals.METHODS[method].build(fit, level, spec.N - spec.n, spec.content_p,
-                                         SE_KIND, CRIT)
-    return iv.lower, iv.upper
 
 
 def _workers() -> int:
@@ -328,16 +324,17 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
         entry = intervals.METHODS[method]
         targets = tolerance_target if entry.kind == "tolerance" else (future, future)
         if method in h:   # H at the future total between H's two crossings
-            tail = (1 - level) / 2
-            lo, hi, t_lo, t_hi = tail, 1 - tail, h[method], h[method]
+            tail = (1 - level) / 2   # no upper crossing where 1 - tail rounds to 1
+            lo, hi = tail, 1 - tail if 1 - tail < 1 else math.nan
+            t_lo = t_hi = h[method]
         elif entry.ends:   # the cdf at each target against its end's probability
             ends = entry.ends(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
             (lo, *_), (hi, *_) = ends
             t_lo, t_hi = (intervals._sum_cdf(fit, t, n_future, mu, k, prob)
                           for t, (prob, mu, k) in zip(targets, ends))
         else:
-            lo, hi = _endpoints(method, fit, level, spec)
-            t_lo, t_hi = targets
+            iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
+            lo, hi, (t_lo, t_hi) = iv.lower, iv.upper, targets
         use = ok & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
         row[:] = np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use), np.count_nonzero(use)
     return counts

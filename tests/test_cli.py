@@ -348,6 +348,33 @@ def family_csvs(tmp_path, gamma_csv, survival_csv):
             "weibull": survival_csv, "gamma_near_zero": near_zero}
 
 
+# the JSON keys each subcommand prints: the fit's or interval's fields that
+# are set, and a dispersed fit's dispersion_scale
+SHAPED_FIT_KEYS = {"cov_mu_k", "family", "k_hat", "link", "loglik", "mu_hat", "n_obs",
+                   "se_g_mu_model", "se_g_mu_sandwich", "se_k", "se_mu"}
+INTERVAL_KEYS = {"level", "lower", "method", "sided", "target", "upper"}
+
+
+@pytest.mark.parametrize("family, argv, keys", [
+    ("gamma", ["fit"], SHAPED_FIT_KEYS),
+    ("quasipoisson", ["fit"], {"dispersion_scale", "exposure_total", "family", "link",
+                               "mu_hat", "n_obs", "phi_hat", "se_g_mu_model",
+                               "se_g_mu_sandwich", "se_mu"}),
+    ("binomial", ["fit"], {"family", "link", "mu_hat", "n_obs", "se_g_mu_model",
+                           "se_g_mu_sandwich"}),
+    ("weibull", ["fit"], SHAPED_FIT_KEYS | {"lam_hat"}),
+    ("gamma", ["predict", "--method", "eq1", "--n-future", "280"], INTERVAL_KEYS),
+    ("gamma", ["tolerance", "--method", "eq4", "--n-future", "280"],
+     INTERVAL_KEYS | {"content_p"}),
+], ids=["fit-gamma", "fit-quasipoisson", "fit-binomial", "fit-weibull", "predict",
+        "tolerance"])
+def test_json_keys_are_pinned(capsys, family_csvs, family, argv, keys):
+    code, out = run(capsys, *argv, "--family", family, "--input", str(family_csvs[family]))
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload if argv == ["fit"] else payload[argv[2]]) == keys
+
+
 @pytest.mark.parametrize("command, family, method, n_future", [
     ("predict", "gamma", "fpivot", None),
     ("tolerance", "gamma", "eq3", None),

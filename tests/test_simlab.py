@@ -202,7 +202,8 @@ def test_lab_endpoints_are_the_table_run_by_run():
     for name in spec.methods:
         method = intervals.METHODS[name]
         for level in spec.levels:
-            lo, hi = simlab._endpoints(name, fit, level, spec)
+            iv = method.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+            lo, hi = iv.lower, iv.upper
             runs = [method.build(f, level, n_fut, p, "model", "t") for f in fits]
             np.testing.assert_allclose(lo, [iv.lower for iv in runs], rtol=1e-12)
             np.testing.assert_allclose(hi, [iv.upper for iv in runs], rtol=1e-12)
@@ -278,7 +279,9 @@ def whole_array_cells(spec):
     cells = []
     for method in spec.methods:
         for level in spec.levels:
-            lo, hi = simlab._endpoints(method, fit, level, spec)
+            iv = intervals.METHODS[method].build(fit, level, spec.N - spec.n, spec.content_p,
+                                                 simlab.SE_KIND, simlab.CRIT)
+            lo, hi = iv.lower, iv.upper
             if method in simlab.TOLERANCE_METHODS:
                 covered = (lo <= q_lo) & (q_hi <= hi)
             else:
@@ -494,20 +497,26 @@ SCORED_SPECS = [
 def test_fpivot_pvalue_scoring_is_endpoint_scoring_run_by_run(spec):
     # a run's F pivot interval holds its future total exactly when the
     # pivot's p-value there lies between the two tails, and both are usable
-    # on the same runs
-    spec = replace(spec, methods=("fpivot",), levels=(0.5, 0.8, 0.95, 0.999))
+    # on the same runs; the largest level below 1 puts the upper crossing at
+    # probability 1.0, where the upper end is infinite
+    spec = replace(spec, methods=("fpivot",),
+                   levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
     y, future = simlab.PROCESSES[spec.data_process].start(spec)(range(spec.n_runs))
     fit, ok = fit_gamma_rows(y)
     h = intervals.METHODS["fpivot"].pvalue(fit, spec.N - spec.n, simlab.SE_KIND)[0](future)
     h_use = ok & np.isfinite(h)
     counts = []
     for level in spec.levels:
-        lo, hi = simlab._endpoints("fpivot", fit, level, spec)
+        iv = intervals.METHODS["fpivot"].build(fit, level, spec.N - spec.n, spec.content_p,
+                                               simlab.SE_KIND, simlab.CRIT)
+        lo, hi = iv.lower, iv.upper
         use = ok & np.isfinite(lo) & np.isfinite(hi)
         covered = (lo <= future) & (future <= hi) & use
         tail = (1 - level) / 2
-        np.testing.assert_array_equal(h_use, use)
-        np.testing.assert_array_equal((tail <= h) & (h <= 1 - tail) & h_use, covered)
+        # no run is usable where 1 - tail rounds to 1
+        h_level_use = h_use & (1 - tail < 1)
+        np.testing.assert_array_equal(h_level_use, use)
+        np.testing.assert_array_equal((tail <= h) & (h <= 1 - tail) & h_level_use, covered)
         counts.append((np.count_nonzero(covered), np.count_nonzero(use)))
     keys = [("fpivot", level) for level in spec.levels]
     assert simlab._chunk_counts(spec, keys, y, future, None).tolist() == [list(c) for c in counts]
@@ -552,7 +561,8 @@ def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
             entry = intervals.METHODS[method]
             t_lo, t_hi = target if entry.kind == "tolerance" else (future, future)
             for level in spec.levels:
-                lo, hi = simlab._endpoints(method, fit, level, spec)
+                iv = entry.build(fit, level, n_fut, spec.content_p, simlab.SE_KIND, simlab.CRIT)
+                lo, hi = iv.lower, iv.upper
                 use = ok & np.isfinite(lo) & np.isfinite(hi)
                 covered = (lo <= t_lo) & (t_hi <= hi) & use
                 (p_lo, mu_lo, k_lo), (p_hi, mu_hi, k_hi) = entry.ends(
