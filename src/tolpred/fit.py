@@ -80,7 +80,9 @@ class FitResult:
     ``_memo`` keeps what the interval constructors derive from the fit
     alone, never from the level or the SE convention: the unit-scale sum
     quantiles and the delta-method quantile SEs, keyed by
-    ``(kind, prob, n_future)``.  ``dataclasses.replace`` starts an empty one.
+    ``(kind, prob, n_future)``, and the sum cdf at the fitted (mu, k),
+    keyed by ``("cdf", n_future)`` and held with the last target it was
+    computed at.  ``dataclasses.replace`` starts an empty one.
     """
 
     family: str

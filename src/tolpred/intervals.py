@@ -513,12 +513,19 @@ def _sum_cdf(fit: FitResult, t, n_future: float, mu, k, prob: float):
     not a finite number.  Gamma(a, 1)'s quantiles below prob 1 lie under
     2a + 100 (a Chernoff bound), so the quantile is computed only where
     scale * (2a + 100) exceeds 1e308; elsewhere it is finite, or NaN with
-    the cdf."""
+    the cdf.  At the fitted (mu, k) the cdf depends on neither the level nor
+    the end, so the fit keeps it with the last ``t`` it was asked for."""
     if fit.family != "gamma":
         raise ValueError(f"no sum cdf for family {fit.family!r}")
+    key = ("cdf", n_future) if mu is None and k is None else None
     mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
     a, scale = n_future * shape, mu / shape
-    f = gammainc(a, t / scale)
+    held = fit._memo.get(key)
+    if held is None or held[0] is not t:
+        held = t, gammainc(a, t / scale)
+        if key:
+            fit._memo[key] = held
+    f = held[1]
     if prob >= 1 or _any(scale * (2 * a + 100) > 1e308):
         f = np.where(np.isfinite(_sum_quantile(fit, prob, n_future, mu, k)), f, np.nan)
     return f

@@ -7,18 +7,19 @@ interarrivals accumulate to a study-level stream.  One engine,
 ``run_coverage``, runs any data process of the ``PROCESSES`` table.
 
 A cell streams through chunks of whole blocks of runs, each holding about
-``_CHUNK_VALUES`` sample values.  The calling thread draws each chunk and
-hands it to a thread pool with one worker per usable CPU, which fits it with
-``fit.fit_gamma_rows`` (whose fields are per-run arrays), scores every
-method and level with ``intervals.METHODS`` (the F pivot by its p-value and
-plugin, eq2 and eq5 by their sum cdf at the targets, which is exact, the
-rest by their endpoints; a run is usable where its endpoints are finite, so
-for the F pivot none where 1-(1-level)/2 rounds to 1), and keeps only its
-covered and usable counts; scipy's special functions and numpy's array
-loops release the GIL, so the workers overlap.  At most one chunk per
-worker is in flight, so lab memory does not grow with ``n_runs``.  Run r
-depends only on (seed, r) and the counts are integers added in chunk
-order, so the cells depend neither on the chunking nor on the worker count.
+``_CHUNK_VALUES`` sample values.  Every chunk is queued at once, as its run
+range alone, on a thread pool with one worker per usable CPU.  A worker
+draws its chunk, fits it with ``fit.fit_gamma_rows`` (whose fields are
+per-run arrays), scores every method and level with ``intervals.METHODS``
+(the F pivot by its p-value and plugin, eq2 and eq5 by their sum cdf at the
+targets, which is exact, the rest by their endpoints; a run is usable where
+its endpoints are finite, so for the F pivot none where 1-(1-level)/2
+rounds to 1), and keeps only its covered and usable counts; scipy's special
+functions, numpy's generators and its array loops release the GIL, so the
+workers overlap.  Only running chunks hold samples, at most one per worker,
+so lab memory does not grow with ``n_runs``.  Run r depends only on
+(seed, r) and the counts are integers added in chunk order, so the cells
+depend neither on the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import math
 import numbers
 import os
-from collections import deque
 from dataclasses import dataclass, asdict, fields
 from functools import partial
 from typing import Callable, NamedTuple
@@ -266,8 +266,10 @@ def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
 
 class Process(NamedTuple):
     """A data process of the lab: the ``ScenarioSpec`` fields it needs;
-    ``start(spec)``, run once per cell on the calling thread, which returns
-    the cell's chunk draw ``draw(runs) -> (samples, future totals)``; and
+    ``start(spec)``, run once per cell on the calling thread, which draws
+    what the cell's runs share and returns its chunk draw
+    ``draw(runs) -> (samples, future totals)``, called on the pool threads,
+    several at once, so it must be safe to call concurrently; and
     ``tolerance_target(spec)``, the two quantiles a tolerance interval must
     contain, or None when the process has none."""
 
@@ -342,10 +344,11 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
 
 def run_coverage(spec: ScenarioSpec) -> CoverageReport:
     """Coverage of every method x level of ``spec`` under its data process.
-    Each chunk is drawn on the calling thread and counted on a pool of
-    ``_workers()`` threads, at most one chunk per worker in flight; the
-    counts are added in chunk order, and an exception in a chunk stops the
-    submitting and propagates."""
+    The calling thread starts the process and queues every chunk's run range
+    on a pool of ``_workers()`` threads, each of which draws and counts one
+    chunk at a time, so at most ``_workers()`` chunks of samples are live.
+    The counts are added in chunk order; an exception in a chunk cancels the
+    chunks not yet started and propagates."""
     # imported here, so that importing tolpred loads no thread pool module
     from concurrent.futures import ThreadPoolExecutor
 
@@ -354,18 +357,21 @@ def run_coverage(spec: ScenarioSpec) -> CoverageReport:
     draw = process.start(spec)
     keys = list(dict.fromkeys((m, level) for m in spec.methods for level in spec.levels))
     totals = np.zeros((len(keys), 2), dtype=np.int64)   # covered and usable runs
-    workers = _workers()
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for runs in _chunks(spec):
-            # each task runs in a copy of the caller's context, so the
-            # caller's np.errstate holds in the workers too
-            pending.append(pool.submit(contextvars.copy_context().run, _chunk_counts,
-                                       spec, keys, *draw(runs), target))
-            if len(pending) == workers:
-                totals += pending.popleft().result()
-        while pending:
-            totals += pending.popleft().result()
+
+    def count(runs):
+        return _chunk_counts(spec, keys, *draw(runs), target)
+
+    with ThreadPoolExecutor(_workers()) as pool:
+        # each task runs in a copy of the caller's context, so the caller's
+        # np.errstate holds in the workers too
+        pending = [pool.submit(contextvars.copy_context().run, count, runs)
+                   for runs in _chunks(spec)]
+        try:
+            for chunk in pending:
+                totals += chunk.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     cells = []
     for (method, level), (n_covered, n_used) in zip(keys, totals.tolist()):
         obs = n_covered / n_used if n_used else float("nan")
@@ -389,9 +395,17 @@ def run_poisson_gamma(spec: ScenarioSpec) -> CoverageReport:
     return run_coverage(spec)
 
 
+def _nominal(level) -> str:
+    """A level to three decimals where that reads back as the level, else
+    its shortest repr, so distinct levels print apart."""
+    text = f"{level:.3f}"
+    return text if float(text) == level else repr(float(level))
+
+
 def emit_table(report: CoverageReport, fmt: str = "text") -> str:
     """Render a CoverageReport; rows follow the canonical method order.  A
-    cell with no usable run leaves its observed coverage and MC SE empty."""
+    cell with no usable run leaves its observed coverage and MC SE empty.
+    The CSV prints each level's shortest repr, which reads back as it."""
     ordered = sorted(report.cells,
                      key=lambda c: (METHOD_ORDER.index(c.method), c.level))
     if fmt == "csv":
@@ -399,12 +413,14 @@ def emit_table(report: CoverageReport, fmt: str = "text") -> str:
         buf.write("method,level,observed,mc_se,n_runs,n_failed\n")
         for c in ordered:
             cover = f"{c.observed:.6f},{c.mc_se:.6f}" if c.n_runs else ","
-            buf.write(f"{c.method},{c.level:g},{cover},{c.n_runs},{c.n_failed}\n")
+            buf.write(f"{c.method},{float(c.level)!r},{cover},{c.n_runs},{c.n_failed}\n")
         return buf.getvalue()
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"{'Method':<24}{'Nominal':>9}{'Observed':>10}{'MC SE':>9}{'Runs':>8}"]
-    for c in ordered:
+    nominal = [_nominal(c.level) for c in ordered]
+    width = max([9, *map(len, nominal)])
+    lines = [f"{'Method':<24}{'Nominal':>{width}}{'Observed':>10}{'MC SE':>9}{'Runs':>8}"]
+    for c, level in zip(ordered, nominal):
         cover = f"{c.observed:>10.4f}{c.mc_se:>9.4f}" if c.n_runs else " " * (10 + 9)
-        lines.append(f"{METHOD_LABELS[c.method]:<24}{c.level:>9.3f}{cover}{c.n_runs:>8}")
+        lines.append(f"{METHOD_LABELS[c.method]:<24}{level:>{width}}{cover}{c.n_runs:>8}")
     return "\n".join(lines) + "\n"

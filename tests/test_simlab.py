@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -362,14 +363,15 @@ def test_cells_do_not_depend_on_the_worker_count(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", POOL_SPECS[1:], ids=POOL_IDS[1:])
-def test_draws_stay_on_the_calling_thread(monkeypatch, spec):
-    # a generator per block (and one for fixed site rates), all made on the
-    # caller's thread, while the fits run on the pool's
-    drawn, fitted = [], []
+def test_each_worker_draws_the_chunk_it_fits(monkeypatch, spec):
+    # the caller makes only the fixed site rates' generator (root stream 1);
+    # each block's generator is made once, on a pool thread, and every fit
+    # runs on a pool thread
+    made, fitted = [], []
     real_generator, real_fit = dist.RngStream.generator, simlab.fit_gamma_rows
 
     def generator(self):
-        drawn.append(threading.get_ident())
+        made.append((self.stream_id, threading.get_ident()))
         return real_generator(self)
 
     def fit_rows(y):
@@ -380,10 +382,13 @@ def test_draws_stay_on_the_calling_thread(monkeypatch, spec):
     monkeypatch.setattr(simlab, "fit_gamma_rows", fit_rows)
     monkeypatch.setattr(simlab, "_workers", lambda: 2)
     _run(spec)
+    caller = threading.get_ident()
     blocks = -(-spec.n_runs // simlab.BLOCK)
-    assert drawn == [threading.get_ident()] * (blocks + spec.fixed_rates)
+    assert [sid for sid, thread in made if thread == caller] == [1] * spec.fixed_rates
+    assert (Counter(sid for sid, thread in made if thread != caller)
+            == Counter((0, b) for b in range(blocks)))
     assert len(fitted) == len(simlab._chunks(spec))
-    assert threading.get_ident() not in fitted
+    assert caller not in fitted
 
 
 def test_workers_run_under_the_callers_errstate(monkeypatch):
@@ -578,8 +583,10 @@ def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
 
 
 def test_quantile_interval_cells_make_one_gammainc_call_per_end_and_no_gammaincinv(monkeypatch):
-    # the lab scores plugin, eq2 and eq5 by the cdf at their targets: one
-    # gammainc per end, method and level in each of the 3 chunks
+    # the lab scores plugin, eq2 and eq5 by the cdf at their targets: in
+    # each of the 3 chunks, one gammainc per end and level for eq2 and eq5,
+    # and one in all for plugin, whose ends share the fitted (mu, k) and
+    # the future total
     calls = {"gammainc": 0, "gammaincinv": 0}
 
     def counted(name):
@@ -595,7 +602,7 @@ def test_quantile_interval_cells_make_one_gammainc_call_per_end_and_no_gammainci
     spec = gamma_spec(n=50, methods=("plugin", "eq2", "eq5"), levels=(0.8, 0.95), n_runs=3000)
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
-    assert calls == {"gammainc": 3 * 3 * 2 * 2, "gammaincinv": 0}
+    assert calls == {"gammainc": 3 * (1 + 2 * 2 * 2), "gammaincinv": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +630,18 @@ def test_emit_table_csv_roundtrip():
         cell = rep.cell(method, float(level))
         assert float(observed) == pytest.approx(cell.observed, abs=5e-7)
         assert int(n_runs) == cell.n_runs
+
+
+def test_emit_table_prints_distinct_levels_apart():
+    # 0.9999999 and 0.99999999 both round to 1 at three decimals and at %g
+    levels = (0.9999999, 0.99999999, 0.95)
+    rep = run_gamma_coverage(gamma_spec(levels=levels, n_runs=200))
+    rows = emit_table(rep, fmt="csv").strip().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == sorted(levels)
+    assert [row.split(",")[1] for row in rows] == ["0.95", "0.9999999", "0.99999999"]
+    header, *rows = emit_table(rep).strip().splitlines()
+    assert [row[24:34].strip() for row in rows] == ["0.950", "0.9999999", "0.99999999"]
+    assert {len(row) for row in rows} == {len(header)}   # the column widens to fit
 
 
 def test_emit_table_bad_format():
