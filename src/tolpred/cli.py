@@ -96,7 +96,8 @@ def _config_flags(parser: argparse.ArgumentParser, path) -> list[str]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    cfg.pop("schema_version", None)
+    if (version := cfg.pop("schema_version", 1)) != 1 or type(version) is not int:
+        raise ConfigError(f"unknown config schema_version {version!r}: this tolpred reads 1")
     options = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     unknown = set(cfg) - set(options)

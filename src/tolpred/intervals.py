@@ -531,25 +531,37 @@ def _sum_cdf(fit: FitResult, t, n_future: float, mu, k, prob: float):
     return f
 
 
-def _delta_se(fit: FitResult, prob: float, n_future: float):
+def _delta_se(fit: FitResult, prob: float, n_future: float, screened: bool = False):
     """Delta-method SE of the sum quantile at the fit, computed once per fit.
 
     Both sum distributions are linear in mu (gamma through scale=mu/k,
     Weibull through lam=mu/Gamma(1+1/k)), so dq/dmu = q/mu exactly; dq/dk
-    is a central finite difference.
+    is a central finite difference.  ``screened`` (the lab's eq3 screen)
+    returns the SE and dq/dk from dx/da = -(dP/da)/pdf(x), x the unit gamma
+    quantile at a = n_future * k and dP/da a central difference at step
+    1e-4 * min(a, sqrt(a)) of the cdf, or above 0.99, where the cdf rounds,
+    of the upper tail (slower at small a): no ``gammaincinv``.
     """
-    key = ("delta_se", prob, n_future)
+    key = ("screened_se" if screened else "delta_se", prob, n_future)
     if key not in fit._memo:
         mu, k = fit.mu_hat, fit.k_hat
-        h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
         d_mu = _sum_quantile(fit, prob, n_future) / mu
-        d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
-               - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
+        if screened:
+            x, a = d_mu * k, n_future * k
+            h = 1e-4 * np.minimum(a, np.sqrt(a))
+            dp = (gammainc(a - h, x) - gammainc(a + h, x) if prob < 0.99
+                  else special.gammaincc(a + h, x) - special.gammaincc(a - h, x))
+            dx_da = dp / (2 * h) * np.exp(x + special.gammaln(a) - (a - 1) * np.log(x))
+            d_k = (n_future * dx_da - d_mu) * mu / k
+        else:
+            h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
+            d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
+                   - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
         cov = 0.0 if fit.cov_mu_k is None else fit.cov_mu_k
         var = (d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2 + 2.0 * d_mu * d_k * cov
         if _any(var < 0):
             raise ValueError("negative delta-method variance; covariance is not PSD")
-        fit._memo[key] = np.sqrt(var)
+        fit._memo[key] = (np.sqrt(var), d_k) if screened else np.sqrt(var)
     return fit._memo[key]
 
 

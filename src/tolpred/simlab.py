@@ -11,15 +11,16 @@ A cell streams through chunks of whole blocks of runs, each holding about
 range alone, on a thread pool with one worker per usable CPU.  A worker
 draws its chunk, fits it with ``fit.fit_gamma_rows`` (whose fields are
 per-run arrays), scores every method and level with ``intervals.METHODS``
-(the F pivot by its p-value and plugin, eq2 and eq5 by their sum cdf at the
-targets, which is exact, the rest by their endpoints; a run is usable where
-its endpoints are finite, so for the F pivot none where 1-(1-level)/2
-rounds to 1), and keeps only its covered and usable counts; scipy's special
-functions, numpy's generators and its array loops release the GIL, so the
-workers overlap.  Only running chunks hold samples, at most one per worker,
-so lab memory does not grow with ``n_runs``.  Run r depends only on
-(seed, r) and the counts are integers added in chunk order, so the cells
-depend neither on the chunking nor on the worker count.
+(the F pivot by its p-value, plugin, eq2 and eq5 by their sum cdf at the
+targets and eq3 by a screened SE with exact ends near its targets, each
+exact, the rest by their endpoints; a run is usable where its endpoints
+are finite, so for the F pivot none where 1-(1-level)/2 rounds to 1), and
+keeps only its covered and usable counts; scipy's special functions,
+numpy's generators and its array loops release the GIL, so the workers
+overlap.  Only running chunks hold samples, at most one per worker, so lab
+memory does not grow with ``n_runs``.  Run r depends only on (seed, r) and
+the counts are integers added in chunk order, so the cells depend neither
+on the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dist, intervals
-from .dist import RngStream
+from .dist import RngStream, critical_value
 from .fit import fit_gamma_rows
 
 __all__ = [
@@ -147,7 +148,8 @@ class ScenarioSpec:
                 raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("a scenario must be a JSON object")
-        raw.pop("schema_version", None)
+        if (version := raw.pop("schema_version", 1)) != 1 or type(version) is not int:
+            raise ValueError(f"unknown schema_version {version!r}: this tolpred reads 1")
         for key in ("methods", "levels"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -310,6 +312,39 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+# eq3's screen: its dq/dk's worst error in the gate, measured and rounded
+# up, and the safety factor its margins take
+_EQ3_RHO, _EQ3_RHO_Q, _EQ3_SAFETY = 2.5e-4, 1e-8, 100.0
+
+
+def _eq3_ends(fit, ok, level, n_future, p, targets):
+    """eq3's (lower, upper) ends of each run from its screened SE (README,
+    "Simulation lab").  The runs of ``ok`` outside the gate, (N - n) k_hat in
+    [0.1, 1e5] and k_hat >= 0.01, or within their margin of a target or of
+    overflow, take ``METHODS["eq3"].build`` on a fit of those runs alone.
+    The margin bounds the log end's move under a dq/dk error of
+    e = SAFETY (RHO |dq/dk| + RHO_Q q/k) se_k: c/q e (2|g| + e)/se, with
+    g = se_k dq/dk (the lab's fits have no (mu, k) covariance), plus rounding."""
+    c, k, a = critical_value(level, "t", fit.n_obs - 1), fit.k_hat, n_future * fit.k_hat
+    exact, ends = ~((a >= 0.1) & (a <= 1e5) & (k >= 0.01)), []
+    with np.errstate(all="ignore"):   # the runs the screen cannot decide go exact
+        for prob, sign, t in zip(((1 - p) / 2, (1 + p) / 2), (-1, 1), np.log(targets)):
+            q, (se, d_k) = (intervals._sum_quantile(fit, prob, n_future),
+                            intervals._delta_se(fit, prob, n_future, screened=True))
+            e = _EQ3_SAFETY * (_EQ3_RHO * np.abs(d_k) + _EQ3_RHO_Q * q / k) * fit.se_k
+            r, log_q = c * se / q, np.log(q)
+            m = (c * e * (2 * np.abs(d_k) * fit.se_k + e) / (q * se)
+                 + 1e-13 * (1 + np.abs(log_q) + r + abs(t)))
+            log_end = log_q + sign * r
+            exact |= ~((np.abs(log_end - t) > m) & (np.abs(log_end) + m < 700))
+            ends.append(q * np.exp(sign * r))
+    if (rows := np.flatnonzero(exact & ok)).size:
+        sub = {f: v[rows] for f, v in vars(fit).items() if isinstance(v, np.ndarray)}
+        iv = intervals.METHODS["eq3"].build(replace(fit, **sub), level, n_future, p, SE_KIND, CRIT)
+        ends[0][rows], ends[1][rows] = iv.lower, iv.upper
+    return ends
+
+
 def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
     """The (covered, usable) run counts of one chunk, a row for each
     (method, level) in ``keys``.  A prediction interval covers when it contains the run's
@@ -334,6 +369,9 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
             (lo, *_), (hi, *_) = ends
             t_lo, t_hi = (intervals._sum_cdf(fit, t, n_future, mu, k, prob)
                           for t, (prob, mu, k) in zip(targets, ends))
+        elif method == "eq3":   # screened ends, exact near the targets
+            lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets)
+            t_lo, t_hi = targets
         else:
             iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
             lo, hi, (t_lo, t_hi) = iv.lower, iv.upper, targets

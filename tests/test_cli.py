@@ -150,6 +150,26 @@ def test_config_that_stands_for_no_flags_is_one_line_config_error(tmp_path, gamm
     assert err.count("\n") == 1 and err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("version", [99, "1", True])
+def test_unknown_schema_version_is_one_line_config_error(capsys, tmp_path, gamma_csv, version):
+    # a config or scenario of another schema stops before it runs; version 1
+    # and a file without the key run
+    cfg = tmp_path / "cfg.json"
+    for text, want in ((1, 0), (version, 1)):
+        cfg.write_text(json.dumps({"schema_version": text, "family": "gamma",
+                                   "input": str(gamma_csv[0])}))
+        code, out, err, caught = _call_quietly(["fit", "--config", str(cfg)])
+        assert (code, caught) == (want, [])
+    assert out == "" and err.count("\n") == 1 and "schema_version" in err
+    scen = scenario_file(tmp_path, schema_version=version)
+    assert main(["simulate", "--scenario", str(scen)]) == 1
+    assert "schema_version" in capsys.readouterr().err
+    raw = json.loads(scen.read_text())
+    del raw["schema_version"]
+    scen.write_text(json.dumps(raw))
+    assert main(["simulate", "--scenario", str(scen)]) == 0
+
+
 def test_near_equal_sample_is_one_line_fit_error(tmp_path):
     """A fresh process, where numpy's warnings would reach stderr: near-equal
     values overflow the shape, and the user sees only the fit error."""

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from tolpred import dist, intervals, simlab
-from tolpred.fit import fit_gamma_intercept, fit_gamma_rows
+from tolpred.fit import FitResult, fit_gamma_intercept, fit_gamma_rows
 from tolpred.simlab import (CoverageCell, ScenarioSpec, emit_table, run_coverage,
                             run_gamma_coverage, run_poisson_gamma)
 
@@ -70,6 +70,16 @@ def test_spec_json_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(text)
     assert ScenarioSpec.from_json(str(path)) == spec
+
+
+@pytest.mark.parametrize("version", [99, "1", True, 1.0])
+def test_unknown_schema_version_is_rejected(version):
+    raw = json.loads(gamma_spec().to_json())
+    raw["schema_version"] = version
+    with pytest.raises(ValueError, match="schema_version"):
+        ScenarioSpec.from_json(json.dumps(raw))
+    del raw["schema_version"]   # a scenario without the key is version 1
+    assert ScenarioSpec.from_json(json.dumps(raw)) == gamma_spec()
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +226,51 @@ def test_lab_endpoints_are_the_table_run_by_run():
 
 
 def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
-    # eq3 computes its quantiles and delta-method SEs once for both levels:
-    # 2 + 4 array calls per gamma cell; plugin, eq2 and eq5 are scored by
-    # the sum distribution's cdf and call gammaincinv not at all
-    calls = []
+    # eq3 computes its two quantiles once for both levels and screens its
+    # SEs with gammainc: 2 array calls in a gamma cell where no run takes
+    # the exact path; plugin, eq2 and eq5 are scored by the sum
+    # distribution's cdf and call gammaincinv not at all
+    sizes = []
 
     def counted(a, p):
-        calls.append(1)
+        sizes.append(np.size(a))
         return real(a, p)
 
     real = intervals.gammaincinv
     monkeypatch.setattr(intervals, "gammaincinv", counted)
     run_gamma_coverage(gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)))
-    assert len(calls) == 6
-    calls.clear()
+    assert sizes == [500, 500]
+    sizes.clear()
     run_poisson_gamma(site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)))
-    assert len(calls) == 0
+    assert sizes == []
+
+
+def test_eq3_exact_path_computes_only_its_runs(monkeypatch):
+    # in a one-chunk cell whose runs sit near their targets, each level
+    # sends the runs its screen cannot decide to the method table's eq3,
+    # whose two quantiles and four finite-difference quantiles see only
+    # those runs
+    sizes, exact = [], []
+
+    def counted(a, p):
+        sizes.append(np.size(a))
+        return real(a, p)
+
+    def build(fit, *args):
+        exact.append(fit.k_hat)
+        return entry.build(fit, *args)
+
+    real, entry = intervals.gammaincinv, intervals.METHODS["eq3"]
+    monkeypatch.setattr(intervals, "gammaincinv", counted)
+    monkeypatch.setitem(intervals.METHODS, "eq3", replace(entry, build=build))
+    spec = gamma_spec(n=3, N=4, k=0.3, mu=1.0, methods=("eq3",), levels=(0.8, 0.95),
+                      content_p=0.9, n_runs=8000, seed=1)
+    assert len(simlab._chunks(spec)) == 1
+    run_gamma_coverage(spec)
+    assert len(exact) == 2 and 0 < sum(map(len, exact)) < spec.n_runs
+    assert sizes == [spec.n_runs] * 2 + [len(rows) for rows in exact for _ in range(6)]
+    fit, _ = fit_gamma_rows(simlab._draw_gamma_runs(spec)[0])
+    assert all(np.isin(rows, fit.k_hat).all() for rows in exact)
 
 
 def test_wrong_process_rejected():
@@ -603,6 +642,92 @@ def test_quantile_interval_cells_make_one_gammainc_call_per_end_and_no_gammainci
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
     assert calls == {"gammainc": 3 * (1 + 2 * 2 * 2), "gammaincinv": 0}
+
+
+# the gamma cells of the stress grid, a block of small samples (n 2-10,
+# k 0.1-20, N - n 1-300), where the t critical value is largest, and a
+# shape so small that the lower target underflows to 0
+EQ3_SPECS = [*(s for s in SCORED_SPECS if s.data_process == "gamma_fixed"),
+             *(gamma_spec(n=n, N=n + n_fut, k=k, mu=1.0, n_runs=256, seed=11)
+               for n in (2, 3, 5, 10) for k in (0.1, 0.7, 4.0, 20.0) for n_fut in (1, 10, 300)),
+             gamma_spec(n=5, N=6, k=1e-3, mu=1.0, n_runs=2048, seed=2)]
+
+
+def test_eq3_screened_dq_dk_is_within_its_bound_in_the_gate():
+    # the screen's margins assume |dq/dk error| <= RHO |dq/dk| + RHO_Q q/k
+    # against the finite difference wherever (N - n) k lies in [0.1, 1e5]
+    # and k >= 0.01, at any mean and any content, the smallest tail included
+    rng = np.random.default_rng(0)
+    for n_fut in (1, 10, 280, 5000):
+        k = np.exp(rng.uniform(np.log(max(0.1 / n_fut, 0.01)), np.log(1e5 / n_fut), 2000))
+        mu = np.exp(rng.uniform(-14.0, 14.0, k.size))
+        fit = FitResult("gamma", "log", mu, 10, k_hat=k, se_mu=0.1 * mu, se_k=0.1 * k,
+                        cov_mu_k=0.0)
+        for prob in (5.56e-17, 1e-9, 0.005, 0.25, 0.5, 0.75, 0.995, 1 - 1e-9):
+            _, screened = intervals._delta_se(fit, prob, n_fut, screened=True)
+            h = 1e-4 * k   # the finite difference's step where k >= 0.01
+            d_k = (intervals._sum_quantile(fit, prob, n_fut, k=k + h)
+                   - intervals._sum_quantile(fit, prob, n_fut, k=k - h)) / (2 * h)
+            q = intervals._sum_quantile(fit, prob, n_fut)
+            bound = simlab._EQ3_RHO * np.abs(screened) + simlab._EQ3_RHO_Q * q / k
+            assert np.all(np.abs(screened - d_k) <= bound), (n_fut, prob)
+
+
+def _tolerance_scores(lo, hi, ok, target):
+    """The covered and usable runs of the tolerance ends ``lo`` and ``hi``."""
+    use = ok & np.isfinite(lo) & np.isfinite(hi)
+    return (lo <= target[0]) & (target[1] <= hi) & use, use
+
+
+@pytest.mark.parametrize("spec", EQ3_SPECS)
+def test_eq3_screen_is_endpoint_scoring_run_by_run(spec):
+    # the lab's eq3 ends, screened and exact only near a target, cover and
+    # are usable on the same runs as the ends of the method table
+    spec = replace(spec, methods=("eq3",), levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
+    y, _ = simlab._draw_gamma_runs(spec)
+    n_fut, entry = spec.N - spec.n, intervals.METHODS["eq3"]
+    with np.errstate(all="ignore"):   # the stress grid's limits overflow and underflow
+        for p in (0.5, 0.9, 0.99):
+            spec = replace(spec, content_p=p)
+            target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
+            fit, ok = fit_gamma_rows(y)
+            counts = []
+            for level in spec.levels:
+                iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+                covered, use = _tolerance_scores(iv.lower, iv.upper, ok, target)
+                screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target)
+                screened_covered, screened_use = _tolerance_scores(*screened, ok, target)
+                np.testing.assert_array_equal(screened_use, use)
+                np.testing.assert_array_equal(screened_covered, covered)
+                counts.append([np.count_nonzero(covered), np.count_nonzero(use)])
+            keys = [("eq3", level) for level in spec.levels]
+            assert simlab._chunk_counts(spec, keys, y, None, target).tolist() == counts
+
+
+@pytest.mark.parametrize("end", [0, 1, 2], ids=["lower", "upper", "overflow"])
+@pytest.mark.parametrize("n, k, n_fut", [(2, 0.3, 1), (3, 0.1, 1), (5, 4.0, 1), (2, 0.003, 5000)])
+def test_eq3_screen_is_endpoint_scoring_at_the_targets(end, n, k, n_fut):
+    # each run scaled so that its exact eq3 end lies a log distance of
+    # +-1e-12 to +-1e-1 from its target, or its upper end from the largest
+    # double: at n 2 and level 0.999, where the screened SE errs most, only
+    # the margin keeps the decisions equal
+    spec = gamma_spec(n=n, N=n + n_fut, k=k, mu=1.0, content_p=0.99, n_runs=2000, seed=11)
+    target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
+    aim = np.log([*target, np.finfo(float).max])[end]
+    y, _ = simlab._draw_gamma_runs(spec)
+    delta = np.resize(np.geomspace(1e-12, 1e-1, 12) * [[-1], [1]], spec.n_runs)
+    entry, p = intervals.METHODS["eq3"], spec.content_p
+    with np.errstate(all="ignore"):
+        for level in (0.8, 0.95, 0.999):
+            iv = entry.build(fit_gamma_rows(y)[0], level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+            scale = np.exp(aim + delta - np.log((iv.lower, iv.upper, iv.upper)[end]))
+            fit, ok = fit_gamma_rows(y * scale[:, None])
+            iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+            covered, use = _tolerance_scores(iv.lower, iv.upper, ok, target)
+            screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target)
+            screened_covered, screened_use = _tolerance_scores(*screened, ok, target)
+            np.testing.assert_array_equal(screened_use, use)
+            np.testing.assert_array_equal(screened_covered, covered)
 
 
 # ---------------------------------------------------------------------------
