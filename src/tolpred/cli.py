@@ -233,8 +233,7 @@ def cmd_simulate(args) -> int:
     spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     if spec.n_runs > args.max_runs:
         raise BudgetError(f"{spec.n_runs} runs exceed the budget of {args.max_runs}")
-    with np.errstate(all="ignore"):   # the lab masks runs whose fit or endpoint fails
-        report = simlab.run_coverage(spec)
+    report = simlab.run_coverage(spec)   # it masks runs whose fit or endpoint fails
     text = simlab.emit_table(report, fmt=args.format)
     if args.out:
         Path(args.out).write_text(text)
@@ -282,6 +281,12 @@ def cmd_survival(args) -> int:
     km = km_estimator(data)
     level, m = args.level, args.events_future
     p_grid = np.round(np.arange(0.05, 0.96, 0.05), 10)
+    tol = applications.weibull_bands(fit, p_grid, level, "tolerance")
+    pred = applications.weibull_bands(fit, p_grid, level, "repeated", events_future=m)
+    arr = np.array([[p, intervals._sum_quantile(fit, float(p), 1), t.lower, t.upper,
+                     r.lower, r.upper] for p, t, r in zip(p_grid, tol, pred)], dtype=float)
+    if not np.isfinite(arr).all():   # checked before any band file is written
+        raise FloatingPointError(f"non-finite survival band at level {level}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     band_path = out_dir / "survival_bands.csv"
@@ -289,11 +294,7 @@ def cmd_survival(args) -> int:
         w = csv.writer(fh)
         w.writerow(["p", "quantile", "tol_lower", "tol_upper",
                     "pred_lower", "pred_upper"])
-        tol = applications.weibull_bands(fit, p_grid, level, "tolerance")
-        pred = applications.weibull_bands(fit, p_grid, level, "repeated", events_future=m)
-        rows = [[p, intervals._sum_quantile(fit, float(p), 1), t.lower, t.upper,
-                 r.lower, r.upper] for p, t, r in zip(p_grid, tol, pred)]
-        w.writerows([f"{v:.10g}" for v in row] for row in rows)
+        w.writerows([f"{v:.10g}" for v in row] for row in arr)
     km_path = out_dir / "survival_km.csv"
     with open(km_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -301,7 +302,6 @@ def cmd_survival(args) -> int:
         for t, s in zip(km.times, km.survival):
             w.writerow([f"{t:.10g}", f"{s:.10g}"])
     if args.svg:
-        arr = np.asarray(rows, dtype=float)
         surv_levels = 1.0 - arr[:, 0]
         write_svg_lines(out_dir / "survival.svg",
                         [(arr[:, 1], surv_levels, "#1f77b4"),
@@ -454,7 +454,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--n-future must be finite and "
                                   f"{'positive' if exposure else 'at least 1'} "
                                   f"for a {args.family} fit, got {n}")
-        return args.func(args)
+        # every output is checked finite: numpy's warnings would repeat its error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

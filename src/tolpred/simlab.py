@@ -7,20 +7,21 @@ interarrivals accumulate to a study-level stream.  One engine,
 ``run_coverage``, runs any data process of the ``PROCESSES`` table.
 
 A cell streams through chunks of whole blocks of runs, each holding about
-``_CHUNK_VALUES`` sample values.  Every chunk is queued at once, as its run
-range alone, on a thread pool with one worker per usable CPU.  A worker
-draws its chunk, fits it with ``fit.fit_gamma_rows`` (whose fields are
-per-run arrays), scores every method and level with ``intervals.METHODS``
-(the F pivot by its p-value, plugin, eq2 and eq5 by their sum cdf at the
-targets and eq3 by a screened SE with exact ends near its targets, each
-exact, the rest by their endpoints; a run is usable where its endpoints
-are finite, so for the F pivot none where 1-(1-level)/2 rounds to 1), and
-keeps only its covered and usable counts; scipy's special functions,
-numpy's generators and its array loops release the GIL, so the workers
-overlap.  Only running chunks hold samples, at most one per worker, so lab
-memory does not grow with ``n_runs``.  Run r depends only on (seed, r) and
-the counts are integers added in chunk order, so the cells depend neither
-on the chunking nor on the worker count.
+``_CHUNK_VALUES`` sample values.  The calling thread makes the process's
+block draw, which holds what the cell's runs share, and queues every chunk
+at once, as its run range alone, on a thread pool with one worker per usable
+CPU.  A worker draws its chunk block by block, fits it with
+``fit.fit_gamma_rows`` (whose fields are per-run arrays), scores every
+method and level with ``intervals.METHODS`` (the F pivot by its p-value,
+plugin, eq2 and eq5 by their sum cdf at the targets and eq3 by a screened SE
+with exact ends near its targets, each exact, the rest by their endpoints; a
+run is usable where its endpoints are finite, so for the F pivot none where
+1-(1-level)/2 rounds to 1), and keeps only its covered and usable counts;
+scipy's special functions, numpy's generators and its array loops release
+the GIL, so the workers overlap.  Only running chunks hold samples, at most
+one per worker, so lab memory does not grow with ``n_runs``.  Run r depends
+only on (seed, r) and the counts are integers added in chunk order, so the
+cells depend neither on the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, asdict, fields, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -203,56 +203,45 @@ def _chunks(spec: ScenarioSpec):
             for start in range(0, spec.n_runs, step)]
 
 
-def _draw_runs(spec: ScenarioSpec, runs: range | None, block):
+def _draw_runs(spec: ScenarioSpec, runs: range, draw):
     """The samples, one row per run, and the future totals of the runs in
-    ``runs`` (default: all of them), which starts on a block boundary.
-    ``block(gen)`` draws the samples and future totals of one whole block
-    of ``BLOCK`` runs from ``gen``.  Block b draws from
+    ``runs``, which starts on a block boundary.  ``draw(gen)``, a process's
+    block draw, draws the samples and future totals of one whole block of
+    ``BLOCK`` runs from ``gen``.  Block b draws from
     ``RngStream(seed).substream(b)``, and every block draws in full and is
     then cut to the range, so run r depends only on (seed, r)."""
-    runs = range(spec.n_runs) if runs is None else runs
     y = np.empty((len(runs), spec.n))
     future = np.empty(len(runs))
     base = RngStream(spec.seed)
     for start in range(runs.start, runs.stop, BLOCK):
         i, m = start - runs.start, min(BLOCK, runs.stop - start)
-        sample, total = block(base.substream(start // BLOCK).generator())
+        sample, total = draw(base.substream(start // BLOCK).generator())
         y[i:i + m], future[i:i + m] = sample[:m], total[:m]
     return y, future
 
 
-def _draw_gamma_runs(spec: ScenarioSpec, runs: range | None = None):
-    """The gamma samples and the realized future totals of the runs in
-    ``runs`` (default: all of them)."""
+def _gamma_block(spec: ScenarioSpec):
+    """The block draw of gamma samples and their realized future totals;
+    the future total of N - n iid gammas is itself gamma distributed."""
     scale = spec.mu / spec.k
-    # the future total of N - n iid gammas is itself gamma distributed
-    return _draw_runs(spec, runs, lambda gen: (
-        gen.gamma(spec.k, scale, size=(BLOCK, spec.n)),
-        gen.gamma((spec.N - spec.n) * spec.k, scale, size=BLOCK)))
+    return lambda gen: (gen.gamma(spec.k, scale, size=(BLOCK, spec.n)),
+                        gen.gamma((spec.N - spec.n) * spec.k, scale, size=BLOCK))
 
 
-def _fixed_rates(spec: ScenarioSpec):
-    """The site rates of a fixed-rate cell, drawn once from a root stream of
-    their own (root 1: apart from the blocks, which are children of root
-    0); None when every trial draws its own."""
-    if not spec.fixed_rates:
-        return None
-    return RngStream(spec.seed, 1).generator().gamma(spec.alpha, spec.beta,
-                                                     size=spec.n_sites)
-
-
-def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
-    """The first n study-level interarrivals of the runs in ``runs`` (default:
-    all of them) and the sum of the remaining N - n.  Per-trial site rates
-    come from the run's block; fixed rates are ``fixed``, or
-    ``_fixed_rates(spec)`` when not given.  A block draws its uniforms in
-    row slices of at most ``_CHUNK_VALUES`` values (at least one row), so
-    one draw holds at most max(``_CHUNK_VALUES``, N) doubles; PCG64 fills
-    rows in order, so the slices draw the stream one whole-block call would."""
-    fixed = _fixed_rates(spec) if fixed is None else fixed
+def _site_block(spec: ScenarioSpec):
+    """The block draw of the first n study-level interarrivals and the sum
+    of the remaining N - n.  Fixed site rates are drawn here, once per
+    cell, from a root stream of their own (root 1: apart from the blocks,
+    which are children of root 0); per-trial rates come from the block's
+    generator.  A block draws its uniforms in row slices of at most
+    ``_CHUNK_VALUES`` values (at least one row), so one draw holds at most
+    max(``_CHUNK_VALUES``, N) doubles; PCG64 fills rows in order, so the
+    slices draw the stream one whole-block call would."""
+    fixed = (RngStream(spec.seed, 1).generator().gamma(spec.alpha, spec.beta, size=spec.n_sites)
+             if spec.fixed_rates else None)
     rows = max(1, _CHUNK_VALUES // spec.N)
 
-    def block(gen):
+    def draw(gen):
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
         total = np.broadcast_to(lam.sum(axis=-1, keepdims=True), (BLOCK, 1))
@@ -263,35 +252,34 @@ def _draw_site_runs(spec: ScenarioSpec, runs: range | None = None, fixed=None):
             sample[i:i + rows], rest[i:i + rows] = gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
         return sample, rest
 
-    return _draw_runs(spec, runs, block)
+    return draw
 
 
 class Process(NamedTuple):
     """A data process of the lab: the ``ScenarioSpec`` fields it needs;
-    ``start(spec)``, run once per cell on the calling thread, which draws
-    what the cell's runs share and returns its chunk draw
-    ``draw(runs) -> (samples, future totals)``, called on the pool threads,
-    several at once, so it must be safe to call concurrently; and
-    ``tolerance_target(spec)``, the two quantiles a tolerance interval must
-    contain, or None when the process has none."""
+    ``block(spec)``, run once per cell on the calling thread, which draws
+    what the cell's runs share and returns its block draw
+    ``draw(gen) -> (samples, future totals)`` of one whole block of
+    ``BLOCK`` runs, called on the pool threads, several at once, so it must
+    be safe to call concurrently; and ``tolerance_target(spec)``, the two
+    quantiles a tolerance interval must contain, or None when the process
+    has none."""
 
     fields: tuple
-    start: Callable
+    block: Callable
     tolerance_target: Callable | None
 
 
-# the draw functions are looked up when a cell starts, not captured here
 PROCESSES = {
     # iid Gamma(k, mu/k) observations; the future total is gamma too, and a
     # tolerance interval must hold the quantiles bounding its middle content_p
-    "gamma_fixed": Process(("k", "mu"), lambda spec: partial(_draw_gamma_runs, spec),
+    "gamma_fixed": Process(("k", "mu"), _gamma_block,
                            lambda spec: tuple(dist.quantile(
                                dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k),
                                [(1 - spec.content_p) / 2, (1 + spec.content_p) / 2]))),
     # site rates from Gamma(alpha, beta), once per cell or per trial; given the
     # rates, the merged stream is Poisson, so its interarrivals are exponential
-    "poisson_gamma_sites": Process(("alpha", "beta", "n_sites"), lambda spec: partial(
-        _draw_site_runs, spec, fixed=_fixed_rates(spec)), None),
+    "poisson_gamma_sites": Process(("alpha", "beta", "n_sites"), _site_block, None),
 }
 
 
@@ -382,22 +370,22 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
 
 def run_coverage(spec: ScenarioSpec) -> CoverageReport:
     """Coverage of every method x level of ``spec`` under its data process.
-    The calling thread starts the process and queues every chunk's run range
-    on a pool of ``_workers()`` threads, each of which draws and counts one
-    chunk at a time, so at most ``_workers()`` chunks of samples are live.
-    The counts are added in chunk order; an exception in a chunk cancels the
-    chunks not yet started and propagates."""
+    The calling thread makes the process's block draw and queues each
+    chunk's run range on a pool of ``_workers()`` threads, each of which
+    draws and counts one chunk at a time, so at most ``_workers()`` chunks
+    of samples are live.  The counts are added in chunk order; an exception
+    in a chunk cancels the chunks not yet started and propagates."""
     # imported here, so that importing tolpred loads no thread pool module
     from concurrent.futures import ThreadPoolExecutor
 
     process = PROCESSES[spec.data_process]
     target = process.tolerance_target(spec) if process.tolerance_target else None
-    draw = process.start(spec)
+    draw = process.block(spec)
     keys = list(dict.fromkeys((m, level) for m in spec.methods for level in spec.levels))
     totals = np.zeros((len(keys), 2), dtype=np.int64)   # covered and usable runs
 
     def count(runs):
-        return _chunk_counts(spec, keys, *draw(runs), target)
+        return _chunk_counts(spec, keys, *_draw_runs(spec, runs, draw), target)
 
     with ThreadPoolExecutor(_workers()) as pool:
         # each task runs in a copy of the caller's context, so the caller's

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -630,6 +632,70 @@ def test_binomial_eq1_predicts_the_odds_ratio(capsys, family_csvs):
                                      0.95)
     assert (got["lower"], got["upper"]) == pytest.approx((want.lower, want.upper), rel=1e-12)
     assert got["method"] == "or_prediction" and got["target"] == "observable_estimate"
+
+
+EDGE_LEVELS = ["1e-12", "0.5", "0.999999999999"]
+SMALL_SURVIVAL = "time,event\n1.2,1\n3.4,0\n2.2,1\n5.1,1\n0.8,1\n4.0,0\n"
+
+
+def _written_numbers(path) -> list:
+    """Every number of a written CSV, and every comma-, space- or
+    quote-separated token of a written SVG that reads as a number."""
+    numbers = []
+    for tok in re.split(r'[\s,"=]+', path.read_text()):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(tok))
+    return numbers
+
+
+def _assert_edge_call(argv, out_dir=None):
+    """``main(argv)`` exits 0 with nothing on stderr, or 1 or 3 with one
+    line; stdout holds no NaN or Infinity and every file it writes under
+    ``out_dir`` only finite numbers."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 3), (argv, code)
+    assert err == "" if code == 0 else err.count("\n") == 1, (argv, err)
+    assert "NaN" not in out and "Infinity" not in out, argv
+    for path in sorted(out_dir.iterdir()) if out_dir and out_dir.exists() else ():
+        assert all(map(math.isfinite, _written_numbers(path))), (argv, path.name)
+
+
+@pytest.mark.parametrize("family", ["gamma", "quasipoisson", "binomial", "weibull"])
+def test_edge_levels_and_sizes_exit_cleanly(family_csvs, family):
+    # every predict and tolerance method at the extreme levels, contents and
+    # future sizes; numpy warnings would be errors here, or a second line
+    for name, entry in intervals.METHODS.items():
+        command = "predict" if entry.kind == "prediction" else "tolerance"
+        contents = EDGE_LEVELS if command == "tolerance" else [None]
+        for n_future, level, content in itertools.product(["1", "0.5", "1e300"],
+                                                          EDGE_LEVELS, contents):
+            argv = [command, "--family", family, "--input", str(family_csvs[family]),
+                    "--method", name, "--n-future", n_future, "--level", level]
+            _assert_edge_call(argv + (["--content", content] if content else []))
+
+
+@pytest.mark.parametrize("level", EDGE_LEVELS)
+def test_survival_at_edge_levels_writes_finite_files(tmp_path, survival_csv, level):
+    small = tmp_path / "small.csv"
+    small.write_text(SMALL_SURVIVAL)
+    for path in (small, survival_csv):
+        out_dir = tmp_path / f"plots_{path.stem}"
+        _assert_edge_call(["survival", "--input", str(path), "--level", level,
+                           "--events-future", "1", "--svg", "--out-dir", str(out_dir)],
+                          out_dir)
+
+
+def test_survival_with_non_finite_bands_writes_no_band_file(tmp_path, capsys):
+    path, out_dir = tmp_path / "small.csv", tmp_path / "plots"
+    path.write_text(SMALL_SURVIVAL)
+    assert main(["survival", "--input", str(path), "--level", "0.999999999999",
+                 "--events-future", "1", "--svg", "--out-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fit error:") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ def site_spec(**kw):
     return ScenarioSpec(**base)
 
 
+def draw_runs(spec):
+    """Every run's sample and future total, from the process's block draw."""
+    block = simlab.PROCESSES[spec.data_process].block(spec)
+    return simlab._draw_runs(spec, range(spec.n_runs), block)
+
+
 # ---------------------------------------------------------------------------
 # scenario spec
 
@@ -95,23 +101,21 @@ def test_report_deterministic():
 def test_runs_are_prefix_stable():
     # row r depends only on (seed, r), so extending the budget keeps
     # earlier draws identical
-    y1, f1 = simlab._draw_gamma_runs(gamma_spec(n_runs=40))
-    y2, f2 = simlab._draw_gamma_runs(gamma_spec(n_runs=80))
+    y1, f1 = draw_runs(gamma_spec(n_runs=40))
+    y2, f2 = draw_runs(gamma_spec(n_runs=80))
     np.testing.assert_array_equal(y1, y2[:40])
     np.testing.assert_array_equal(f1, f2[:40])
 
 
-@pytest.mark.parametrize("draw, spec", [
-    (simlab._draw_gamma_runs, gamma_spec),
-    (simlab._draw_site_runs, site_spec),
-    (simlab._draw_site_runs, lambda **kw: site_spec(fixed_rates=True, **kw)),
+@pytest.mark.parametrize("spec", [
+    gamma_spec, site_spec, lambda **kw: site_spec(fixed_rates=True, **kw),
 ], ids=["gamma", "sites", "sites_fixed_rates"])
-def test_runs_are_prefix_stable_across_blocks(draw, spec):
+def test_runs_are_prefix_stable_across_blocks(spec):
     # runs are drawn BLOCK at a time; a budget that ends mid-block draws the
     # same runs as one that fills it and goes on to later blocks
     assert 1000 < simlab.BLOCK < 2500
-    y1, f1 = draw(spec(n_runs=1000))
-    y2, f2 = draw(spec(n_runs=2500))
+    y1, f1 = draw_runs(spec(n_runs=1000))
+    y2, f2 = draw_runs(spec(n_runs=2500))
     np.testing.assert_array_equal(y1, y2[:1000])
     np.testing.assert_array_equal(f1, f2[:1000])
     assert not np.array_equal(y2[:1000], y2[simlab.BLOCK:simlab.BLOCK + 1000])
@@ -203,7 +207,7 @@ def test_lab_endpoints_are_the_table_run_by_run():
     spec = gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95),
                       n_runs=200, seed=3)
     n_fut, p = spec.N - spec.n, spec.content_p
-    y, future = simlab._draw_gamma_runs(spec)
+    y, future = draw_runs(spec)
     fit, ok = fit_gamma_rows(y)
     assert ok.all()
     fits = [fit_gamma_intercept(row) for row in y]
@@ -269,7 +273,7 @@ def test_eq3_exact_path_computes_only_its_runs(monkeypatch):
     run_gamma_coverage(spec)
     assert len(exact) == 2 and 0 < sum(map(len, exact)) < spec.n_runs
     assert sizes == [spec.n_runs] * 2 + [len(rows) for rows in exact for _ in range(6)]
-    fit, _ = fit_gamma_rows(simlab._draw_gamma_runs(spec)[0])
+    fit, _ = fit_gamma_rows(draw_runs(spec)[0])
     assert all(np.isin(rows, fit.k_hat).all() for rows in exact)
 
 
@@ -311,7 +315,7 @@ def whole_array_cells(spec):
     """The cells computed from every run at once: one draw, one fit and one
     array of endpoints per method and level."""
     gamma = spec.data_process == "gamma_fixed"
-    y, future = (simlab._draw_gamma_runs if gamma else simlab._draw_site_runs)(spec)
+    y, future = draw_runs(spec)
     fit, ok = fit_gamma_rows(y)
     if gamma:
         q_lo, q_hi = dist.quantile(dist.gamma((spec.N - spec.n) * spec.k, spec.mu / spec.k),
@@ -356,13 +360,15 @@ def test_chunked_cells_equal_the_whole_array_cells(spec):
 
 
 def test_fixed_site_rates_are_drawn_once_per_cell(monkeypatch):
-    calls = []
-    real = simlab._fixed_rates
-    monkeypatch.setattr(simlab, "_fixed_rates", lambda spec: calls.append(1) or real(spec))
+    # the rates draw from root stream 1; the blocks from children of root 0
+    made = []
+    real = dist.RngStream.generator
+    monkeypatch.setattr(dist.RngStream, "generator",
+                        lambda self: made.append(self.stream_id) or real(self))
     spec = site_spec(n=290, n_runs=2500, fixed_rates=True)
     assert len(simlab._chunks(spec)) >= 3
     run_poisson_gamma(spec)
-    assert len(calls) == 1
+    assert made.count(1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +492,9 @@ def test_cell_memory_does_not_grow_with_runs():
 def test_site_draw_memory_does_not_grow_with_N(fixed_rates):
     # one whole (BLOCK, N) draw of uniforms held about 39 MiB here
     spec = site_spec(N=5000, n_runs=simlab.BLOCK, fixed_rates=fixed_rates)
-    fixed = simlab._fixed_rates(spec)
     tracemalloc.start()
     try:
-        simlab._draw_site_runs(spec, fixed=fixed)
+        draw_runs(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +550,7 @@ def test_fpivot_pvalue_scoring_is_endpoint_scoring_run_by_run(spec):
     # probability 1.0, where the upper end is infinite
     spec = replace(spec, methods=("fpivot",),
                    levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
-    y, future = simlab.PROCESSES[spec.data_process].start(spec)(range(spec.n_runs))
+    y, future = draw_runs(spec)
     fit, ok = fit_gamma_rows(y)
     h = intervals.METHODS["fpivot"].pvalue(fit, spec.N - spec.n, simlab.SE_KIND)[0](future)
     h_use = ok & np.isfinite(h)
@@ -596,7 +601,7 @@ def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
     # the largest level below 1 puts the upper end at probability 1.0
     spec = replace(spec, methods=methods,
                    levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
-    y, future = process.start(spec)(range(spec.n_runs))
+    y, future = draw_runs(spec)
     target = process.tolerance_target(spec) if process.tolerance_target else None
     fit, ok = fit_gamma_rows(y)
     n_fut, counts = spec.N - spec.n, []
@@ -684,7 +689,7 @@ def test_eq3_screen_is_endpoint_scoring_run_by_run(spec):
     # the lab's eq3 ends, screened and exact only near a target, cover and
     # are usable on the same runs as the ends of the method table
     spec = replace(spec, methods=("eq3",), levels=(0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0)))
-    y, _ = simlab._draw_gamma_runs(spec)
+    y, _ = draw_runs(spec)
     n_fut, entry = spec.N - spec.n, intervals.METHODS["eq3"]
     with np.errstate(all="ignore"):   # the stress grid's limits overflow and underflow
         for p in (0.5, 0.9, 0.99):
@@ -714,7 +719,7 @@ def test_eq3_screen_is_endpoint_scoring_at_the_targets(end, n, k, n_fut):
     spec = gamma_spec(n=n, N=n + n_fut, k=k, mu=1.0, content_p=0.99, n_runs=2000, seed=11)
     target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
     aim = np.log([*target, np.finfo(float).max])[end]
-    y, _ = simlab._draw_gamma_runs(spec)
+    y, _ = draw_runs(spec)
     delta = np.resize(np.geomspace(1e-12, 1e-1, 12) * [[-1], [1]], spec.n_runs)
     entry, p = intervals.METHODS["eq3"], spec.content_p
     with np.errstate(all="ignore"):
