@@ -513,55 +513,36 @@ def _sum_cdf(fit: FitResult, t, n_future: float, mu, k, prob: float):
     not a finite number.  Gamma(a, 1)'s quantiles below prob 1 lie under
     2a + 100 (a Chernoff bound), so the quantile is computed only where
     scale * (2a + 100) exceeds 1e308; elsewhere it is finite, or NaN with
-    the cdf.  At the fitted (mu, k) the cdf depends on neither the level nor
-    the end, so the fit keeps it with the last ``t`` it was asked for."""
+    the cdf."""
     if fit.family != "gamma":
         raise ValueError(f"no sum cdf for family {fit.family!r}")
-    key = ("cdf", n_future) if mu is None and k is None else None
-    mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
-    a, scale = n_future * shape, mu / shape
-    held = fit._memo.get(key)
-    if held is None or held[0] is not t:
-        held = t, gammainc(a, t / scale)
-        if key:
-            fit._memo[key] = held
-    f = held[1]
+    shape = fit.k_hat if k is None else k
+    a, scale = n_future * shape, (fit.mu_hat if mu is None else mu) / shape
+    f = gammainc(a, t / scale)
     if prob >= 1 or _any(scale * (2 * a + 100) > 1e308):
         f = np.where(np.isfinite(_sum_quantile(fit, prob, n_future, mu, k)), f, np.nan)
     return f
 
 
-def _delta_se(fit: FitResult, prob: float, n_future: float, screened: bool = False):
+def _delta_se(fit: FitResult, prob: float, n_future: float):
     """Delta-method SE of the sum quantile at the fit, computed once per fit.
 
     Both sum distributions are linear in mu (gamma through scale=mu/k,
     Weibull through lam=mu/Gamma(1+1/k)), so dq/dmu = q/mu exactly; dq/dk
-    is a central finite difference.  ``screened`` (the lab's eq3 screen)
-    returns the SE and dq/dk from dx/da = -(dP/da)/pdf(x), x the unit gamma
-    quantile at a = n_future * k and dP/da a central difference at step
-    1e-4 * min(a, sqrt(a)) of the cdf, or above 0.99, where the cdf rounds,
-    of the upper tail (slower at small a): no ``gammaincinv``.
+    is a central finite difference.
     """
-    key = ("screened_se" if screened else "delta_se", prob, n_future)
+    key = ("delta_se", prob, n_future)
     if key not in fit._memo:
         mu, k = fit.mu_hat, fit.k_hat
+        h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
         d_mu = _sum_quantile(fit, prob, n_future) / mu
-        if screened:
-            x, a = d_mu * k, n_future * k
-            h = 1e-4 * np.minimum(a, np.sqrt(a))
-            dp = (gammainc(a - h, x) - gammainc(a + h, x) if prob < 0.99
-                  else special.gammaincc(a + h, x) - special.gammaincc(a - h, x))
-            dx_da = dp / (2 * h) * np.exp(x + special.gammaln(a) - (a - 1) * np.log(x))
-            d_k = (n_future * dx_da - d_mu) * mu / k
-        else:
-            h_k = np.maximum(1e-4 * np.abs(k), 1e-6)
-            d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
-                   - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
+        d_k = (_sum_quantile(fit, prob, n_future, k=k + h_k)
+               - _sum_quantile(fit, prob, n_future, k=k - h_k)) / (2 * h_k)
         cov = 0.0 if fit.cov_mu_k is None else fit.cov_mu_k
         var = (d_mu * fit.se_mu) ** 2 + (d_k * fit.se_k) ** 2 + 2.0 * d_mu * d_k * cov
         if _any(var < 0):
             raise ValueError("negative delta-method variance; covariance is not PSD")
-        fit._memo[key] = (np.sqrt(var), d_k) if screened else np.sqrt(var)
+        fit._memo[key] = np.sqrt(var)
     return fit._memo[key]
 
 

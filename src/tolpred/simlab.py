@@ -6,22 +6,31 @@ which per-site rates are drawn once and held fixed while exponential
 interarrivals accumulate to a study-level stream.  One engine,
 ``run_coverage``, runs any data process of the ``PROCESSES`` table.
 
-A cell streams through chunks of whole blocks of runs, each holding about
-``_CHUNK_VALUES`` sample values.  The calling thread makes the process's
-block draw, which holds what the cell's runs share, and queues every chunk
-at once, as its run range alone, on a thread pool with one worker per usable
-CPU.  A worker draws its chunk block by block, fits it with
-``fit.fit_gamma_rows`` (whose fields are per-run arrays), scores every
-method and level with ``intervals.METHODS`` (the F pivot by its p-value,
-plugin, eq2 and eq5 by their sum cdf at the targets and eq3 by a screened SE
-with exact ends near its targets, each exact, the rest by their endpoints; a
-run is usable where its endpoints are finite, so for the F pivot none where
-1-(1-level)/2 rounds to 1), and keeps only its covered and usable counts;
-scipy's special functions, numpy's generators and its array loops release
-the GIL, so the workers overlap.  Only running chunks hold samples, at most
-one per worker, so lab memory does not grow with ``n_runs``.  Run r depends
-only on (seed, r) and the counts are integers added in chunk order, so the
-cells depend neither on the chunking nor on the worker count.
+A cell streams through chunks of whole blocks of runs: as few as keep a
+chunk within ``_CHUNK_VALUES`` sample values, rounded up to a multiple of
+the worker count, with the blocks split evenly between them.  The calling
+thread makes the process's block draw, which holds what the cell's runs
+share, and queues every chunk at once, as its run range alone, on a thread
+pool with one worker per usable CPU.  A worker draws its chunk block by
+block, fits it with ``fit.fit_gamma_rows`` (whose fields are per-run
+arrays), scores every method and level with ``intervals.METHODS`` and keeps
+only its covered and usable counts.  The F pivot is scored by its p-value;
+plugin, eq2 and eq5 by brackets of their quantiles, from per-chunk tables of
+``gammaincinv`` at log-spaced shapes, and by their sum cdf where the
+brackets cannot tell; eq3 by its ends interpolated from per-chunk tables,
+exact near its targets; the rest by their endpoints.  A run is usable where
+its endpoints are finite (for the F pivot none where 1-(1-level)/2 rounds
+to 1).  scipy's special functions and numpy's generators release the GIL
+for their whole call, so the workers overlap there, but short numpy calls
+do not (on two CPUs, two threads ran a chain of four ufuncs on 3072- or
+12288-element arrays no faster than one thread, and 1.5 times as fast on
+262144 elements), so a chunk holds as many runs as its bound allows.
+Only running chunks hold
+samples, at most one per worker, so lab memory does not grow with
+``n_runs``.  Run r depends only on (seed, r), every bracket and table
+decides a run as its exact path would, and the counts are integers added in
+chunk order, so the cells depend neither on the chunking nor on the worker
+count.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 
 from . import dist, intervals
 from .dist import RngStream, critical_value
-from .fit import fit_gamma_rows
+from .fit import FitResult, fit_gamma_rows
 
 __all__ = [
     "ScenarioSpec",
@@ -79,7 +88,7 @@ CRIT = "t"
 BLOCK = 1024
 # sample values per chunk of runs: a cell streams through chunks of whole
 # blocks, so its memory does not grow with n_runs
-_CHUNK_VALUES = 2 ** 16
+_CHUNK_VALUES = 2 ** 18
 
 
 # the least value of each integer field, and the fields that are positive
@@ -195,12 +204,16 @@ class CoverageReport:
 
 
 def _chunks(spec: ScenarioSpec):
-    """The run ranges a cell streams through: whole blocks holding about
-    ``_CHUNK_VALUES`` sample values each (at least one block), the last one
-    cut at ``n_runs``."""
-    step = BLOCK * max(1, _CHUNK_VALUES // (BLOCK * spec.n))
-    return [range(start, min(start + step, spec.n_runs))
-            for start in range(0, spec.n_runs, step)]
+    """The run ranges a cell streams through: whole blocks, split as evenly
+    as blocks allow into a multiple of ``_workers()`` chunks (fewer where
+    the blocks run out), the fewest that keep every chunk of more than one
+    block within ``_CHUNK_VALUES`` sample values; the last cut at
+    ``n_runs``."""
+    blocks, workers = -(-spec.n_runs // BLOCK), _workers()
+    most = max(1, _CHUNK_VALUES // (BLOCK * spec.n))   # blocks per chunk
+    count = min(blocks, workers * -(-blocks // (most * workers)))
+    return [range(i * blocks // count * BLOCK, min((i + 1) * blocks // count * BLOCK, spec.n_runs))
+            for i in range(count)]
 
 
 def _draw_runs(spec: ScenarioSpec, runs: range, draw):
@@ -288,7 +301,7 @@ PROCESSES = {
 # between them, so one fdtr per run replaces the F pivot's two fdtri per
 # level; a run is usable where H(t) is finite and 1-(1-level)/2 below 1.
 # eq2's p-value is a table, not exact; the methods with ``Method.ends`` are
-# scored by their sum cdf, one gammainc per gammaincinv
+# scored by ``_ends_hold``
 _BY_PVALUE = ("fpivot",)
 
 
@@ -300,32 +313,114 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-# eq3's screen: its dq/dk's worst error in the gate, measured and rounded
-# up, and the safety factor its margins take
-_EQ3_RHO, _EQ3_RHO_Q, _EQ3_SAFETY = 2.5e-4, 1e-8, 100.0
+# the quantile tables: node spacing in log a (brackets) and log k (eq3); the
+# brackets' probability slack, far beyond gammaincinv's and gammainc's
+# rounding (gammaincinv: under 3e-12 relative below 0.5, 3e-15 absolute
+# above); the factor on eq3's measured interpolation errors
+_BRACKET_STEP, _EQ3_STEP, _BRACKET_SLACK, _EQ3_SAFETY = 0.01, 0.02, 1e-9, 100.0
+
+
+def _bracket(fit, prob, a):
+    """Bounds lo <= x <= hi on the unit gamma quantile x at ``prob`` of each
+    shape of ``a``: the quantiles at prob (1 -/+ slack) of the nodes
+    exp(j * _BRACKET_STEP) below and above it, as Gamma(a, 1) grows
+    stochastically with a (the slack covers rounding, log(a)'s included).
+    Past the nodes one bound is left; none for NaN, or without a table,
+    which the fit keeps per (prob, nodes) unless they outnumber a quarter of
+    the shapes, where a table would cost more than it saves."""
+    u = np.log(a) / _BRACKET_STEP
+    live = u[np.isfinite(u)]
+    if prob >= 1 or not live.size:
+        return 0.0, np.inf
+    j0, j1 = math.floor(live.min()), math.floor(live.max()) + 1
+    if j1 - j0 >= live.size // 4:
+        return 0.0, np.inf
+    key = ("bracket", prob, j0, j1)
+    if key not in fit._memo:
+        nodes = np.exp(np.arange(j0, j1 + 1) * _BRACKET_STEP)
+        low, high = (intervals._unit_quantile("gamma", prob * (1 + s), 1, nodes)
+                     for s in (-_BRACKET_SLACK, _BRACKET_SLACK))
+        tiny = np.finfo(float).tiny   # a subnormal or NaN node bounds nothing
+        fit._memo[key] = (np.r_[0.0, np.where(low >= tiny, low, 0.0)],
+                          np.r_[np.where(high >= tiny, high, np.inf), np.inf])
+    low, high = fit._memo[key]
+    i = np.fmin(np.fmax(np.floor(u) - (j0 - 1), 0), j1 - j0 + 1).astype(np.intp)
+    return low[i], high[i]
+
+
+def _ends_hold(fit, targets, n_future, ends):
+    """Whether each run's ``Method.ends`` pair holds its two targets (lower
+    end at or below its target, upper at or above) and is usable, as the sum
+    cdf ``intervals._sum_cdf`` decides: by the ``_bracket`` of the end's
+    quantile where x = t k / mu lies outside it, and elsewhere, or where the
+    cdf is not plainly finite, by ``_sum_cdf`` on those runs alone."""
+    held, use = True, True
+    for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
+        mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
+        a, scale = n_future * shape, mu / shape
+        x = t / scale
+        lo, hi = _bracket(fit, prob, a)
+        above, below = x > hi, x < lo
+        holds, usable = above if lower else below, np.ones(np.shape(x), dtype=bool)
+        rows = np.flatnonzero(~((above | below) & (scale * (2 * a + 100) <= 1e308)))
+        if rows.size:
+            f = intervals._sum_cdf(fit, t if np.ndim(t) == 0 else t[rows], n_future,
+                                   mu[rows], shape[rows], prob)
+            holds[rows], usable[rows] = prob <= f if lower else f <= prob, np.isfinite(f)
+        held, use = held & holds, use & usable
+    return held, use
+
+
+def _eq3_table(fit, prob, n_future):
+    """eq3's log q and se/q at ``prob`` of each run, and error bounds on
+    them, from tables kept in the fit: L = log q and G = |dq/dk| k/q at
+    mean 1 on the nodes exp(j * _EQ3_STEP) spanning the fit's shapes,
+    linear in log k in between.  Both come from the method table's own
+    ``_sum_quantile`` and ``_delta_se`` on a fit of the nodes and the
+    segments' midpoints, and a segment's error bound is SAFETY times the
+    largest error at its own and its neighbours' midpoints.  The lab's fits have no (mu, k) covariance, so
+    se/q = hypot(se_mu/mu, G se_k/k), within eG se_k/k under an error eG."""
+    key = ("eq3_table", prob, n_future)
+    if key not in fit._memo:
+        u = np.log(fit.k_hat) / _EQ3_STEP
+        live = u[np.isfinite(u)]
+        j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 1)
+        k = np.exp(np.arange(2 * j0, 2 * j1 + 1) * (_EQ3_STEP / 2))   # nodes and midpoints
+        at = FitResult("gamma", "log", np.ones_like(k), fit.n_obs, k_hat=k,
+                       se_mu=np.zeros_like(k), se_k=np.ones_like(k), cov_mu_k=0.0)
+        q = intervals._sum_quantile(at, prob, n_future)
+        q[~((q > 1e-290) & (q < 1e290))] = np.nan   # no table of rounded quantiles
+        j = np.fmin(np.fmax(np.floor(u), j0), j1 - 1).astype(np.intp) - j0
+        w = u - j0 - j
+        runs = []
+        for v in (np.log(q), intervals._delta_se(at, prob, n_future) * k / q):
+            e = np.abs(v[1::2] - (v[:-1:2] + v[2::2]) / 2)   # at the midpoints
+            e = np.maximum(e, np.maximum(np.r_[e[1:], 0], np.r_[0, e[:-1]]))
+            runs += [v[::2][j] + w * (v[2::2] - v[:-1:2])[j], _EQ3_SAFETY * e[j]]
+        log_q, e_q, g, e_g = runs
+        g_k = fit.se_k / fit.k_hat
+        log_q, s, e_s = log_q + np.log(fit.mu_hat), np.hypot(fit.se_mu / fit.mu_hat, g * g_k), e_g * g_k
+        rounds = ~(np.abs(log_q + np.log(s)) < 230)   # where eq3's squared SE terms round
+        e_q[rounds] = e_s[rounds] = np.inf
+        fit._memo[key] = log_q, s, e_q, e_s
+    return fit._memo[key]
 
 
 def _eq3_ends(fit, ok, level, n_future, p, targets):
-    """eq3's (lower, upper) ends of each run from its screened SE (README,
-    "Simulation lab").  The runs of ``ok`` outside the gate, (N - n) k_hat in
-    [0.1, 1e5] and k_hat >= 0.01, or within their margin of a target or of
-    overflow, take ``METHODS["eq3"].build`` on a fit of those runs alone.
-    The margin bounds the log end's move under a dq/dk error of
-    e = SAFETY (RHO |dq/dk| + RHO_Q q/k) se_k: c/q e (2|g| + e)/se, with
-    g = se_k dq/dk (the lab's fits have no (mu, k) covariance), plus rounding."""
-    c, k, a = critical_value(level, "t", fit.n_obs - 1), fit.k_hat, n_future * fit.k_hat
-    exact, ends = ~((a >= 0.1) & (a <= 1e5) & (k >= 0.01)), []
-    with np.errstate(all="ignore"):   # the runs the screen cannot decide go exact
+    """eq3's (lower, upper) ends of each run from its tables, log q -/+ c
+    se/q (README, "Simulation lab").  Under the tables' errors the log end
+    moves by at most e_q + c e_s; that bound plus rounding is a run's
+    margin.  The runs of ``ok`` within their margin of a target or of
+    overflow take ``METHODS["eq3"].build`` on a fit of those runs alone."""
+    c = critical_value(level, "t", fit.n_obs - 1)
+    exact, ends = np.zeros_like(ok), []
+    with np.errstate(all="ignore"):   # the runs the tables cannot decide go exact
         for prob, sign, t in zip(((1 - p) / 2, (1 + p) / 2), (-1, 1), np.log(targets)):
-            q, (se, d_k) = (intervals._sum_quantile(fit, prob, n_future),
-                            intervals._delta_se(fit, prob, n_future, screened=True))
-            e = _EQ3_SAFETY * (_EQ3_RHO * np.abs(d_k) + _EQ3_RHO_Q * q / k) * fit.se_k
-            r, log_q = c * se / q, np.log(q)
-            m = (c * e * (2 * np.abs(d_k) * fit.se_k + e) / (q * se)
-                 + 1e-13 * (1 + np.abs(log_q) + r + abs(t)))
-            log_end = log_q + sign * r
+            log_q, s, e_q, e_s = _eq3_table(fit, prob, n_future)
+            log_end = log_q + sign * c * s
+            m = e_q + c * e_s + 1e-13 * (1 + np.abs(log_end) + c * s + abs(t))
             exact |= ~((np.abs(log_end - t) > m) & (np.abs(log_end) + m < 700))
-            ends.append(q * np.exp(sign * r))
+            ends.append(np.exp(log_end))
     if (rows := np.flatnonzero(exact & ok)).size:
         sub = {f: v[rows] for f, v in vars(fit).items() if isinstance(v, np.ndarray)}
         iv = intervals.METHODS["eq3"].build(replace(fit, **sub), level, n_future, p, SE_KIND, CRIT)
@@ -338,7 +433,7 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
     (method, level) in ``keys``.  A prediction interval covers when it contains the run's
     future total; a tolerance interval when it contains both
     ``tolerance_target`` quantiles: lo <= t_lo and t_hi <= hi, or the same
-    test of probabilities and p-values or cdfs.  A run is usable where its
+    test by p-values, quantile brackets or cdfs.  A run is usable where its
     fit is and all four are finite."""
     fit, ok = fit_gamma_rows(y)
     n_future = spec.N - spec.n
@@ -348,23 +443,24 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
     for row, (method, level) in zip(counts, keys):
         entry = intervals.METHODS[method]
         targets = tolerance_target if entry.kind == "tolerance" else (future, future)
-        if method in h:   # H at the future total between H's two crossings
-            tail = (1 - level) / 2   # no upper crossing where 1 - tail rounds to 1
-            lo, hi = tail, 1 - tail if 1 - tail < 1 else math.nan
-            t_lo = t_hi = h[method]
-        elif entry.ends:   # the cdf at each target against its end's probability
-            ends = entry.ends(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
-            (lo, *_), (hi, *_) = ends
-            t_lo, t_hi = (intervals._sum_cdf(fit, t, n_future, mu, k, prob)
-                          for t, (prob, mu, k) in zip(targets, ends))
-        elif method == "eq3":   # screened ends, exact near the targets
-            lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets)
-            t_lo, t_hi = targets
+        if entry.ends:   # each end against its target, by its quantile's bracket
+            held, use = _ends_hold(fit, targets, n_future, entry.ends(
+                fit, level, n_future, spec.content_p, SE_KIND, CRIT))
         else:
-            iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
-            lo, hi, (t_lo, t_hi) = iv.lower, iv.upper, targets
-        use = ok & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
-        row[:] = np.count_nonzero((lo <= t_lo) & (t_hi <= hi) & use), np.count_nonzero(use)
+            if method in h:   # H at the future total between H's two crossings
+                tail = (1 - level) / 2   # no upper crossing where 1 - tail rounds to 1
+                lo, hi = tail, 1 - tail if 1 - tail < 1 else math.nan
+                t_lo = t_hi = h[method]
+            elif method == "eq3":   # tabulated ends, exact near the targets
+                lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets)
+                t_lo, t_hi = targets
+            else:
+                iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
+                lo, hi, (t_lo, t_hi) = iv.lower, iv.upper, targets
+            held = (lo <= t_lo) & (t_hi <= hi)
+            use = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
+        use &= ok
+        row[:] = np.count_nonzero(held & use), np.count_nonzero(use)
     return counts
 
 

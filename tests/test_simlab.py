@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import gammaincinv
 
 from tolpred import dist, intervals, simlab
 from tolpred.fit import FitResult, fit_gamma_intercept, fit_gamma_rows
@@ -229,50 +231,72 @@ def test_lab_endpoints_are_the_table_run_by_run():
             assert report.cell(name, level).observed == np.mean(covered)
 
 
-def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
-    # eq3 computes its two quantiles once for both levels and screens its
-    # SEs with gammainc: 2 array calls in a gamma cell where no run takes
-    # the exact path; plugin, eq2 and eq5 are scored by the sum
-    # distribution's cdf and call gammaincinv not at all
-    sizes = []
+def record_gammaincinv(monkeypatch):
+    """The shapes of every gammaincinv call, in call order."""
+    shapes, real = [], intervals.gammaincinv
 
     def counted(a, p):
-        sizes.append(np.size(a))
+        shapes.append(np.asarray(a))
         return real(a, p)
 
-    real = intervals.gammaincinv
     monkeypatch.setattr(intervals, "gammaincinv", counted)
-    run_gamma_coverage(gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95)))
-    assert sizes == [500, 500]
-    sizes.clear()
-    run_poisson_gamma(site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95)))
-    assert sizes == []
+    return shapes
+
+
+def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
+    # in a one-chunk cell where no run takes an exact path, gammaincinv sees
+    # only the tables' node arrays (increasing, and far fewer than the
+    # runs): eq3 tabulates its two level-free probabilities once for both
+    # levels (3 calls each: quantile and finite difference), plugin and eq2
+    # share one table pair per probability, and eq5 takes one pair per level
+    # and end; the site process's prediction methods likewise
+    monkeypatch.setattr(simlab, "_workers", lambda: 1)
+    shapes = record_gammaincinv(monkeypatch)
+    calls = {}
+    for methods, levels in [(("eq3",), (0.8,)), (("eq3",), (0.8, 0.95)), (("plugin",), (0.8, 0.95)),
+                            (("plugin", "eq2"), (0.8, 0.95)), (("eq5",), (0.8, 0.95)),
+                            (simlab.METHOD_ORDER, (0.8, 0.95))]:
+        shapes.clear()
+        spec = gamma_spec(n=50, methods=methods, levels=levels, n_runs=3000)
+        assert len(simlab._chunks(spec)) == 1
+        run_gamma_coverage(spec)
+        assert all(a.size < spec.n_runs / 4 and np.all(np.diff(a) > 0) for a in shapes)
+        calls[methods, levels] = len(shapes)
+    assert list(calls.values()) == [6, 6, 8, 8, 8, 6 + 8 + 8]
+    shapes.clear()
+    spec = site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95), n_runs=3000)
+    run_poisson_gamma(spec)
+    assert len(shapes) == 8 and all(a.size < spec.n_runs / 4 and np.all(np.diff(a) > 0)
+                                    for a in shapes)
 
 
 def test_eq3_exact_path_computes_only_its_runs(monkeypatch):
     # in a one-chunk cell whose runs sit near their targets, each level
-    # sends the runs its screen cannot decide to the method table's eq3,
+    # sends the runs its tables cannot decide to the method table's eq3,
     # whose two quantiles and four finite-difference quantiles see only
-    # those runs
-    sizes, exact = [], []
-
-    def counted(a, p):
-        sizes.append(np.size(a))
-        return real(a, p)
+    # those runs; the tables' 6 calls see only node arrays
+    exact, in_build = [], []
+    entry = intervals.METHODS["eq3"]
 
     def build(fit, *args):
         exact.append(fit.k_hat)
-        return entry.build(fit, *args)
+        start = len(shapes)
+        iv = entry.build(fit, *args)
+        in_build.extend(range(start, len(shapes)))
+        return iv
 
-    real, entry = intervals.gammaincinv, intervals.METHODS["eq3"]
-    monkeypatch.setattr(intervals, "gammaincinv", counted)
+    shapes = record_gammaincinv(monkeypatch)
     monkeypatch.setitem(intervals.METHODS, "eq3", replace(entry, build=build))
+    monkeypatch.setattr(simlab, "_workers", lambda: 1)
     spec = gamma_spec(n=3, N=4, k=0.3, mu=1.0, methods=("eq3",), levels=(0.8, 0.95),
                       content_p=0.9, n_runs=8000, seed=1)
     assert len(simlab._chunks(spec)) == 1
     run_gamma_coverage(spec)
     assert len(exact) == 2 and 0 < sum(map(len, exact)) < spec.n_runs
-    assert sizes == [spec.n_runs] * 2 + [len(rows) for rows in exact for _ in range(6)]
+    assert [shapes[i].size for i in in_build] == [len(rows) for rows in exact for _ in range(6)]
+    tables = [a for i, a in enumerate(shapes) if i not in in_build]
+    assert len(tables) == 6 and all(a.size < spec.n_runs / 4 and np.all(np.diff(a) > 0)
+                                    for a in tables)
     fit, _ = fit_gamma_rows(draw_runs(spec)[0])
     assert all(np.isin(rows, fit.k_hat).all() for rows in exact)
 
@@ -348,9 +372,11 @@ def whole_array_cells(spec):
     site_spec(n=290, n_runs=1, methods=simlab.PREDICTION_METHODS, fixed_rates=True),
 ], ids=["gamma_n290", "gamma_n20", "sites", "sites_fixed_rates", "gamma_1_run",
         "sites_1_run"])
-def test_chunked_cells_equal_the_whole_array_cells(spec):
+def test_chunked_cells_equal_the_whole_array_cells(monkeypatch, spec):
     # each run's endpoints depend only on (seed, r) and its own row, so
-    # streaming a cell through chunks reproduces the all-runs computation
+    # streaming a cell through chunks reproduces the all-runs computation;
+    # three workers make at least three chunks on any host
+    monkeypatch.setattr(simlab, "_workers", lambda: 3)
     chunks = simlab._chunks(spec)
     if spec.n_runs > 1:
         assert len(chunks) >= 3 and spec.n_runs % len(chunks[0]) and spec.n_runs % simlab.BLOCK
@@ -393,7 +419,9 @@ def _run(spec):
 @pytest.mark.parametrize("spec", POOL_SPECS, ids=POOL_IDS)
 def test_cells_do_not_depend_on_the_worker_count(monkeypatch, spec):
     # counts are integers added in chunk order; three workers on a shorter
-    # switch interval interleave the chunks as much as the host allows
+    # switch interval interleave the chunks as much as the host allows, and
+    # each worker count cuts the cell into its own chunks
+    monkeypatch.setattr(simlab, "_workers", lambda: 3)
     assert len(simlab._chunks(spec)) >= 3
     reports = {}
     interval = sys.getswitchinterval()
@@ -585,6 +613,7 @@ def test_fpivot_cells_make_one_fdtr_call_per_chunk_and_no_fdtri(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(intervals, name, counted(name))
+    monkeypatch.setattr(simlab, "_workers", lambda: 3)
     spec = gamma_spec(n=50, methods=("fpivot",), levels=(0.8, 0.95), n_runs=3000)
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
@@ -626,27 +655,26 @@ def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
         assert simlab._chunk_counts(spec, keys, y, future, target).tolist() == counts
 
 
-def test_quantile_interval_cells_make_one_gammainc_call_per_end_and_no_gammaincinv(monkeypatch):
-    # the lab scores plugin, eq2 and eq5 by the cdf at their targets: in
-    # each of the 3 chunks, one gammainc per end and level for eq2 and eq5,
-    # and one in all for plugin, whose ends share the fitted (mu, k) and
-    # the future total
-    calls = {"gammainc": 0, "gammaincinv": 0}
-
-    def counted(name):
-        real = getattr(intervals, name)
-
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(intervals, name, counted(name))
+def test_quantile_interval_cells_call_gammainc_only_on_undecided_runs(monkeypatch):
+    # the lab scores plugin, eq2 and eq5 by brackets of their quantiles: in
+    # each of the 3 chunks, gammaincinv sees only node arrays, and gammainc
+    # only the runs whose x lies between its bracket's nodes, near its
+    # quantile, a few percent of the 3000 runs x 12 ends
+    calls = []
+    real = intervals.gammainc
+    monkeypatch.setattr(intervals, "gammainc", lambda a, x: calls.append((a, x)) or real(a, x))
+    shapes = record_gammaincinv(monkeypatch)
+    monkeypatch.setattr(simlab, "_workers", lambda: 3)
     spec = gamma_spec(n=50, methods=("plugin", "eq2", "eq5"), levels=(0.8, 0.95), n_runs=3000)
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
-    assert calls == {"gammainc": 3 * (1 + 2 * 2 * 2), "gammaincinv": 0}
+    assert all(a.size < 1000 / 4 and np.all(np.diff(a) > 0) for a in shapes)
+    probs = [(1 - level) / 2 for level in spec.levels] + [(1 - spec.content_p) / 2]
+    probs += [1 - q for q in probs]
+    for a, x in calls:
+        near = np.min([np.abs(np.log(x / gammaincinv(a, q))) for q in probs], axis=0)
+        assert np.all(near < 0.05)
+    assert 0 < sum(np.size(a) for a, _ in calls) < 0.05 * spec.n_runs * 12
 
 
 # the gamma cells of the stress grid, a block of small samples (n 2-10,
@@ -658,24 +686,64 @@ EQ3_SPECS = [*(s for s in SCORED_SPECS if s.data_process == "gamma_fixed"),
              gamma_spec(n=5, N=6, k=1e-3, mu=1.0, n_runs=2048, seed=2)]
 
 
-def test_eq3_screened_dq_dk_is_within_its_bound_in_the_gate():
-    # the screen's margins assume |dq/dk error| <= RHO |dq/dk| + RHO_Q q/k
-    # against the finite difference wherever (N - n) k lies in [0.1, 1e5]
-    # and k >= 0.01, at any mean and any content, the smallest tail included
+def test_eq3_tables_are_within_their_bounds():
+    # the tables' log q and se/q lie within their error bounds of the
+    # method table's own values at each run's shape, wherever the bounds
+    # are finite, at any mean and content, the smallest tail included
     rng = np.random.default_rng(0)
     for n_fut in (1, 10, 280, 5000):
-        k = np.exp(rng.uniform(np.log(max(0.1 / n_fut, 0.01)), np.log(1e5 / n_fut), 2000))
+        k = np.exp(rng.uniform(np.log(1e-3), np.log(1e5 / n_fut), 2000))
         mu = np.exp(rng.uniform(-14.0, 14.0, k.size))
         fit = FitResult("gamma", "log", mu, 10, k_hat=k, se_mu=0.1 * mu, se_k=0.1 * k,
                         cov_mu_k=0.0)
         for prob in (5.56e-17, 1e-9, 0.005, 0.25, 0.5, 0.75, 0.995, 1 - 1e-9):
-            _, screened = intervals._delta_se(fit, prob, n_fut, screened=True)
-            h = 1e-4 * k   # the finite difference's step where k >= 0.01
-            d_k = (intervals._sum_quantile(fit, prob, n_fut, k=k + h)
-                   - intervals._sum_quantile(fit, prob, n_fut, k=k - h)) / (2 * h)
-            q = intervals._sum_quantile(fit, prob, n_fut)
-            bound = simlab._EQ3_RHO * np.abs(screened) + simlab._EQ3_RHO_Q * q / k
-            assert np.all(np.abs(screened - d_k) <= bound), (n_fut, prob)
+            with np.errstate(all="ignore"):
+                log_q, s, e_q, e_s = simlab._eq3_table(fit, prob, n_fut)
+                q = intervals._sum_quantile(fit, prob, n_fut)
+                exact = np.log(q), intervals._delta_se(fit, prob, n_fut) / q
+            # the gate of the screen these tables replaced: both bounds are finite
+            gate = (n_fut * k >= 0.1) & (k >= 0.01) & (np.abs(exact[0]) < 200)
+            assert np.isfinite(e_q[gate]).all() and np.isfinite(e_s[gate]).all()
+            for v, want, e in zip((log_q, s), exact, (e_q, e_s)):
+                assert np.all((np.abs(v - want) <= e) | ~np.isfinite(e)), (n_fut, prob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-3, 1e6),
+       p=st.one_of(st.floats(1e-300, 0.5), st.floats(1e-16, 0.5).map(lambda q: 1 - q)))
+def test_bracket_holds_the_gamma_quantile(a, p):
+    # 101 shapes over 20 nodes keep a table; each shape's bracket holds its
+    # quantile, and a quantile the nodes resolve is bounded on both sides
+    a = a * np.exp(np.linspace(-0.1, 0.1, 101))
+    lo, hi = simlab._bracket(FitResult("gamma", "log", 1.0, 2), p, a)
+    x = gammaincinv(a, p)
+    assert np.all(lo <= x) and np.all(x <= hi)
+    if p * (1 + simlab._BRACKET_SLACK) < 1 and x.min() > 1e-290:
+        assert np.all(lo > 0) and np.all(hi < np.inf)
+
+
+@pytest.mark.parametrize("workers", range(1, 9))
+def test_chunks_are_equal_whole_blocks_in_a_multiple_of_the_workers(monkeypatch, workers):
+    # whole blocks, split as evenly as blocks allow into the fewest chunks
+    # that are a multiple of the workers (unless the blocks run out) and
+    # keep every multi-block chunk within _CHUNK_VALUES values, covering
+    # the runs in order
+    monkeypatch.setattr(simlab, "_workers", lambda: workers)
+    for n in (2, 3, 10, 20, 50, 256, 290, 5000):
+        for n_runs in (1, 1000, simlab.BLOCK, simlab.BLOCK + 1, 7 * simlab.BLOCK - 5,
+                       25_000, 100_000, 300_000):
+            chunks = simlab._chunks(gamma_spec(n=n, N=n + 1, n_runs=n_runs))
+            blocks = [-(-len(c) // simlab.BLOCK) for c in chunks]
+            assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]] == [
+                simlab.BLOCK * b for b in np.cumsum(blocks)[:-1]]
+            assert chunks[0].start == 0 and chunks[-1].stop == n_runs
+            assert all(c.step == 1 and len(c) > 0 for c in chunks)
+            assert max(blocks) - min(blocks) <= 1
+            assert len(chunks) % workers == 0 or len(chunks) == sum(blocks)
+            most = max(1, simlab._CHUNK_VALUES // (simlab.BLOCK * n))
+            assert max(blocks) <= most
+            fewer = len(chunks) - workers
+            assert fewer <= 0 or -(-sum(blocks) // fewer) > most
 
 
 def _tolerance_scores(lo, hi, ok, target):
@@ -733,6 +801,40 @@ def test_eq3_screen_is_endpoint_scoring_at_the_targets(end, n, k, n_fut):
             screened_covered, screened_use = _tolerance_scores(*screened, ok, target)
             np.testing.assert_array_equal(screened_use, use)
             np.testing.assert_array_equal(screened_covered, covered)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+@pytest.mark.parametrize("n, k, n_fut", [(10, 0.7, 1), (20, 4.0, 280), (5, 0.3, 1),
+                                         (50, 1.0, 5000)])
+def test_cdf_scoring_is_endpoint_scoring_at_the_targets(monkeypatch, end, n, k, n_fut):
+    # each run scaled so that its exact plugin, eq2 or eq5 end lies a log
+    # distance of +-1e-12 to +-1e-1 from its target: the runs between their
+    # bracket's nodes take the cdf, the brackets decide the rest (over 40%
+    # of the ends), and the counts are those of the endpoints
+    sizes = []
+    real = intervals.gammainc
+    monkeypatch.setattr(intervals, "gammainc", lambda a, x: sizes.append(np.size(a)) or real(a, x))
+    spec = gamma_spec(n=n, N=n + n_fut, k=k, mu=1.0, content_p=0.99, n_runs=4096, seed=11)
+    target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
+    y, future = draw_runs(spec)
+    delta = np.resize(np.geomspace(1e-12, 1e-1, 12) * [[-1], [1]], spec.n_runs)
+    p, ends = spec.content_p, 0
+    with np.errstate(all="ignore"):
+        for method in ("plugin", "eq2", "eq5"):
+            entry = intervals.METHODS[method]
+            t_lo, t_hi = target if entry.kind == "tolerance" else (future, future)
+            for level in (0.8, 0.95, 0.999):
+                iv = entry.build(fit_gamma_rows(y)[0], level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+                scale = np.exp(np.log((t_lo, t_hi)[end]) + delta - np.log((iv.lower, iv.upper)[end]))
+                scaled = y * scale[:, None]
+                fit, ok = fit_gamma_rows(scaled)
+                iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
+                covered, use = _tolerance_scores(iv.lower, iv.upper, ok, (t_lo, t_hi))
+                counts = simlab._chunk_counts(replace(spec, methods=(method,), levels=(level,)),
+                                              [(method, level)], scaled, future, target)
+                assert counts.tolist() == [[np.count_nonzero(covered), np.count_nonzero(use)]]
+                ends += 2 * spec.n_runs
+    assert sum(sizes) < 0.6 * ends
 
 
 # ---------------------------------------------------------------------------
