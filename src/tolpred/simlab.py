@@ -12,25 +12,25 @@ the worker count, with the blocks split evenly between them.  The calling
 thread makes the process's block draw, which holds what the cell's runs
 share, and queues every chunk at once, as its run range alone, on a thread
 pool with one worker per usable CPU.  A worker draws its chunk block by
-block, fits it with ``fit.fit_gamma_rows`` (whose fields are per-run
-arrays), scores every method and level with ``intervals.METHODS`` and keeps
-only its covered and usable counts.  The F pivot is scored by its p-value;
-plugin, eq2 and eq5 by brackets of their quantiles, from per-chunk tables of
-``gammaincinv`` at log-spaced shapes, and by their sum cdf where the
-brackets cannot tell; eq3 by its ends interpolated from per-chunk tables,
-exact near its targets; the rest by their endpoints.  A run is usable where
-its endpoints are finite (for the F pivot none where 1-(1-level)/2 rounds
-to 1).  scipy's special functions and numpy's generators release the GIL
-for their whole call, so the workers overlap there, but short numpy calls
-do not (on two CPUs, two threads ran a chain of four ufuncs on 3072- or
+block, in place, fits it with ``fit.fit_gamma_rows`` (whose fields are
+per-run arrays), scores every method and level with ``intervals.METHODS``
+and keeps only its covered and usable counts.  The F pivot is scored by
+its p-value; plugin, eq2 and eq5 by brackets of their quantiles, from
+tables of ``gammaincinv`` at log-spaced shapes, and by their sum cdf where
+the brackets cannot tell; eq3 by its ends interpolated from tables, exact
+near its targets; the rest by their endpoints.  The chunks share the
+cell's tables, so each node is computed once.  A run is usable where its
+endpoints are finite (for the F pivot none where 1-(1-level)/2 rounds to
+1).  scipy's special functions and numpy's generators release the GIL for
+their whole call, so the workers overlap there, but short numpy calls do
+not (on two CPUs, two threads ran a chain of four ufuncs on 3072- or
 12288-element arrays no faster than one thread, and 1.5 times as fast on
-262144 elements), so a chunk holds as many runs as its bound allows.
-Only running chunks hold
-samples, at most one per worker, so lab memory does not grow with
-``n_runs``.  Run r depends only on (seed, r), every bracket and table
-decides a run as its exact path would, and the counts are integers added in
-chunk order, so the cells depend neither on the chunking nor on the worker
-count.
+262144 elements), so a chunk holds as many runs as its bound allows.  Only running chunks hold samples, at most one per
+worker, so lab memory does not grow with ``n_runs``.  Run r depends only
+on (seed, r), a table node only on its probability and index, every
+bracket and table decides a run as its exact path would, and the counts
+are integers added in chunk order, so the cells depend neither on the
+chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import json
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, asdict, fields, replace
 from typing import Callable, NamedTuple
 
@@ -218,27 +219,31 @@ def _chunks(spec: ScenarioSpec):
 
 def _draw_runs(spec: ScenarioSpec, runs: range, draw):
     """The samples, one row per run, and the future totals of the runs in
-    ``runs``, which starts on a block boundary.  ``draw(gen)``, a process's
-    block draw, draws the samples and future totals of one whole block of
-    ``BLOCK`` runs from ``gen``.  Block b draws from
-    ``RngStream(seed).substream(b)``, and every block draws in full and is
-    then cut to the range, so run r depends only on (seed, r)."""
-    y = np.empty((len(runs), spec.n))
-    future = np.empty(len(runs))
+    ``runs``, which starts on a block boundary.  ``draw(gen, out)``, a
+    process's block draw, draws the samples of one whole block of ``BLOCK``
+    runs from ``gen`` into ``out`` and returns their future totals.  Block b
+    draws from ``RngStream(seed).substream(b)``, and every block draws in
+    full and is then cut to the range, so run r depends only on (seed, r)."""
+    blocks = range(runs.start, runs.stop, BLOCK)
+    y, future = np.empty((len(blocks) * BLOCK, spec.n)), np.empty(len(blocks) * BLOCK)
     base = RngStream(spec.seed)
-    for start in range(runs.start, runs.stop, BLOCK):
-        i, m = start - runs.start, min(BLOCK, runs.stop - start)
-        sample, total = draw(base.substream(start // BLOCK).generator())
-        y[i:i + m], future[i:i + m] = sample[:m], total[:m]
-    return y, future
+    for i, start in enumerate(blocks):
+        rows = slice(i * BLOCK, (i + 1) * BLOCK)
+        future[rows] = draw(base.substream(start // BLOCK).generator(), y[rows])
+    return y[:len(runs)], future[:len(runs)]
 
 
 def _gamma_block(spec: ScenarioSpec):
     """The block draw of gamma samples and their realized future totals;
-    the future total of N - n iid gammas is itself gamma distributed."""
+    the future total of N - n iid gammas is itself gamma distributed.  The
+    samples are numpy's gamma(k, scale), scale * standard_gamma(k), in place."""
     scale = spec.mu / spec.k
-    return lambda gen: (gen.gamma(spec.k, scale, size=(BLOCK, spec.n)),
-                        gen.gamma((spec.N - spec.n) * spec.k, scale, size=BLOCK))
+
+    def draw(gen, out):
+        np.multiply(gen.standard_gamma(spec.k, out=out), scale, out=out)
+        return gen.gamma((spec.N - spec.n) * spec.k, scale, size=BLOCK)
+
+    return draw
 
 
 def _site_block(spec: ScenarioSpec):
@@ -254,16 +259,16 @@ def _site_block(spec: ScenarioSpec):
              if spec.fixed_rates else None)
     rows = max(1, _CHUNK_VALUES // spec.N)
 
-    def draw(gen):
+    def draw(gen, out):
         lam = fixed if fixed is not None else gen.gamma(spec.alpha, spec.beta,
                                                        size=(BLOCK, spec.n_sites))
         total = np.broadcast_to(lam.sum(axis=-1, keepdims=True), (BLOCK, 1))
-        sample, rest = np.empty((BLOCK, spec.n)), np.empty(BLOCK)
+        rest = np.empty(BLOCK)
         for i in range(0, BLOCK, rows):
             gaps = gen.random((min(rows, BLOCK - i), spec.N))
             np.divide(np.log(gaps, out=gaps), -total[i:i + rows], out=gaps)   # -log(u) / total
-            sample[i:i + rows], rest[i:i + rows] = gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
-        return sample, rest
+            out[i:i + rows], rest[i:i + rows] = gaps[:, :spec.n], gaps[:, spec.n:].sum(axis=1)
+        return rest
 
     return draw
 
@@ -272,11 +277,11 @@ class Process(NamedTuple):
     """A data process of the lab: the ``ScenarioSpec`` fields it needs;
     ``block(spec)``, run once per cell on the calling thread, which draws
     what the cell's runs share and returns its block draw
-    ``draw(gen) -> (samples, future totals)`` of one whole block of
-    ``BLOCK`` runs, called on the pool threads, several at once, so it must
-    be safe to call concurrently; and ``tolerance_target(spec)``, the two
-    quantiles a tolerance interval must contain, or None when the process
-    has none."""
+    ``draw(gen, out) -> future totals`` of one whole block of ``BLOCK``
+    runs, its samples drawn into ``out``, called on the pool threads,
+    several at once, so it must be safe to call concurrently; and
+    ``tolerance_target(spec)``, the two quantiles a tolerance interval must
+    contain, or None when the process has none."""
 
     fields: tuple
     block: Callable
@@ -320,14 +325,35 @@ def _workers() -> int:
 _BRACKET_STEP, _EQ3_STEP, _BRACKET_SLACK, _EQ3_SAFETY = 0.01, 0.02, 1e-9, 100.0
 
 
-def _bracket(fit, prob, a):
+def _node_tables():
+    """A cell's quantile tables, shared by its chunks: ``nodes(key, j0, j1,
+    f)`` is f(j) at the lattice indices j = j0..j1 (the last axis) of
+    ``key``'s table, one run of indices grown by one call of f under one
+    lock, so each node is computed once per cell, whatever the order."""
+    lock, tables = threading.Lock(), {}
+
+    def nodes(key, j0, j1, f):
+        with lock:
+            start, v = tables.get(key, (j0, None))
+            stop = start if v is None else start + v.shape[-1]
+            left, right = np.arange(j0, start), np.arange(stop, j1 + 1)
+            if left.size or right.size:
+                new = f(np.r_[left, right])
+                parts = (new,) if v is None else (new[..., :left.size], v, new[..., left.size:])
+                start, v = tables[key] = min(start, j0), np.concatenate(parts, axis=-1)
+            return v[..., j0 - start:j1 + 1 - start]
+
+    return nodes
+
+
+def _bracket(fit, prob, a, nodes=None):
     """Bounds lo <= x <= hi on the unit gamma quantile x at ``prob`` of each
     shape of ``a``: the quantiles at prob (1 -/+ slack) of the nodes
     exp(j * _BRACKET_STEP) below and above it, as Gamma(a, 1) grows
     stochastically with a (the slack covers rounding, log(a)'s included).
-    Past the nodes one bound is left; none for NaN, or without a table,
-    which the fit keeps per (prob, nodes) unless they outnumber a quarter of
-    the shapes, where a table would cost more than it saves."""
+    Past the nodes one bound is left; none for NaN, or without a table (the
+    fit keeps one per (prob, nodes), from the store ``nodes``) where they
+    outnumber a quarter of the shapes and it would cost more than it saves."""
     u = np.log(a) / _BRACKET_STEP
     live = u[np.isfinite(u)]
     if prob >= 1 or not live.size:
@@ -337,9 +363,12 @@ def _bracket(fit, prob, a):
         return 0.0, np.inf
     key = ("bracket", prob, j0, j1)
     if key not in fit._memo:
-        nodes = np.exp(np.arange(j0, j1 + 1) * _BRACKET_STEP)
-        low, high = (intervals._unit_quantile("gamma", prob * (1 + s), 1, nodes)
-                     for s in (-_BRACKET_SLACK, _BRACKET_SLACK))
+        def table(j):
+            x = np.exp(j * _BRACKET_STEP)
+            return np.array([intervals._unit_quantile("gamma", prob * (1 + s), 1, x)
+                             for s in (-_BRACKET_SLACK, _BRACKET_SLACK)])
+
+        low, high = (nodes or _node_tables())(("bracket", prob), j0, j1, table)
         tiny = np.finfo(float).tiny   # a subnormal or NaN node bounds nothing
         fit._memo[key] = (np.r_[0.0, np.where(low >= tiny, low, 0.0)],
                           np.r_[np.where(high >= tiny, high, np.inf), np.inf])
@@ -348,7 +377,7 @@ def _bracket(fit, prob, a):
     return low[i], high[i]
 
 
-def _ends_hold(fit, targets, n_future, ends):
+def _ends_hold(fit, targets, n_future, ends, nodes=None):
     """Whether each run's ``Method.ends`` pair holds its two targets (lower
     end at or below its target, upper at or above) and is usable, as the sum
     cdf ``intervals._sum_cdf`` decides: by the ``_bracket`` of the end's
@@ -359,7 +388,7 @@ def _ends_hold(fit, targets, n_future, ends):
         mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
         a, scale = n_future * shape, mu / shape
         x = t / scale
-        lo, hi = _bracket(fit, prob, a)
+        lo, hi = _bracket(fit, prob, a, nodes)
         above, below = x > hi, x < lo
         holds, usable = above if lower else below, np.ones(np.shape(x), dtype=bool)
         rows = np.flatnonzero(~((above | below) & (scale * (2 * a + 100) <= 1e308)))
@@ -371,29 +400,33 @@ def _ends_hold(fit, targets, n_future, ends):
     return held, use
 
 
-def _eq3_table(fit, prob, n_future):
+def _eq3_table(fit, prob, n_future, nodes=None):
     """eq3's log q and se/q at ``prob`` of each run, and error bounds on
-    them, from tables kept in the fit: L = log q and G = |dq/dk| k/q at
-    mean 1 on the nodes exp(j * _EQ3_STEP) spanning the fit's shapes,
-    linear in log k in between.  Both come from the method table's own
-    ``_sum_quantile`` and ``_delta_se`` on a fit of the nodes and the
-    segments' midpoints, and a segment's error bound is SAFETY times the
-    largest error at its own and its neighbours' midpoints.  The lab's fits have no (mu, k) covariance, so
-    se/q = hypot(se_mu/mu, G se_k/k), within eG se_k/k under an error eG."""
+    them, which the fit keeps: L = log q and G = |dq/dk| k/q at mean 1 on
+    the nodes exp(j * _EQ3_STEP) spanning the fit's shapes, linear in log k
+    in between.  Both come from the method table's own ``_sum_quantile``
+    and ``_delta_se`` at the nodes and the segments' midpoints, from the
+    store ``nodes``, and a segment's error bound is SAFETY times the largest
+    error at its own and its neighbours' midpoints.  The lab's fits have no
+    (mu, k) covariance, so se/q = hypot(se_mu/mu, G se_k/k), within eG
+    se_k/k under an error eG."""
     key = ("eq3_table", prob, n_future)
     if key not in fit._memo:
         u = np.log(fit.k_hat) / _EQ3_STEP
         live = u[np.isfinite(u)]
         j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 1)
-        k = np.exp(np.arange(2 * j0, 2 * j1 + 1) * (_EQ3_STEP / 2))   # nodes and midpoints
-        at = FitResult("gamma", "log", np.ones_like(k), fit.n_obs, k_hat=k,
-                       se_mu=np.zeros_like(k), se_k=np.ones_like(k), cov_mu_k=0.0)
-        q = intervals._sum_quantile(at, prob, n_future)
-        q[~((q > 1e-290) & (q < 1e290))] = np.nan   # no table of rounded quantiles
+        def table(i):   # L and G at exp(i * _EQ3_STEP / 2): nodes and midpoints
+            k = np.exp(i * (_EQ3_STEP / 2))
+            at = FitResult("gamma", "log", np.ones_like(k), fit.n_obs, k_hat=k,
+                           se_mu=np.zeros_like(k), se_k=np.ones_like(k), cov_mu_k=0.0)
+            q = intervals._sum_quantile(at, prob, n_future)
+            q[~((q > 1e-290) & (q < 1e290))] = np.nan   # no table of rounded quantiles
+            return np.array([np.log(q), intervals._delta_se(at, prob, n_future) * k / q])
+
         j = np.fmin(np.fmax(np.floor(u), j0), j1 - 1).astype(np.intp) - j0
         w = u - j0 - j
         runs = []
-        for v in (np.log(q), intervals._delta_se(at, prob, n_future) * k / q):
+        for v in (nodes or _node_tables())(("eq3", prob, n_future), 2 * j0, 2 * j1, table):
             e = np.abs(v[1::2] - (v[:-1:2] + v[2::2]) / 2)   # at the midpoints
             e = np.maximum(e, np.maximum(np.r_[e[1:], 0], np.r_[0, e[:-1]]))
             runs += [v[::2][j] + w * (v[2::2] - v[:-1:2])[j], _EQ3_SAFETY * e[j]]
@@ -406,7 +439,7 @@ def _eq3_table(fit, prob, n_future):
     return fit._memo[key]
 
 
-def _eq3_ends(fit, ok, level, n_future, p, targets):
+def _eq3_ends(fit, ok, level, n_future, p, targets, nodes=None):
     """eq3's (lower, upper) ends of each run from its tables, log q -/+ c
     se/q (README, "Simulation lab").  Under the tables' errors the log end
     moves by at most e_q + c e_s; that bound plus rounding is a run's
@@ -416,7 +449,7 @@ def _eq3_ends(fit, ok, level, n_future, p, targets):
     exact, ends = np.zeros_like(ok), []
     with np.errstate(all="ignore"):   # the runs the tables cannot decide go exact
         for prob, sign, t in zip(((1 - p) / 2, (1 + p) / 2), (-1, 1), np.log(targets)):
-            log_q, s, e_q, e_s = _eq3_table(fit, prob, n_future)
+            log_q, s, e_q, e_s = _eq3_table(fit, prob, n_future, nodes)
             log_end = log_q + sign * c * s
             m = e_q + c * e_s + 1e-13 * (1 + np.abs(log_end) + c * s + abs(t))
             exact |= ~((np.abs(log_end - t) > m) & (np.abs(log_end) + m < 700))
@@ -428,13 +461,14 @@ def _eq3_ends(fit, ok, level, n_future, p, targets):
     return ends
 
 
-def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
+def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target, nodes=None):
     """The (covered, usable) run counts of one chunk, a row for each
-    (method, level) in ``keys``.  A prediction interval covers when it contains the run's
-    future total; a tolerance interval when it contains both
-    ``tolerance_target`` quantiles: lo <= t_lo and t_hi <= hi, or the same
-    test by p-values, quantile brackets or cdfs.  A run is usable where its
-    fit is and all four are finite."""
+    (method, level) in ``keys``, with the tables of the store ``nodes``.  A
+    prediction interval covers when it contains the run's future total; a
+    tolerance interval when it contains both ``tolerance_target`` quantiles:
+    lo <= t_lo and t_hi <= hi, or the same test by p-values, quantile
+    brackets or cdfs.  A run is usable where its fit is and all four are
+    finite."""
     fit, ok = fit_gamma_rows(y)
     n_future = spec.N - spec.n
     counts = np.zeros((len(keys), 2), dtype=np.int64)
@@ -445,14 +479,14 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target):
         targets = tolerance_target if entry.kind == "tolerance" else (future, future)
         if entry.ends:   # each end against its target, by its quantile's bracket
             held, use = _ends_hold(fit, targets, n_future, entry.ends(
-                fit, level, n_future, spec.content_p, SE_KIND, CRIT))
+                fit, level, n_future, spec.content_p, SE_KIND, CRIT), nodes)
         else:
             if method in h:   # H at the future total between H's two crossings
                 tail = (1 - level) / 2   # no upper crossing where 1 - tail rounds to 1
                 lo, hi = tail, 1 - tail if 1 - tail < 1 else math.nan
                 t_lo = t_hi = h[method]
             elif method == "eq3":   # tabulated ends, exact near the targets
-                lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets)
+                lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets, nodes)
                 t_lo, t_hi = targets
             else:
                 iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
@@ -479,9 +513,10 @@ def run_coverage(spec: ScenarioSpec) -> CoverageReport:
     draw = process.block(spec)
     keys = list(dict.fromkeys((m, level) for m in spec.methods for level in spec.levels))
     totals = np.zeros((len(keys), 2), dtype=np.int64)   # covered and usable runs
+    nodes = _node_tables()   # the quantile tables, shared by the chunks
 
     def count(runs):
-        return _chunk_counts(spec, keys, *_draw_runs(spec, runs, draw), target)
+        return _chunk_counts(spec, keys, *_draw_runs(spec, runs, draw), target, nodes)
 
     with ThreadPoolExecutor(_workers()) as pool:
         # each task runs in a copy of the caller's context, so the caller's

@@ -231,12 +231,13 @@ def test_lab_endpoints_are_the_table_run_by_run():
             assert report.cell(name, level).observed == np.mean(covered)
 
 
-def record_gammaincinv(monkeypatch):
-    """The shapes of every gammaincinv call, in call order."""
+def record_gammaincinv(monkeypatch, probs=False):
+    """The shapes of every gammaincinv call, in call order, or with
+    ``probs`` their (probability, shapes) pairs."""
     shapes, real = [], intervals.gammaincinv
 
     def counted(a, p):
-        shapes.append(np.asarray(a))
+        shapes.append((p, np.asarray(a)) if probs else np.asarray(a))
         return real(a, p)
 
     monkeypatch.setattr(intervals, "gammaincinv", counted)
@@ -675,6 +676,62 @@ def test_quantile_interval_cells_call_gammainc_only_on_undecided_runs(monkeypatc
         near = np.min([np.abs(np.log(x / gammaincinv(a, q))) for q in probs], axis=0)
         assert np.all(near < 0.05)
     assert 0 < sum(np.size(a) for a, _ in calls) < 0.05 * spec.n_runs * 12
+
+
+def test_a_cell_computes_each_table_node_once(monkeypatch):
+    # the chunks of a cell share its quantile tables: on 3 workers, no
+    # shape of any one probability reaches gammaincinv twice in the cell's
+    # chunks (eq3's exact path sees its few runs at one level each here),
+    # and the cell is the 1-worker cell
+    calls = record_gammaincinv(monkeypatch, probs=True)
+    monkeypatch.setattr(simlab, "_workers", lambda: 3)
+    spec = gamma_spec(n=50, methods=("plugin", "eq2", "eq3", "eq5"), levels=(0.8, 0.95),
+                      n_runs=3000)
+    assert len(simlab._chunks(spec)) >= 3
+    cells = repr(run_coverage(spec))
+    shapes = {}
+    for p, a in calls:
+        shapes.setdefault(p, []).append(a)
+    assert len(shapes) >= 8
+    for p, arrays in shapes.items():
+        a = np.concatenate(arrays)
+        assert np.unique(a).size == a.size, p
+    monkeypatch.setattr(simlab, "_workers", lambda: 1)
+    assert repr(run_coverage(spec)) == cells
+
+
+def _node_values(key, j):
+    return np.array([np.sqrt(j + 100.0) + key, j * 0.5])
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_node_tables_compute_each_index_once(threads):
+    # random requests of three tables in random order, from one thread or
+    # four at once: each returns f on its own range, and f never sees an
+    # index of a table twice
+    rng = np.random.default_rng(threads)
+    keys, ranges = rng.integers(0, 3, 300), np.sort(rng.integers(-60, 60, (300, 2)), axis=1)
+    nodes, seen, got = simlab._node_tables(), [], {}
+    barrier = threading.Barrier(threads)
+
+    def ask(part):
+        barrier.wait()
+        for i in part:
+            key, (j0, j1) = keys[i], ranges[i]
+            got[i] = nodes(("table", key), j0, j1,
+                           lambda j: seen.append((key, j)) or _node_values(key, j))
+
+    workers = [threading.Thread(target=ask, args=(range(t, len(keys), threads),))
+               for t in range(threads)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for i, (key, (j0, j1)) in enumerate(zip(keys, ranges)):
+        np.testing.assert_array_equal(got[i], _node_values(key, np.arange(j0, j1 + 1)))
+    for key in range(3):
+        j = np.concatenate([j for k, j in seen if k == key])
+        assert np.unique(j).size == j.size
 
 
 # the gamma cells of the stress grid, a block of small samples (n 2-10,
