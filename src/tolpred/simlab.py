@@ -13,19 +13,17 @@ thread makes the process's block draw, which holds what the cell's runs
 share, and queues every chunk at once, as its run range alone, on a thread
 pool with one worker per usable CPU.  A worker draws its chunk block by
 block, in place, fits it with ``fit.fit_gamma_rows`` (whose fields are
-per-run arrays), scores every method and level with ``intervals.METHODS``
-and keeps only its covered and usable counts.  The F pivot is scored by
-its p-value; plugin, eq2 and eq5 by brackets of their quantiles, from
-tables of ``gammaincinv`` at log-spaced shapes, and by their sum cdf where
-the brackets cannot tell; eq3 by its ends interpolated from tables, exact
-near its targets; the rest by their endpoints.  The chunks share the
-cell's tables, so each node is computed once.  A run is usable where its
-endpoints are finite (for the F pivot none where 1-(1-level)/2 rounds to
-1).  scipy's special functions and numpy's generators release the GIL for
-their whole call, so the workers overlap there, but short numpy calls do
-not (on two CPUs, two threads ran a chain of four ufuncs on 3072- or
-12288-element arrays no faster than one thread, and 1.5 times as fast on
-262144 elements), so a chunk holds as many runs as its bound allows.  Only running chunks hold samples, at most one per
+per-run arrays), scores every method and level and keeps only its covered
+and usable counts.  A gamma fit takes the scorer of the ``_SCORERS``
+table: the F pivot its p-value; plugin, eq2 and eq5 brackets of their
+quantiles from tables of ``gammaincinv``, and their sum cdf where the
+brackets cannot tell; eq3 its ends from tables, exact near its targets.
+Any other method or family takes its ``intervals.METHODS`` endpoints.  The
+chunks share the cell's tables, so each node is computed once.  A run is
+usable where its endpoints are finite.  The workers overlap only in scipy's
+special functions and numpy's generators, which release the GIL for their
+whole call (README, "Simulation lab"), so a chunk holds as many runs as
+its bound allows.  Only running chunks hold samples, at most one per
 worker, so lab memory does not grow with ``n_runs``.  Run r depends only
 on (seed, r), a table node only on its probability and index, every
 bracket and table decides a run as its exact path would, and the counts
@@ -301,15 +299,6 @@ PROCESSES = {
 }
 
 
-# the methods scored by their exact upper p-value function H: an interval of
-# H's (1-level)/2 and 1-(1-level)/2 crossings holds t exactly when H(t) lies
-# between them, so one fdtr per run replaces the F pivot's two fdtri per
-# level; a run is usable where H(t) is finite and 1-(1-level)/2 below 1.
-# eq2's p-value is a table, not exact; the methods with ``Method.ends`` are
-# scored by ``_ends_hold``
-_BY_PVALUE = ("fpivot",)
-
-
 def _workers() -> int:
     """The CPUs this process may run on: one pool worker each."""
     try:
@@ -346,7 +335,7 @@ def _node_tables():
     return nodes
 
 
-def _bracket(fit, prob, a, nodes=None):
+def _bracket(fit, prob, a, nodes):
     """Bounds lo <= x <= hi on the unit gamma quantile x at ``prob`` of each
     shape of ``a``: the quantiles at prob (1 -/+ slack) of the nodes
     exp(j * _BRACKET_STEP) below and above it, as Gamma(a, 1) grows
@@ -368,7 +357,7 @@ def _bracket(fit, prob, a, nodes=None):
             return np.array([intervals._unit_quantile("gamma", prob * (1 + s), 1, x)
                              for s in (-_BRACKET_SLACK, _BRACKET_SLACK)])
 
-        low, high = (nodes or _node_tables())(("bracket", prob), j0, j1, table)
+        low, high = nodes(("bracket", prob), j0, j1, table)
         tiny = np.finfo(float).tiny   # a subnormal or NaN node bounds nothing
         fit._memo[key] = (np.r_[0.0, np.where(low >= tiny, low, 0.0)],
                           np.r_[np.where(high >= tiny, high, np.inf), np.inf])
@@ -377,13 +366,39 @@ def _bracket(fit, prob, a, nodes=None):
     return low[i], high[i]
 
 
-def _ends_hold(fit, targets, n_future, ends, nodes=None):
+def _holds(lo, hi, t_lo, t_hi):
+    """Whether lo <= t_lo and t_hi <= hi, and whether all four are finite."""
+    finite = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
+    return (lo <= t_lo) & (t_hi <= hi), finite
+
+
+def _build_holds(method, fit, ok, level, n_future, p, targets, nodes):
+    """The endpoint scorer, exact for every method and family: whether the
+    method table's interval of each run holds its targets, and is usable."""
+    iv = intervals.METHODS[method].build(fit, level, n_future, p, SE_KIND, CRIT)
+    return _holds(iv.lower, iv.upper, *targets)
+
+
+def _pvalue_holds(method, fit, ok, level, n_future, p, targets, nodes):
+    """Whether each run's interval of H's (1-level)/2 and 1-(1-level)/2
+    crossings holds its future total t, H the method's exact upper p-value:
+    where H(t), which the fit keeps for every level, lies between them.
+    Usable where H(t) is finite and 1-(1-level)/2 below 1."""
+    t, key = targets[0], ("pvalue", method, n_future)
+    if fit._memo.get(key, (None,))[0] is not t:
+        fit._memo[key] = t, intervals.METHODS[method].pvalue(fit, n_future, SE_KIND)[0](t)
+    h, tail = fit._memo[key][1], (1 - level) / 2
+    return (tail <= h) & (h <= 1 - tail), np.isfinite(h) & (1 - tail < 1)
+
+
+def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
     """Whether each run's ``Method.ends`` pair holds its two targets (lower
     end at or below its target, upper at or above) and is usable, as the sum
     cdf ``intervals._sum_cdf`` decides: by the ``_bracket`` of the end's
     quantile where x = t k / mu lies outside it, and elsewhere, or where the
     cdf is not plainly finite, by ``_sum_cdf`` on those runs alone."""
     held, use = True, True
+    ends = intervals.METHODS[method].ends(fit, level, n_future, p, SE_KIND, CRIT)
     for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
         mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
         a, scale = n_future * shape, mu / shape
@@ -400,7 +415,7 @@ def _ends_hold(fit, targets, n_future, ends, nodes=None):
     return held, use
 
 
-def _eq3_table(fit, prob, n_future, nodes=None):
+def _eq3_table(fit, prob, n_future, nodes):
     """eq3's log q and se/q at ``prob`` of each run, and error bounds on
     them, which the fit keeps: L = log q and G = |dq/dk| k/q at mean 1 on
     the nodes exp(j * _EQ3_STEP) spanning the fit's shapes, linear in log k
@@ -426,7 +441,7 @@ def _eq3_table(fit, prob, n_future, nodes=None):
         j = np.fmin(np.fmax(np.floor(u), j0), j1 - 1).astype(np.intp) - j0
         w = u - j0 - j
         runs = []
-        for v in (nodes or _node_tables())(("eq3", prob, n_future), 2 * j0, 2 * j1, table):
+        for v in nodes(("eq3", prob, n_future), 2 * j0, 2 * j1, table):
             e = np.abs(v[1::2] - (v[:-1:2] + v[2::2]) / 2)   # at the midpoints
             e = np.maximum(e, np.maximum(np.r_[e[1:], 0], np.r_[0, e[:-1]]))
             runs += [v[::2][j] + w * (v[2::2] - v[:-1:2])[j], _EQ3_SAFETY * e[j]]
@@ -439,7 +454,7 @@ def _eq3_table(fit, prob, n_future, nodes=None):
     return fit._memo[key]
 
 
-def _eq3_ends(fit, ok, level, n_future, p, targets, nodes=None):
+def _eq3_ends(fit, ok, level, n_future, p, targets, nodes):
     """eq3's (lower, upper) ends of each run from its tables, log q -/+ c
     se/q (README, "Simulation lab").  Under the tables' errors the log end
     moves by at most e_q + c e_s; that bound plus rounding is a run's
@@ -461,40 +476,30 @@ def _eq3_ends(fit, ok, level, n_future, p, targets, nodes=None):
     return ends
 
 
-def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target, nodes=None):
+# the scorers ``(method, fit, ok, level, n_future, p, targets, nodes) ->
+# (held, usable)`` of a gamma fit; any other family or method (fpivot_k1:
+# two scalar fdtri per level and chunk) takes the endpoint scorer
+_SCORERS = {"fpivot": _pvalue_holds,
+            "eq3": lambda method, fit, ok, level, n_future, p, targets, nodes: _holds(
+                *_eq3_ends(fit, ok, level, n_future, p, targets, nodes), *targets),
+            **{m: _ends_hold for m, e in intervals.METHODS.items() if e.ends}}
+
+
+def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target, nodes):
     """The (covered, usable) run counts of one chunk, a row for each
     (method, level) in ``keys``, with the tables of the store ``nodes``.  A
     prediction interval covers when it contains the run's future total; a
-    tolerance interval when it contains both ``tolerance_target`` quantiles:
-    lo <= t_lo and t_hi <= hi, or the same test by p-values, quantile
-    brackets or cdfs.  A run is usable where its fit is and all four are
-    finite."""
+    tolerance interval when it contains both ``tolerance_target`` quantiles.
+    A method of a gamma fit takes its ``_SCORERS`` entry, any other
+    ``_build_holds``; a run is usable where its fit and its scorer say so."""
     fit, ok = fit_gamma_rows(y)
-    n_future = spec.N - spec.n
+    scorers = _SCORERS if fit.family == "gamma" else {}
     counts = np.zeros((len(keys), 2), dtype=np.int64)
-    h = {m: intervals.METHODS[m].pvalue(fit, n_future, SE_KIND)[0](future)
-         for m in _BY_PVALUE if m in spec.methods}
     for row, (method, level) in zip(counts, keys):
-        entry = intervals.METHODS[method]
-        targets = tolerance_target if entry.kind == "tolerance" else (future, future)
-        if entry.ends:   # each end against its target, by its quantile's bracket
-            held, use = _ends_hold(fit, targets, n_future, entry.ends(
-                fit, level, n_future, spec.content_p, SE_KIND, CRIT), nodes)
-        else:
-            if method in h:   # H at the future total between H's two crossings
-                tail = (1 - level) / 2   # no upper crossing where 1 - tail rounds to 1
-                lo, hi = tail, 1 - tail if 1 - tail < 1 else math.nan
-                t_lo = t_hi = h[method]
-            elif method == "eq3":   # tabulated ends, exact near the targets
-                lo, hi = _eq3_ends(fit, ok, level, n_future, spec.content_p, targets, nodes)
-                t_lo, t_hi = targets
-            else:
-                iv = entry.build(fit, level, n_future, spec.content_p, SE_KIND, CRIT)
-                lo, hi, (t_lo, t_hi) = iv.lower, iv.upper, targets
-            held = (lo <= t_lo) & (t_hi <= hi)
-            use = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(t_lo) & np.isfinite(t_hi)
-        use &= ok
-        row[:] = np.count_nonzero(held & use), np.count_nonzero(use)
+        targets = tolerance_target if intervals.METHODS[method].kind == "tolerance" else (future, future)
+        held, use = scorers.get(method, _build_holds)(
+            method, fit, ok, level, spec.N - spec.n, spec.content_p, targets, nodes)
+        row[:] = np.count_nonzero(held & use & ok), np.count_nonzero(use & ok)
     return counts
 
 

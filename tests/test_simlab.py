@@ -597,7 +597,90 @@ def test_fpivot_pvalue_scoring_is_endpoint_scoring_run_by_run(spec):
         np.testing.assert_array_equal((tail <= h) & (h <= 1 - tail) & h_level_use, covered)
         counts.append((np.count_nonzero(covered), np.count_nonzero(use)))
     keys = [("fpivot", level) for level in spec.levels]
-    assert simlab._chunk_counts(spec, keys, y, future, None).tolist() == [list(c) for c in counts]
+    assert simlab._chunk_counts(spec, keys, y, future, None,
+                                simlab._node_tables()).tolist() == [list(c) for c in counts]
+
+
+# every level below 1 that the scorers see, the largest double below 1 last
+ALL_LEVELS = (0.5, 0.8, 0.95, 0.999, np.nextafter(1.0, 0.0))
+
+
+def _scored(spec, methods):
+    """The (spec, method) pairs of ``methods`` that ``spec``'s process
+    scores: tolerance methods only where it has a tolerance target."""
+    has_target = simlab.PROCESSES[spec.data_process].tolerance_target is not None
+    return [(spec, m) for m in methods
+            if has_target or intervals.METHODS[m].kind == "prediction"]
+
+
+def _score_args(spec, method):
+    """A scorer's arguments but the level, on the runs of ``spec``."""
+    process = simlab.PROCESSES[spec.data_process]
+    y, future = draw_runs(spec)
+    fit, ok = fit_gamma_rows(y)
+    targets = (process.tolerance_target(spec) if intervals.METHODS[method].kind == "tolerance"
+               else (future, future))
+    return fit, ok, spec.N - spec.n, spec.content_p, targets, simlab._node_tables()
+
+
+@pytest.mark.parametrize("spec, method", [
+    pytest.param(spec, method, id=f"{method}-spec{i}") for i, s in enumerate(SCORED_SPECS)
+    for spec, method in _scored(s, simlab._SCORERS)])
+def test_every_scorer_is_endpoint_scoring_run_by_run(spec, method):
+    # each entry of the lab's scorer table holds and is usable on the same
+    # runs as the endpoint scorer, whose intervals are the method table's
+    fit, ok, n_fut, p, targets, nodes = _score_args(spec, method)
+    with np.errstate(all="ignore"):   # the stress grid's limits overflow and underflow
+        for level in ALL_LEVELS:
+            args = (method, fit, ok, level, n_fut, p, targets, nodes)
+            held, use = simlab._SCORERS[method](*args)
+            want_held, want_use = simlab._build_holds(*args)
+            np.testing.assert_array_equal(use & ok, want_use & ok)
+            np.testing.assert_array_equal(held & use & ok, want_held & want_use & ok)
+
+
+@pytest.mark.parametrize("spec, method", [
+    pytest.param(spec, method, id=f"{method}-spec{i}") for i, s in enumerate(SCORED_SPECS)
+    for spec, method in _scored(s, [m for m in simlab.METHOD_ORDER if m != "eq5"])])
+def test_lab_scoring_nests_in_the_level(spec, method):
+    # a run the lab holds at one level, it holds at every higher level where
+    # the run is usable at both (eq5 does not nest: see test_intervals)
+    fit, ok, n_fut, p, targets, nodes = _score_args(spec, method)
+    score = simlab._SCORERS.get(method, simlab._build_holds)
+    with np.errstate(all="ignore"):
+        scores = [score(method, fit, ok, level, n_fut, p, targets, nodes) for level in ALL_LEVELS]
+    for i, (held, use) in enumerate(scores):
+        for higher, higher_use in scores[i + 1:]:
+            assert not np.any(held & ~higher & ok & use & higher_use), ALL_LEVELS[i]
+
+
+def test_a_fit_of_another_family_takes_only_the_endpoint_scorer(monkeypatch):
+    # the table's scorers are exact for gamma fits alone: a chunk whose fit
+    # says weibull, at N - n = 1, where Weibull sums are defined, reaches no
+    # gamma bracket, cdf or eq3 table, and counts as its endpoints do
+    calls = []
+    for module, name in [(simlab, "_bracket"), (simlab, "_eq3_table"), (intervals, "_sum_cdf")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    monkeypatch.setattr(simlab, "fit_gamma_rows", lambda y: (
+        replace(fit_gamma_rows(y)[0], family="weibull"), fit_gamma_rows(y)[1]))
+    methods = tuple(m for m in simlab.METHOD_ORDER
+                    if "weibull" in (intervals.METHODS[m].families or ("weibull",)))
+    spec = gamma_spec(n=20, N=21, methods=methods, levels=(0.8, 0.95), n_runs=2000)
+    y, future = draw_runs(spec)
+    target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
+    keys = [(m, level) for m in methods for level in spec.levels]
+    counts = simlab._chunk_counts(spec, keys, y, future, target, simlab._node_tables())
+    fit, ok = simlab.fit_gamma_rows(y)
+    want = []
+    for method, level in keys:
+        entry = intervals.METHODS[method]
+        iv = entry.build(fit, level, 1, spec.content_p, simlab.SE_KIND, simlab.CRIT)
+        covered, use = _tolerance_scores(
+            iv.lower, iv.upper, ok, target if entry.kind == "tolerance" else (future, future))
+        want.append([np.count_nonzero(covered), np.count_nonzero(use)])
+    assert calls == [] and counts.tolist() == want
 
 
 def test_fpivot_cells_make_one_fdtr_call_per_chunk_and_no_fdtri(monkeypatch):
@@ -653,7 +736,8 @@ def test_cdf_scoring_is_endpoint_scoring_run_by_run(spec):
                 np.testing.assert_array_equal((p_lo <= f_lo) & (f_hi <= p_hi) & f_use, covered)
                 counts.append([np.count_nonzero(covered), np.count_nonzero(use)])
         keys = [(m, level) for m in methods for level in spec.levels]
-        assert simlab._chunk_counts(spec, keys, y, future, target).tolist() == counts
+        assert simlab._chunk_counts(spec, keys, y, future, target,
+                                    simlab._node_tables()).tolist() == counts
 
 
 def test_quantile_interval_cells_call_gammainc_only_on_undecided_runs(monkeypatch):
@@ -755,7 +839,7 @@ def test_eq3_tables_are_within_their_bounds():
                         cov_mu_k=0.0)
         for prob in (5.56e-17, 1e-9, 0.005, 0.25, 0.5, 0.75, 0.995, 1 - 1e-9):
             with np.errstate(all="ignore"):
-                log_q, s, e_q, e_s = simlab._eq3_table(fit, prob, n_fut)
+                log_q, s, e_q, e_s = simlab._eq3_table(fit, prob, n_fut, simlab._node_tables())
                 q = intervals._sum_quantile(fit, prob, n_fut)
                 exact = np.log(q), intervals._delta_se(fit, prob, n_fut) / q
             # the gate of the screen these tables replaced: both bounds are finite
@@ -772,7 +856,7 @@ def test_bracket_holds_the_gamma_quantile(a, p):
     # 101 shapes over 20 nodes keep a table; each shape's bracket holds its
     # quantile, and a quantile the nodes resolve is bounded on both sides
     a = a * np.exp(np.linspace(-0.1, 0.1, 101))
-    lo, hi = simlab._bracket(FitResult("gamma", "log", 1.0, 2), p, a)
+    lo, hi = simlab._bracket(FitResult("gamma", "log", 1.0, 2), p, a, simlab._node_tables())
     x = gammaincinv(a, p)
     assert np.all(lo <= x) and np.all(x <= hi)
     if p * (1 + simlab._BRACKET_SLACK) < 1 and x.min() > 1e-290:
@@ -825,13 +909,14 @@ def test_eq3_screen_is_endpoint_scoring_run_by_run(spec):
             for level in spec.levels:
                 iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
                 covered, use = _tolerance_scores(iv.lower, iv.upper, ok, target)
-                screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target)
+                screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target, simlab._node_tables())
                 screened_covered, screened_use = _tolerance_scores(*screened, ok, target)
                 np.testing.assert_array_equal(screened_use, use)
                 np.testing.assert_array_equal(screened_covered, covered)
                 counts.append([np.count_nonzero(covered), np.count_nonzero(use)])
             keys = [("eq3", level) for level in spec.levels]
-            assert simlab._chunk_counts(spec, keys, y, None, target).tolist() == counts
+            assert simlab._chunk_counts(spec, keys, y, None, target,
+                                        simlab._node_tables()).tolist() == counts
 
 
 @pytest.mark.parametrize("end", [0, 1, 2], ids=["lower", "upper", "overflow"])
@@ -854,7 +939,7 @@ def test_eq3_screen_is_endpoint_scoring_at_the_targets(end, n, k, n_fut):
             fit, ok = fit_gamma_rows(y * scale[:, None])
             iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
             covered, use = _tolerance_scores(iv.lower, iv.upper, ok, target)
-            screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target)
+            screened = simlab._eq3_ends(fit, ok, level, n_fut, p, target, simlab._node_tables())
             screened_covered, screened_use = _tolerance_scores(*screened, ok, target)
             np.testing.assert_array_equal(screened_use, use)
             np.testing.assert_array_equal(screened_covered, covered)
@@ -888,7 +973,8 @@ def test_cdf_scoring_is_endpoint_scoring_at_the_targets(monkeypatch, end, n, k, 
                 iv = entry.build(fit, level, n_fut, p, simlab.SE_KIND, simlab.CRIT)
                 covered, use = _tolerance_scores(iv.lower, iv.upper, ok, (t_lo, t_hi))
                 counts = simlab._chunk_counts(replace(spec, methods=(method,), levels=(level,)),
-                                              [(method, level)], scaled, future, target)
+                                              [(method, level)], scaled, future, target,
+                                              simlab._node_tables())
                 assert counts.tolist() == [[np.count_nonzero(covered), np.count_nonzero(use)]]
                 ends += 2 * spec.n_runs
     assert sum(sizes) < 0.6 * ends
