@@ -126,43 +126,43 @@ class FitResult:
         return self.mu_limit(-c, se_kind), self.mu_limit(c, se_kind)
 
 
-# the gamma shape Newton's residual stop (relative to max(1, s)) and its cap
-SHAPE_TOL, SHAPE_MAX_ITER = 1e-12, 100
+# the shape solve's residual stop (relative to max(1, s)), its cap and its s noise floor
+SHAPE_TOL, SHAPE_MAX_ITER, SHAPE_FLOOR = 1e-12, 100, 16 * np.finfo(float).eps
 
 
 def _shape_from_s(s):
     """Solve log(k) - digamma(k) = s (s > 0, elementwise) for the gamma shape k.
 
-    Newton from the Greenwood-Durand moment start; globally convergent in
-    practice.  Each element stops after the step taken at its first residual
-    within ``SHAPE_TOL * max(1, s)``, so its root does not depend on the
-    other elements; each iteration works on the elements still iterating
-    only, and an element still iterating after ``SHAPE_MAX_ITER`` is NaN.
-    The stop is relative since digamma(k) is about -s for large s: the
-    residual's rounding error, about 1e-16 * s, outgrows 1e-12 near s = 1e5.
+    Secant steps in x = 1/k, where the residual is close to linear (Minka 2002), from
+    the Greenwood-Durand start: the first with slope 1 - k/(2(1+k)), between df/dx's
+    limits 1 (small k) and 1/2 (large k), then through the last two iterates; one log
+    and one digamma a step, on the rows still iterating.  A row stops after the step
+    taken at its first residual within ``SHAPE_TOL * max(1, s)`` (relative: its
+    rounding is about 1e-16 s), so its root is its own.  It is NaN where that step is
+    not finite and positive, after ``SHAPE_MAX_ITER`` steps, and at s <= ``SHAPE_FLOOR``.
     """
-    s = np.asarray(s, dtype=float)
-    k = np.ravel((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
-    rows, k_a, s_a = np.arange(k.size), k.copy(), s.ravel()   # still iterating
-    for _ in range(SHAPE_MAX_ITER):
+    s_a = np.ravel(np.asarray(s, dtype=float))
+    x = 12.0 * s_a / (3.0 - s_a + np.sqrt((s_a - 3.0) ** 2 + 24.0 * s_a))   # the moment start
+    x[~(s_a > SHAPE_FLOOR)] = np.nan
+    k, rows, tol = np.full(x.shape, np.nan), np.arange(x.size), SHAPE_TOL * np.maximum(1.0, s_a)
+    for i in range(SHAPE_MAX_ITER):
+        k_a = 1.0 / x
         f = np.log(k_a) - special.digamma(k_a) - s_a
-        fp = 1.0 / k_a - special.zeta(2.0, k_a)
-        k_a = k_a - f / fp
-        k_a = np.where(k_a > 0, k_a, np.nan)  # zeta(2, k < 0) sums about |k| terms
-        going = ~(np.abs(f) <= SHAPE_TOL * np.maximum(1.0, s_a))
+        slope = (f - fp) / (x - xp) if i else 1.0 - 0.5 / (1.0 + x)
+        xp, fp, x = x, f, x - f / slope
+        going = np.abs(f) > tol   # a NaN residual (NaN s, s at the floor) stops at x NaN
         if not going.all():
-            k[rows[~going]] = k_a[~going]
-            rows, k_a, s_a = rows[going], k_a[going], s_a[going]
-        if not rows.size:
-            break
-    k[rows] = np.nan
-    return k.reshape(s.shape)
+            k[rows[~going]] = 1.0 / x[~going]
+            rows, x, xp, fp, s_a, tol = (v[going] for v in (rows, x, xp, fp, s_a, tol))
+            if not rows.size:
+                break
+    return np.where((k > 0) & (k < np.inf), k, np.nan).reshape(np.shape(s))
 
 
 def gamma_shape_mle(y: np.ndarray):
     """ML shape of a gamma sample (vectorized over the leading axis of 2-D input):
     the root of log(k) - digamma(k) = log(mean) - mean(log); NaN where the
-    shape Newton does not converge."""
+    shape's secant does not converge or s is rounding noise (near-equal y)."""
     y = np.asarray(y, dtype=float)
     s = np.log(y.mean(axis=-1)) - np.log(y).mean(axis=-1)
     if np.any(s <= 0):
@@ -182,13 +182,13 @@ def fit_gamma_rows(y, link: str = "log"):
     ``FitResult`` whose numeric fields are per-row arrays, and the mask of
     rows that fit.
 
-    mu_hat is the row mean exactly and k_hat the ML shape.  The model-based
-    SE of log(mu_hat) is 1/sqrt(n*k_hat), the sandwich SE the
-    GEE-independence form sqrt(sum((y-ybar)^2))/(n*ybar), and the SE of
-    k_hat comes from the observed information n*(trigamma(k) - 1/k).  A row
-    fits when log(ybar) > mean(log y) and every SE is finite and positive;
-    the six per-row fields of the other rows are NaN, which every interval
-    constructor's input check lets through.
+    mu_hat is the row mean exactly and k_hat the ML shape (the secant of
+    :func:`_shape_from_s`).  The model-based SE of log(mu_hat) is
+    1/sqrt(n*k_hat), the sandwich SE the GEE-independence form
+    sqrt(sum((y-ybar)^2))/(n*ybar), and se_k is from the information
+    n*(trigamma(k) - 1/k), the row's one trigamma.  A row fits when log(ybar)
+    > mean(log y) and every SE is finite and positive; the other rows' six
+    fields are NaN, which every interval constructor's input check lets through.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[1]
@@ -196,7 +196,7 @@ def fit_gamma_rows(y, link: str = "log"):
     buf = np.log(y)   # one (rows x n) scratch array: log y, then squared deviations
     s = np.log(ybar) - buf.mean(axis=1)
     ss = np.sum(np.square(np.subtract(y, ybar[:, None], out=buf), out=buf), axis=1)
-    del buf   # freed before the shape Newton's temporaries
+    del buf   # freed before the shape solve's temporaries
     ok = s > 0
     k = np.full(ybar.shape, np.nan)
     k[ok] = _shape_from_s(s[ok])

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import optimize, special, stats
 
 from tolpred import dist, fit
@@ -158,8 +159,8 @@ def test_gamma_shape_newton_stops_at_large_s(monkeypatch):
 
 
 def test_gamma_shape_newton_at_its_cap_is_nan_and_masked(monkeypatch):
-    # three iterations solve s = 0.05 but not s = 1, and one solves no s
-    monkeypatch.setattr(fit, "SHAPE_MAX_ITER", 3)
+    # four iterations solve s = 0.05 but not s = 1, and one solves no s
+    monkeypatch.setattr(fit, "SHAPE_MAX_ITER", 4)
     k = fit._shape_from_s(np.array([0.05, 1.0]))
     assert np.isfinite(k[0]) and np.isnan(k[1])
     monkeypatch.setattr(fit, "SHAPE_MAX_ITER", 1)
@@ -170,6 +171,44 @@ def test_gamma_shape_newton_at_its_cap_is_nan_and_masked(monkeypatch):
         with pytest.raises(FitError, match="not finite"):
             fit_gamma_intercept(y)
     assert np.isnan(rows.k_hat[0]) and not ok[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(math.log(1e-12), math.log(1e7)).map(math.exp), min_size=1, max_size=40))
+def test_gamma_shape_roots_meet_the_stop_rule(s):
+    # every root is finite and its residual is within the stop rule's
+    s = np.array(s)
+    k = fit._shape_from_s(s)
+    assert np.isfinite(k).all() and (k > 0).all()
+    assert (np.abs(np.log(k) - special.digamma(k) - s) <= fit.SHAPE_TOL * np.maximum(1.0, s)).all()
+
+
+@pytest.mark.parametrize("cap", [4, fit.SHAPE_MAX_ITER])
+def test_gamma_shape_of_a_stack_is_each_row_alone(monkeypatch, cap):
+    # NaN s, s at the rounding floor and rows still iterating at the cap are
+    # NaN among the others; every row's root is bit for bit its own solve
+    monkeypatch.setattr(fit, "SHAPE_MAX_ITER", cap)
+    gen = np.random.default_rng(37)
+    s = np.exp(gen.uniform(math.log(1e-16), math.log(1e8), 600))
+    s[gen.choice(s.size, 60, replace=False)] = np.nan
+    s[:3] = fit.SHAPE_FLOOR, fit.SHAPE_FLOOR / 2, np.nextafter(fit.SHAPE_FLOOR, 1.0)
+    k = fit._shape_from_s(s.reshape(20, 30))
+    assert k.shape == (20, 30)
+    alone = np.array([fit._shape_from_s(np.array([v]))[0] for v in s])
+    assert_array_equal(k.ravel(), alone)
+    noise = np.isnan(s) | (s <= fit.SHAPE_FLOOR)
+    assert np.isnan(alone[noise]).all()
+    assert np.isnan(alone[~noise]).any() if cap == 4 else np.isfinite(alone[~noise]).all()
+
+
+def test_gamma_shape_agrees_with_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    s = np.exp(np.linspace(math.log(1e-2), math.log(1e6), 61))
+    k = fit._shape_from_s(s)
+    with mpmath.workdps(40):
+        for si, ki in zip(s, k):
+            root = mpmath.findroot(lambda x: mpmath.log(x) - mpmath.digamma(x) - si, ki)
+            assert abs(ki / float(root) - 1.0) <= 1e-12, si
 
 
 # ---------------------------------------------------------------------------

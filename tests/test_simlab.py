@@ -560,6 +560,23 @@ def test_no_run_of_a_pinned_cell_moves(name, spec, methods):
     assert [(round(c.observed * c.n_runs), c.n_runs) for c in cells] == PINNED_COUNTS[name]
 
 
+# the benchmark's gamma lab cells, (n, N, k, mu, runs), at a fifth of their runs
+LAB_CELLS = [(20, 300, 4.0, 2.5, 2000), (10, 11, 0.7, 1.5, 2000), (290, 300, 4.0, 2.5, 2000),
+             (20, 300, 1.0, 2.5, 2000), (20, 300, 4.0, 2.5, 20_000)]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("n, N, k, mu, runs", LAB_CELLS)
+def test_a_gamma_cell_does_not_depend_on_the_mean(seed, n, N, k, mu, runs):
+    # scaling mu by a power of two scales every draw and future total
+    # exactly, and the fit reads the scale-free s, so no run moves
+    spec = gamma_spec(n=n, N=N, k=k, mu=mu, methods=simlab.METHOD_ORDER,
+                      levels=(0.8, 0.95), n_runs=runs, seed=seed)
+    want = repr(run_coverage(spec).cells)
+    for e in (-20, 10, 20):
+        assert repr(run_coverage(replace(spec, mu=mu * 2.0 ** e)).cells) == want, e
+
+
 # the pinned cells, and a stress grid over small n, extreme shapes and means
 # and the ends of the future size
 SCORED_SPECS = [
