@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.special import fdtr, fdtri, gammainc, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
+from scipy.special import betaincinv, fdtr, fdtri, gammainc, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
 
 from .dist import critical_value
 from .fit import FitResult, link_limit

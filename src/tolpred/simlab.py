@@ -14,21 +14,21 @@ share, and queues every chunk at once, as its run range alone, on a thread
 pool with one worker per usable CPU.  A worker draws its chunk block by
 block, in place, fits it with ``fit.fit_gamma_rows`` (whose fields are
 per-run arrays), scores every method and level and keeps only its covered
-and usable counts.  A gamma fit takes the scorer of the ``_SCORERS``
-table: the F pivot its p-value; plugin, eq2 and eq5 brackets of their
-quantiles from tables of ``gammaincinv``, and their sum cdf where the
-brackets cannot tell; eq3 its ends from tables, exact near its targets.
-Any other method or family takes its ``intervals.METHODS`` endpoints.  The
-chunks share the cell's tables, so each node is computed once.  A run is
-usable where its endpoints are finite.  The workers overlap only in scipy's
-special functions and numpy's generators, which release the GIL for their
-whole call (README, "Simulation lab"), so a chunk holds as many runs as
-its bound allows.  Only running chunks hold samples, at most one per
-worker, so lab memory does not grow with ``n_runs``.  Run r depends only
-on (seed, r), a table node only on its probability and index, every
-bracket and table decides a run as its exact path would, and the counts
-are integers added in chunk order, so the cells depend neither on the
-chunking nor on the worker count.
+and usable counts.  A gamma fit takes the scorer of the ``_SCORERS`` table:
+the F pivot brackets of its p-value from tables of ``betaincinv``; plugin,
+eq2 and eq5 brackets of their quantiles from tables of ``gammaincinv``; the
+exact p-value or sum cdf where they cannot tell; eq3 its ends from tables,
+exact near its targets.  Any other method or family takes its
+``intervals.METHODS`` endpoints.  A process's cells share one node store,
+which computes each node once.  A run is usable where its endpoints are
+finite.  The workers overlap only in scipy's special functions and numpy's
+generators, which release the GIL for their whole call (README, "Simulation
+lab"), so a chunk holds as many runs as its bound allows.  Only running
+chunks hold samples, at most one per worker, so lab memory does not grow
+with ``n_runs``.  Run r depends only on (seed, r), a table node only on its
+table's key and index, every bracket and table decides a run as its exact
+path would, and the counts are integers added in chunk order, so the cells
+depend neither on the chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -307,18 +307,19 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-# the quantile tables: node spacing in log a (brackets) and log k (eq3); the
+# the quantile tables: node spacing in log shape (brackets, eq3); the
 # brackets' probability slack, far beyond gammaincinv's and gammainc's
 # rounding (gammaincinv: under 3e-12 relative below 0.5, 3e-15 absolute
-# above); the factor on eq3's measured interpolation errors
-_BRACKET_STEP, _EQ3_STEP, _BRACKET_SLACK, _EQ3_SAFETY = 0.01, 0.02, 1e-9, 100.0
+# above); the factor on eq3's interpolation errors; the store's cap in values
+_BRACKET_STEP, _EQ3_STEP, _BRACKET_SLACK, _EQ3_SAFETY, _NODE_CAP = 0.01, 0.02, 1e-9, 100.0, 2 ** 20
 
 
 def _node_tables():
-    """A cell's quantile tables, shared by its chunks: ``nodes(key, j0, j1,
-    f)`` is f(j) at the lattice indices j = j0..j1 (the last axis) of
-    ``key``'s table, one run of indices grown by one call of f under one
-    lock, so each node is computed once per cell, whatever the order."""
+    """A store of quantile tables: ``nodes(key, j0, j1, f)`` is f(j) at the
+    lattice indices j = j0..j1 (the last axis) of ``key``'s table, one run
+    of indices grown by one call of f under one lock, so each node is
+    computed once, whatever the order, until the store holds ``_NODE_CAP``
+    values and starts over (``nodes.tables``: key -> (first index, values))."""
     lock, tables = threading.Lock(), {}
 
     def nodes(key, j0, j1, f):
@@ -327,42 +328,51 @@ def _node_tables():
             stop = start if v is None else start + v.shape[-1]
             left, right = np.arange(j0, start), np.arange(stop, j1 + 1)
             if left.size or right.size:
-                new = f(np.r_[left, right])
+                new = f(np.concatenate((left, right)))
                 parts = (new,) if v is None else (new[..., :left.size], v, new[..., left.size:])
+                if sum(w.size for _, w in tables.values()) + new.size > _NODE_CAP:
+                    tables.clear()   # start over, from this table alone
                 start, v = tables[key] = min(start, j0), np.concatenate(parts, axis=-1)
             return v[..., j0 - start:j1 + 1 - start]
 
+    nodes.tables = tables
     return nodes
 
 
-def _bracket(fit, prob, a, nodes):
-    """Bounds lo <= x <= hi on the unit gamma quantile x at ``prob`` of each
-    shape of ``a``: the quantiles at prob (1 -/+ slack) of the nodes
-    exp(j * _BRACKET_STEP) below and above it, as Gamma(a, 1) grows
-    stochastically with a (the slack covers rounding, log(a)'s included).
-    Past the nodes one bound is left; none for NaN, or without a table (the
-    fit keeps one per (prob, nodes), from the store ``nodes``) where they
-    outnumber a quarter of the shapes and it would cost more than it saves."""
-    u = np.log(a) / _BRACKET_STEP
-    live = u[np.isfinite(u)]
-    if prob >= 1 or not live.size:
-        return 0.0, np.inf
-    j0, j1 = math.floor(live.min()), math.floor(live.max()) + 1
-    if j1 - j0 >= live.size // 4:
-        return 0.0, np.inf
-    key = ("bracket", prob, j0, j1)
-    if key not in fit._memo:
-        def table(j):
-            x = np.exp(j * _BRACKET_STEP)
-            return np.array([intervals._unit_quantile("gamma", prob * (1 + s), 1, x)
-                             for s in (-_BRACKET_SLACK, _BRACKET_SLACK)])
+_NODES = _node_tables()   # the process's store, shared by every cell
 
-        low, high = nodes(("bracket", prob), j0, j1, table)
+
+def _gamma_nodes(prob, a):
+    """The unit gamma quantiles at prob (1 -/+ slack) of the shapes ``a``."""
+    return np.array([intervals._unit_quantile("gamma", prob * (1 + s), 1, a)
+                     for s in (-_BRACKET_SLACK, _BRACKET_SLACK)])
+
+
+def _bracket(fit, prob, a, nodes, table=_gamma_nodes, *args):
+    """Bounds lo <= x <= hi on a quantile x at ``prob`` of each shape of
+    ``a``: the lower row of ``table(prob, x, *args)`` at the node x below
+    it and the upper row at the node above, x = exp(j * _BRACKET_STEP); by
+    default the unit gamma quantiles at prob (1 -/+ slack), as Gamma(a, 1)
+    grows stochastically with a (the slack covers rounding, log(a)'s
+    included).  Past the nodes one bound is left; none at prob 1, or without
+    a table (kept by the fit, from the store ``nodes``) where they outnumber
+    a quarter of the shapes and it would cost more than it saves."""
+    if fit._memo.get(id(a), (None,))[0] is not a:   # a's lattice, kept with a
+        u = np.log(a) / _BRACKET_STEP
+        live = u[np.isfinite(u)]
+        j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 0)
+        fit._memo[id(a)] = a, j0, j1, live.size, np.fmin(
+            np.fmax(np.floor(u) - (j0 - 1), 0), j1 - j0 + 1).astype(np.intp)
+    _, j0, j1, live, i = fit._memo[id(a)]
+    if prob >= 1 or j1 - j0 >= live // 4:
+        return 0.0, np.inf
+    key = (table, prob, *args)
+    if key + (j0, j1) not in fit._memo:
+        low, high = nodes(key, j0, j1, lambda j: table(prob, np.exp(j * _BRACKET_STEP), *args))
         tiny = np.finfo(float).tiny   # a subnormal or NaN node bounds nothing
-        fit._memo[key] = (np.r_[0.0, np.where(low >= tiny, low, 0.0)],
-                          np.r_[np.where(high >= tiny, high, np.inf), np.inf])
-    low, high = fit._memo[key]
-    i = np.fmin(np.fmax(np.floor(u) - (j0 - 1), 0), j1 - j0 + 1).astype(np.intp)
+        fit._memo[key + (j0, j1)] = (np.append(0.0, np.where(low > tiny, low, 0.0)),
+                                     np.append(np.where(high > tiny, high, np.inf), np.inf))
+    low, high = fit._memo[key + (j0, j1)]
     return low[i], high[i]
 
 
@@ -379,16 +389,35 @@ def _build_holds(method, fit, ok, level, n_future, p, targets, nodes):
     return _holds(iv.lower, iv.upper, *targets)
 
 
+def _fpivot_nodes(prob, k, n_future, n):
+    """The F pivot's (lower, upper) rows at the shapes ``k``: H(t) = I_y(a,
+    b), a = (N - n) k, b = n k, y = t / (t + n mu), and Beta(a, b) grows
+    with a and shrinks with b, so the y quantiles at prob (1 -/+ slack) of
+    (a, b at the next node up) and of (a, b at the next node down)."""
+    return np.array([intervals.betaincinv(n_future * k, n * k * math.exp(-s * _BRACKET_STEP),
+                                          prob * (1 + s * _BRACKET_SLACK)) for s in (-1, 1)])
+
+
+def _rows(fit, rows):
+    """The fit of the runs ``rows`` alone."""
+    return replace(fit, **{f: v[rows] for f, v in vars(fit).items() if isinstance(v, np.ndarray)})
+
+
 def _pvalue_holds(method, fit, ok, level, n_future, p, targets, nodes):
     """Whether each run's interval of H's (1-level)/2 and 1-(1-level)/2
-    crossings holds its future total t, H the method's exact upper p-value:
-    where H(t), which the fit keeps for every level, lies between them.
-    Usable where H(t) is finite and 1-(1-level)/2 below 1."""
-    t, key = targets[0], ("pvalue", method, n_future)
-    if fit._memo.get(key, (None,))[0] is not t:
-        fit._memo[key] = t, intervals.METHODS[method].pvalue(fit, n_future, SE_KIND)[0](t)
-    h, tail = fit._memo[key][1], (1 - level) / 2
-    return (tail <= h) & (h <= 1 - tail), np.isfinite(h) & (1 - tail < 1)
+    crossings holds its future total t, and is usable (H(t) finite and
+    1-(1-level)/2 below 1), H the F pivot's exact upper p-value: by the
+    ``_fpivot_nodes`` brackets where they place y inside both crossings or
+    outside one, else by H."""
+    t, tail, n = targets[0], (1 - level) / 2, fit.n_obs
+    y = np.where(np.isfinite(fit.k_hat), t / (t + n * fit.mu_hat), np.nan)
+    (lo, hi), (lo_up, hi_up) = (_bracket(fit, q, fit.k_hat, nodes, _fpivot_nodes, n_future, n)
+                                for q in (tail, 1 - tail))
+    held, use = (y > hi) & (y < lo_up), np.full(y.shape, 1 - tail < 1)
+    if (rows := np.flatnonzero(~(held | (y < lo) | (y > hi_up)))).size:
+        h = intervals.METHODS[method].pvalue(_rows(fit, rows), n_future, SE_KIND)[0](t[rows])
+        held[rows], use[rows] = (tail <= h) & (h <= 1 - tail), np.isfinite(h) & (1 - tail < 1)
+    return held, use
 
 
 def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
@@ -401,7 +430,8 @@ def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
     ends = intervals.METHODS[method].ends(fit, level, n_future, p, SE_KIND, CRIT)
     for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
         mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
-        a, scale = n_future * shape, mu / shape
+        a = fit._memo.setdefault(("a", n_future), n_future * shape) if k is None else n_future * shape
+        scale = mu / shape
         x = t / scale
         lo, hi = _bracket(fit, prob, a, nodes)
         above, below = x > hi, x < lo
@@ -443,7 +473,7 @@ def _eq3_table(fit, prob, n_future, nodes):
         runs = []
         for v in nodes(("eq3", prob, n_future), 2 * j0, 2 * j1, table):
             e = np.abs(v[1::2] - (v[:-1:2] + v[2::2]) / 2)   # at the midpoints
-            e = np.maximum(e, np.maximum(np.r_[e[1:], 0], np.r_[0, e[:-1]]))
+            e = np.maximum(e, np.maximum(np.append(e[1:], 0), np.append(0, e[:-1])))
             runs += [v[::2][j] + w * (v[2::2] - v[:-1:2])[j], _EQ3_SAFETY * e[j]]
         log_q, e_q, g, e_g = runs
         g_k = fit.se_k / fit.k_hat
@@ -470,8 +500,7 @@ def _eq3_ends(fit, ok, level, n_future, p, targets, nodes):
             exact |= ~((np.abs(log_end - t) > m) & (np.abs(log_end) + m < 700))
             ends.append(np.exp(log_end))
     if (rows := np.flatnonzero(exact & ok)).size:
-        sub = {f: v[rows] for f, v in vars(fit).items() if isinstance(v, np.ndarray)}
-        iv = intervals.METHODS["eq3"].build(replace(fit, **sub), level, n_future, p, SE_KIND, CRIT)
+        iv = intervals.METHODS["eq3"].build(_rows(fit, rows), level, n_future, p, SE_KIND, CRIT)
         ends[0][rows], ends[1][rows] = iv.lower, iv.upper
     return ends
 
@@ -518,10 +547,9 @@ def run_coverage(spec: ScenarioSpec) -> CoverageReport:
     draw = process.block(spec)
     keys = list(dict.fromkeys((m, level) for m in spec.methods for level in spec.levels))
     totals = np.zeros((len(keys), 2), dtype=np.int64)   # covered and usable runs
-    nodes = _node_tables()   # the quantile tables, shared by the chunks
 
     def count(runs):
-        return _chunk_counts(spec, keys, *_draw_runs(spec, runs, draw), target, nodes)
+        return _chunk_counts(spec, keys, *_draw_runs(spec, runs, draw), target, _NODES)
 
     with ThreadPoolExecutor(_workers()) as pool:
         # each task runs in a copy of the caller's context, so the caller's

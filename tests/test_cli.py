@@ -513,7 +513,7 @@ def _assert_finite_json_or_typed_error(code, out, err, caught, prints_json=True)
        n_future=st.sampled_from(["1", "5", "280"]),
        link=st.sampled_from(["log", "identity"]),
        se_kind=st.sampled_from(["model", "sandwich"]))
-# near-equal values: the shape Newton steps below zero (test_fit)
+# near-equal values: their s is rounding noise, so the shape is NaN (test_fit)
 @example(values=[1.0, 1.0000001], method="eq1", level=0.95, content=0.5,
          n_future="5", link="log", se_kind="sandwich")
 # ... and overflows the shape, which numpy warns about unless the fit says so

@@ -82,8 +82,8 @@ def test_gamma_overflow_is_fit_error():
 
 
 def test_gamma_shape_step_below_zero_is_fit_error():
-    # s is rounding noise here and a Newton step lands below zero; trigamma
-    # of that shape, zeta(2, -1.6e13), would sum about 1.6e13 terms
+    # s is rounding noise here, at or below the solver's floor SHAPE_FLOOR,
+    # so the shape is NaN, and the fit says its shape is not finite
     y = np.array([1.0, 1.0000001])
     with np.errstate(all="ignore"):
         assert np.isnan(gamma_shape_mle(y))
@@ -142,9 +142,9 @@ def test_gamma_shape_mle_score_solved():
     assert abs(math.log(k) - special.digamma(k) - s) < 1e-10
 
 
-def test_gamma_shape_newton_stops_at_large_s(monkeypatch):
+def test_gamma_shape_secant_stops_at_large_s(monkeypatch):
     # near k = 1e-5 the residual's rounding is about 1e-11, which an absolute
-    # 1e-12 stop never meets; each Newton iteration calls digamma once
+    # 1e-12 stop never meets; each secant step calls digamma once
     calls, digamma = [0], special.digamma
 
     def counted(k):

@@ -244,13 +244,28 @@ def record_gammaincinv(monkeypatch, probs=False):
     return shapes
 
 
+def fresh_store(monkeypatch):
+    """An empty node store for the process, and the index arrays of the
+    nodes it computes, in call order."""
+    store, computed = simlab._node_tables(), []
+
+    def nodes(key, j0, j1, f):
+        return store(key, j0, j1, lambda j: computed.append(j) or f(j))
+
+    nodes.tables = store.tables
+    monkeypatch.setattr(simlab, "_NODES", nodes)
+    return computed
+
+
 def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
     # in a one-chunk cell where no run takes an exact path, gammaincinv sees
     # only the tables' node arrays (increasing, and far fewer than the
     # runs): eq3 tabulates its two level-free probabilities once for both
     # levels (3 calls each: quantile and finite difference), plugin and eq2
     # share one table pair per probability, and eq5 takes one pair per level
-    # and end; the site process's prediction methods likewise
+    # and end; the site process's prediction methods likewise.  Each cell
+    # starts from an empty node store; run again in the same process, it
+    # computes no node and is the same cell
     monkeypatch.setattr(simlab, "_workers", lambda: 1)
     shapes = record_gammaincinv(monkeypatch)
     calls = {}
@@ -258,17 +273,23 @@ def test_level_free_gamma_quantiles_are_computed_once_per_cell(monkeypatch):
                             (("plugin", "eq2"), (0.8, 0.95)), (("eq5",), (0.8, 0.95)),
                             (simlab.METHOD_ORDER, (0.8, 0.95))]:
         shapes.clear()
+        computed = fresh_store(monkeypatch)
         spec = gamma_spec(n=50, methods=methods, levels=levels, n_runs=3000)
         assert len(simlab._chunks(spec)) == 1
-        run_gamma_coverage(spec)
+        cells = repr(run_gamma_coverage(spec))
         assert all(a.size < spec.n_runs / 4 and np.all(np.diff(a) > 0) for a in shapes)
         calls[methods, levels] = len(shapes)
+        computed.clear()
+        assert repr(run_gamma_coverage(spec)) == cells and computed == []
     assert list(calls.values()) == [6, 6, 8, 8, 8, 6 + 8 + 8]
     shapes.clear()
+    computed = fresh_store(monkeypatch)
     spec = site_spec(methods=simlab.PREDICTION_METHODS, levels=(0.8, 0.95), n_runs=3000)
-    run_poisson_gamma(spec)
+    cells = repr(run_poisson_gamma(spec))
     assert len(shapes) == 8 and all(a.size < spec.n_runs / 4 and np.all(np.diff(a) > 0)
                                     for a in shapes)
+    computed.clear()
+    assert repr(run_poisson_gamma(spec)) == cells and computed == []
 
 
 def test_eq3_exact_path_computes_only_its_runs(monkeypatch):
@@ -700,25 +721,95 @@ def test_a_fit_of_another_family_takes_only_the_endpoint_scorer(monkeypatch):
     assert calls == [] and counts.tolist() == want
 
 
-def test_fpivot_cells_make_one_fdtr_call_per_chunk_and_no_fdtri(monkeypatch):
-    # the lab scores the F pivot by its p-value, not by its endpoints
-    calls = {"fdtr": 0, "fdtri": 0}
+def test_fpivot_cells_call_fdtr_only_on_undecided_runs_and_no_fdtri(monkeypatch):
+    # the lab scores the F pivot by brackets of its p-value, not by its
+    # endpoints: in each of the 3 chunks, betaincinv sees only node arrays,
+    # and fdtr only the runs whose y lies between a bracket's bounds, near
+    # a tail, under 5% of the 3000 runs x 4 ends
+    calls = {"fdtr": [], "fdtri": [], "betaincinv": []}
 
-    def counted(name):
+    def recorded(name):
         real = getattr(intervals, name)
-
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
+        return lambda *args: calls[name].append(args) or real(*args)
 
     for name in calls:
-        monkeypatch.setattr(intervals, name, counted(name))
+        monkeypatch.setattr(intervals, name, recorded(name))
+    fresh_store(monkeypatch)
     monkeypatch.setattr(simlab, "_workers", lambda: 3)
     spec = gamma_spec(n=50, methods=("fpivot",), levels=(0.8, 0.95), n_runs=3000)
     assert len(simlab._chunks(spec)) == 3
     run_coverage(spec)
-    assert calls == {"fdtr": 3, "fdtri": 0}
+    assert calls["fdtri"] == []
+    assert calls["betaincinv"] and all(a.size < 1000 / 4 and np.all(np.diff(a) > 0)
+                                       for a, _, _ in calls["betaincinv"])
+    tails = [q for level in spec.levels for q in ((1 - level) / 2, (1 + level) / 2)]
+    for d1, d2, x in calls["fdtr"]:
+        h = stats.f.cdf(x, d1, d2)
+        assert np.all(np.min([np.abs(h - q) for q in tails], axis=0) < 0.05)
+    assert 0 < sum(np.size(x) for *_, x in calls["fdtr"]) < 0.05 * spec.n_runs * 4
+
+
+@pytest.mark.parametrize("n, N, k", [(2, 3, 0.05), (2, 5002, 1000.0), (20, 300, 4.0),
+                                     (50, 51, 1000.0), (50, 5050, 0.05)])
+def test_fpivot_brackets_are_endpoint_scoring_on_their_bounds(n, N, k):
+    # shapes within 4 ulp of five lattice nodes, and future totals whose y
+    # lies on each tabulated bound of each tail, or 1 ulp either side: the
+    # F pivot's scorer holds and is usable on the runs the endpoints say
+    n_fut, nodes, eps = N - n, simlab._node_tables(), np.finfo(float).eps
+    j = round(math.log(k) / simlab._BRACKET_STEP) + np.arange(-2, 3)
+    shapes = np.outer(np.exp(j * simlab._BRACKET_STEP), 1 + eps * np.arange(-4, 5)).ravel()
+
+    def fit_of(k_hat):
+        return FitResult("gamma", "log", np.ones_like(k_hat), n, k_hat=k_hat,
+                         se_mu=np.ones_like(k_hat), se_k=np.ones_like(k_hat), cov_mu_k=0.0)
+
+    with np.errstate(all="ignore"):
+        for level in ALL_LEVELS:
+            tail, bounds = (1 - level) / 2, []
+            for q in (tail, 1 - tail):
+                bounds += simlab._bracket(fit_of(shapes), q, shapes, nodes, simlab._fpivot_nodes,
+                                          n_fut, n)
+            y = np.concatenate([np.nextafter(b, to) + np.zeros(shapes.size)
+                                for b in bounds for to in (0.0, b, 1.0)])
+            k_hat = np.tile(shapes, 3 * len(bounds))
+            on = (0 < y) & (y < 1)
+            assert on.sum() >= shapes.size * len(bounds) or level == ALL_LEVELS[-1]
+            t, fit = n * y[on] / (1 - y[on]), fit_of(k_hat[on])
+            ok = np.ones(t.size, dtype=bool)
+            args = ("fpivot", fit, ok, level, n_fut, 0.5, (t, t), nodes)
+            held, use = simlab._SCORERS["fpivot"](*args)
+            want_held, want_use = simlab._build_holds(*args)
+            np.testing.assert_array_equal(use, want_use)
+            np.testing.assert_array_equal(held & use, want_held & want_use)
+
+
+def test_a_sweep_of_levels_keeps_the_node_store_within_its_cap(monkeypatch):
+    # 1000 distinct levels through one process: each adds its own F pivot
+    # and plugin tables, more values in all than the store's cap, which it
+    # never holds more than, starting over instead; the cells are those of
+    # a store without a cap
+    computed = fresh_store(monkeypatch)
+    spec = gamma_spec(n=20, N=300, k=1.0, methods=("fpivot", "plugin"),
+                      levels=tuple(np.linspace(0.5, 0.999, 1000)), n_runs=2048)
+    cells = run_coverage(spec).cells
+    assert sum(np.size(j) for j in computed) * 2 > simlab._NODE_CAP
+    assert 0 < sum(v.size for _, v in simlab._NODES.tables.values()) <= simlab._NODE_CAP
+    monkeypatch.setattr(simlab, "_NODE_CAP", math.inf)
+    fresh_store(monkeypatch)
+    assert run_coverage(spec).cells == cells
+
+
+def test_cells_sharing_the_process_store_are_the_cells_of_fresh_stores(monkeypatch):
+    # cells that share N - n, or n, or neither, run one after another in one
+    # node store, are the cells each computes from an empty store
+    specs = [gamma_spec(n=n, N=N, k=k, methods=simlab.METHOD_ORDER, levels=(0.8, 0.95),
+                        n_runs=3000, seed=2)
+             for n, N, k in [(20, 300, 4.0), (40, 320, 4.0), (20, 320, 1.0), (40, 300, 4.0)]]
+    fresh_store(monkeypatch)
+    shared = [repr(run_coverage(spec)) for spec in specs]
+    for spec, cells in zip(specs, shared):
+        fresh_store(monkeypatch)
+        assert repr(run_coverage(spec)) == cells
 
 
 @pytest.mark.parametrize("spec", SCORED_SPECS)
@@ -780,11 +871,13 @@ def test_quantile_interval_cells_call_gammainc_only_on_undecided_runs(monkeypatc
 
 
 def test_a_cell_computes_each_table_node_once(monkeypatch):
-    # the chunks of a cell share its quantile tables: on 3 workers, no
-    # shape of any one probability reaches gammaincinv twice in the cell's
-    # chunks (eq3's exact path sees its few runs at one level each here),
-    # and the cell is the 1-worker cell
+    # the chunks of a cell share its quantile tables: on 3 workers, from an
+    # empty node store, no shape of any one probability reaches gammaincinv
+    # twice in the cell's chunks (eq3's exact path sees its few runs at one
+    # level each here), and the cell is the 1-worker cell; run again in the
+    # same process, the cell computes no node and is the same cell
     calls = record_gammaincinv(monkeypatch, probs=True)
+    computed = fresh_store(monkeypatch)
     monkeypatch.setattr(simlab, "_workers", lambda: 3)
     spec = gamma_spec(n=50, methods=("plugin", "eq2", "eq3", "eq5"), levels=(0.8, 0.95),
                       n_runs=3000)
@@ -797,6 +890,9 @@ def test_a_cell_computes_each_table_node_once(monkeypatch):
     for p, arrays in shapes.items():
         a = np.concatenate(arrays)
         assert np.unique(a).size == a.size, p
+    computed.clear()
+    assert repr(run_coverage(spec)) == cells and computed == []
+    fresh_store(monkeypatch)
     monkeypatch.setattr(simlab, "_workers", lambda: 1)
     assert repr(run_coverage(spec)) == cells
 
