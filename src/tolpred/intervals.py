@@ -441,13 +441,15 @@ def _plugci_pvalue(fit: FitResult, n_future: float, se_kind: str):
 def predict_sum_fpivot(ybar: float, n: int, n_future: float, k: float,
                        level: float) -> IntervalEstimate:
     """F-pivot interval ((N-n)*ybar*f_{a/2}, (N-n)*ybar*f_{1-a/2}) with
-    df 2(N-n)k and 2nk; exact for exponential data when k=1."""
+    df 2(N-n)k and 2nk; exact for exponential data when k=1.  f_{1-a/2} is
+    1/F(2nk, 2(N-n)k)'s a/2 quantile, infinite where 1 - a/2 rounds to 1."""
     if _any(ybar <= 0) or _any(k <= 0):
         raise ValueError("ybar and k must be positive")
     alpha = 1 - level
     d1, d2 = 2.0 * n_future * k, 2.0 * n * k
     lo = n_future * ybar * fdtri(d1, d2, alpha / 2)
-    hi = n_future * ybar * fdtri(d1, d2, 1 - alpha / 2)
+    hi = (n_future * ybar / fdtri(d2, d1, alpha / 2) if 1 - alpha / 2 < 1
+          else n_future * ybar * fdtri(d1, d2, 1.0))
     return IntervalEstimate(lo, hi, level, "f_pivot", "future_sum")
 
 

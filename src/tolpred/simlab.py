@@ -11,19 +11,18 @@ chunk within ``_CHUNK_VALUES`` sample values, rounded up to a multiple of
 the worker count, with the blocks split evenly between them.  The calling
 thread makes the process's block draw, which holds what the cell's runs
 share, and queues every chunk at once, as its run range alone, on a thread
-pool with one worker per usable CPU.  A worker draws its chunk block by
-block, in place, fits it with ``fit.fit_gamma_rows`` (whose fields are
-per-run arrays), scores every method and level and keeps only its covered
-and usable counts.  A gamma fit takes the scorer of the ``_SCORERS`` table:
-the F pivot brackets of its p-value from tables of ``betaincinv``; plugin,
-eq2 and eq5 brackets of their quantiles from tables of ``gammaincinv``; the
-exact p-value or sum cdf where they cannot tell; eq3 its ends from tables,
-exact near its targets.  Any other method or family takes its
+pool with one worker per usable CPU.  A worker draws its chunk in place,
+fits it with ``fit.fit_gamma_rows`` (per-run fields), scores every method
+and level, keeps only its covered and usable counts.  A gamma fit takes the
+``_SCORERS`` table, whose tables all index one lattice of the shape, nodes
+exp(0.01 j): the F pivot brackets its p-value by ``betaincinv`` nodes,
+plugin, eq2 and eq5 their quantiles by ``gammaincinv`` nodes, and eq3 reads
+its ends from every other node; where they cannot tell, the exact p-value,
+sum cdf or eq3 build decides.  Any other method or family takes its
 ``intervals.METHODS`` endpoints.  A process's cells share one node store,
 which computes each node once.  A run is usable where its endpoints are
 finite.  The workers overlap only in scipy's special functions and numpy's
-generators, which release the GIL for their whole call (README, "Simulation
-lab"), so a chunk holds as many runs as its bound allows.  Only running
+generators, which release the GIL (README, "Simulation lab").  Only running
 chunks hold samples, at most one per worker, so lab memory does not grow
 with ``n_runs``.  Run r depends only on (seed, r), a table node only on its
 table's key and index, every bracket and table decides a run as its exact
@@ -307,11 +306,10 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-# the quantile tables: node spacing in log shape (brackets, eq3); the
-# brackets' probability slack, far beyond gammaincinv's and gammainc's
-# rounding (gammaincinv: under 3e-12 relative below 0.5, 3e-15 absolute
-# above); the factor on eq3's interpolation errors; the store's cap in values
-_BRACKET_STEP, _EQ3_STEP, _BRACKET_SLACK, _EQ3_SAFETY, _NODE_CAP = 0.01, 0.02, 1e-9, 100.0, 2 ** 20
+# the tables' node spacing in log shape; the brackets' probability slack, far
+# beyond gammaincinv's and gammainc's rounding (gammaincinv: under 3e-12 relative
+# below 0.5, 3e-15 absolute above); eq3's error factor; the store's cap in values
+_BRACKET_STEP, _BRACKET_SLACK, _EQ3_SAFETY, _NODE_CAP = 0.01, 1e-9, 100.0, 2 ** 20
 
 
 def _node_tables():
@@ -342,28 +340,33 @@ def _node_tables():
 _NODES = _node_tables()   # the process's store, shared by every cell
 
 
-def _gamma_nodes(prob, a):
-    """The unit gamma quantiles at prob (1 -/+ slack) of the shapes ``a``."""
-    return np.array([intervals._unit_quantile("gamma", prob * (1 + s), 1, a)
+def _lattice(fit, k):
+    """The lattice of the shapes ``k``, which the fit keeps with k: u = log(k)
+    / _BRACKET_STEP, the nodes j0..j1 around the finite u, their count, and
+    each shape's segment 1 + floor(u) - j0, clipped to 0..j1 - j0 + 1."""
+    if fit._memo.get(id(k), (None,))[0] is not k:
+        u = np.log(k) / _BRACKET_STEP
+        live = u[np.isfinite(u)]
+        j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 0)
+        fit._memo[id(k)] = k, u, j0, j1, live.size, np.fmin(
+            np.fmax(np.floor(u) - (j0 - 1), 0), j1 - j0 + 1).astype(np.intp)
+    return fit._memo[id(k)][1:]
+
+
+def _gamma_nodes(prob, k, n_future):
+    """Unit gamma quantiles at prob (1 -/+ slack) of n_future * k, rising in k."""
+    return np.array([intervals._unit_quantile("gamma", prob * (1 + s), n_future, k)
                      for s in (-_BRACKET_SLACK, _BRACKET_SLACK)])
 
 
-def _bracket(fit, prob, a, nodes, table=_gamma_nodes, *args):
+def _bracket(fit, prob, k, nodes, table, *args):
     """Bounds lo <= x <= hi on a quantile x at ``prob`` of each shape of
-    ``a``: the lower row of ``table(prob, x, *args)`` at the node x below
-    it and the upper row at the node above, x = exp(j * _BRACKET_STEP); by
-    default the unit gamma quantiles at prob (1 -/+ slack), as Gamma(a, 1)
-    grows stochastically with a (the slack covers rounding, log(a)'s
-    included).  Past the nodes one bound is left; none at prob 1, or without
-    a table (kept by the fit, from the store ``nodes``) where they outnumber
-    a quarter of the shapes and it would cost more than it saves."""
-    if fit._memo.get(id(a), (None,))[0] is not a:   # a's lattice, kept with a
-        u = np.log(a) / _BRACKET_STEP
-        live = u[np.isfinite(u)]
-        j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 0)
-        fit._memo[id(a)] = a, j0, j1, live.size, np.fmin(
-            np.fmax(np.floor(u) - (j0 - 1), 0), j1 - j0 + 1).astype(np.intp)
-    _, j0, j1, live, i = fit._memo[id(a)]
+    ``k``: the lower row of ``table(prob, k, *args)`` at the node below the
+    shape on the fit's ``_lattice`` of k, the upper row at the node above
+    (the slack covers rounding, log(k)'s included).  Past the nodes one
+    bound is left; none at prob 1, or without a table (kept by the fit, from
+    the store ``nodes``) where the nodes outnumber a quarter of the shapes."""
+    _, j0, j1, live, i = _lattice(fit, k)
     if prob >= 1 or j1 - j0 >= live // 4:
         return 0.0, np.inf
     key = (table, prob, *args)
@@ -423,20 +426,17 @@ def _pvalue_holds(method, fit, ok, level, n_future, p, targets, nodes):
 def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
     """Whether each run's ``Method.ends`` pair holds its two targets (lower
     end at or below its target, upper at or above) and is usable, as the sum
-    cdf ``intervals._sum_cdf`` decides: by the ``_bracket`` of the end's
-    quantile where x = t k / mu lies outside it, and elsewhere, or where the
-    cdf is not plainly finite, by ``_sum_cdf`` on those runs alone."""
+    cdf ``intervals._sum_cdf`` decides: by the end's ``_bracket`` where x = t
+    k / mu lies outside it, else (or near overflow) by the cdf of those runs."""
     held, use = True, True
     ends = intervals.METHODS[method].ends(fit, level, n_future, p, SE_KIND, CRIT)
     for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
         mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
-        a = fit._memo.setdefault(("a", n_future), n_future * shape) if k is None else n_future * shape
-        scale = mu / shape
-        x = t / scale
-        lo, hi = _bracket(fit, prob, a, nodes)
+        x = t / (scale := mu / shape)
+        lo, hi = _bracket(fit, prob, shape, nodes, _gamma_nodes, n_future)
         above, below = x > hi, x < lo
         holds, usable = above if lower else below, np.ones(np.shape(x), dtype=bool)
-        rows = np.flatnonzero(~((above | below) & (scale * (2 * a + 100) <= 1e308)))
+        rows = np.flatnonzero(~((above | below) & (scale * (2 * n_future * shape + 100) <= 1e308)))
         if rows.size:
             f = intervals._sum_cdf(fit, t if np.ndim(t) == 0 else t[rows], n_future,
                                    mu[rows], shape[rows], prob)
@@ -448,20 +448,19 @@ def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
 def _eq3_table(fit, prob, n_future, nodes):
     """eq3's log q and se/q at ``prob`` of each run, and error bounds on
     them, which the fit keeps: L = log q and G = |dq/dk| k/q at mean 1 on
-    the nodes exp(j * _EQ3_STEP) spanning the fit's shapes, linear in log k
-    in between.  Both come from the method table's own ``_sum_quantile``
-    and ``_delta_se`` at the nodes and the segments' midpoints, from the
-    store ``nodes``, and a segment's error bound is SAFETY times the largest
-    error at its own and its neighbours' midpoints.  The lab's fits have no
-    (mu, k) covariance, so se/q = hypot(se_mu/mu, G se_k/k), within eG
-    se_k/k under an error eG."""
+    every other node of the fit's shape ``_lattice``, linear in log k in
+    between, from the method table's own ``_sum_quantile`` and ``_delta_se``
+    at the nodes and the segments' midpoints (store ``nodes``); a segment's
+    error bound is SAFETY times the largest error at its own and its
+    neighbours' midpoints.  The lab's fits have no (mu, k) covariance, so
+    se/q = hypot(se_mu/mu, G se_k/k), within eG se_k/k under an error eG."""
     key = ("eq3_table", prob, n_future)
     if key not in fit._memo:
-        u = np.log(fit.k_hat) / _EQ3_STEP
-        live = u[np.isfinite(u)]
-        j0, j1 = (math.floor(live.min()), math.floor(live.max()) + 1) if live.size else (0, 1)
-        def table(i):   # L and G at exp(i * _EQ3_STEP / 2): nodes and midpoints
-            k = np.exp(i * (_EQ3_STEP / 2))
+        u, j0, j1 = _lattice(fit, fit.k_hat)[:3]   # halved exactly: 0.02 == 2 * 0.01
+        u, j0, j1 = u / 2, j0 // 2, max((j1 - 1) // 2 + 1, j0 // 2 + 1)
+
+        def table(i):   # L and G at exp(i * _BRACKET_STEP): nodes and midpoints
+            k = np.exp(i * _BRACKET_STEP)
             at = FitResult("gamma", "log", np.ones_like(k), fit.n_obs, k_hat=k,
                            se_mu=np.zeros_like(k), se_k=np.ones_like(k), cov_mu_k=0.0)
             q = intervals._sum_quantile(at, prob, n_future)
@@ -505,9 +504,8 @@ def _eq3_ends(fit, ok, level, n_future, p, targets, nodes):
     return ends
 
 
-# the scorers ``(method, fit, ok, level, n_future, p, targets, nodes) ->
-# (held, usable)`` of a gamma fit; any other family or method (fpivot_k1:
-# two scalar fdtri per level and chunk) takes the endpoint scorer
+# the scorers ``(method, fit, ok, level, n_future, p, targets, nodes) -> (held,
+# usable)`` of a gamma fit; other families and methods take ``_build_holds``
 _SCORERS = {"fpivot": _pvalue_holds,
             "eq3": lambda method, fit, ok, level, n_future, p, targets, nodes: _holds(
                 *_eq3_ends(fit, ok, level, n_future, p, targets, nodes), *targets),
@@ -519,8 +517,7 @@ def _chunk_counts(spec: ScenarioSpec, keys, y, future, tolerance_target, nodes):
     (method, level) in ``keys``, with the tables of the store ``nodes``.  A
     prediction interval covers when it contains the run's future total; a
     tolerance interval when it contains both ``tolerance_target`` quantiles.
-    A method of a gamma fit takes its ``_SCORERS`` entry, any other
-    ``_build_holds``; a run is usable where its fit and its scorer say so."""
+    A gamma fit's methods take their ``_SCORERS`` entries, others ``_build_holds``."""
     fit, ok = fit_gamma_rows(y)
     scorers = _SCORERS if fit.family == "gamma" else {}
     counts = np.zeros((len(keys), 2), dtype=np.int64)

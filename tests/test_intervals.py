@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from tolpred import applications, dist, intervals
 from tolpred.dist import RngStream
@@ -361,6 +361,16 @@ def test_fpivot_collapses_at_level_zero():
     med = 280 * fr.mu_hat * stats.f.ppf(0.5, 2 * 280, 2 * fr.n_obs)
     assert iv.lower == pytest.approx(med, rel=1e-4)
     assert iv.upper == pytest.approx(med, rel=1e-4)
+
+
+@pytest.mark.parametrize("n_future, k", [(280, 4.0), (280, 1.0), (1, 1.0)])
+@pytest.mark.parametrize("level", [1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+def test_fpivot_upper_end_keeps_its_tail_at_extreme_levels(n_future, k, level):
+    # at (d1, d2) = (2240, 160), (560, 40) and (2, 40) the upper tail of F
+    # beyond the upper end is alpha/2 itself: 1 - alpha/2 is never rounded
+    iv = predict_sum_fpivot(1.0, 20, n_future, k, level)
+    tail = special.fdtrc(2 * n_future * k, 2 * 20 * k, iv.upper / n_future)
+    assert tail == pytest.approx((1 - level) / 2, rel=1e-12, abs=0)
 
 
 def test_plugin_level_zero_is_median():

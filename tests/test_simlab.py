@@ -783,6 +783,43 @@ def test_fpivot_brackets_are_endpoint_scoring_on_their_bounds(n, N, k):
             np.testing.assert_array_equal(held & use, want_held & want_use)
 
 
+@pytest.mark.parametrize("method", ["plugin", "eq2", "eq5"])
+@pytest.mark.parametrize("n, N, k", [(2, 3, 0.05), (2, 5002, 1000.0), (20, 300, 4.0),
+                                     (50, 51, 1000.0), (50, 5050, 0.05)])
+def test_gamma_brackets_are_endpoint_scoring_on_their_bounds(method, n, N, k):
+    # shapes within 4 ulp of five lattice nodes (at se_k 0 eq5's lower shape
+    # limit is the shape), and totals whose x = t / scale lies on each
+    # tabulated bound of each end, or 1 ulp either side: the quantile ends'
+    # scorer holds and is usable on the runs the endpoints say
+    n_fut, nodes, eps = N - n, simlab._node_tables(), np.finfo(float).eps
+    j = round(math.log(k) / simlab._BRACKET_STEP) + np.arange(-2, 3)
+    shapes = np.outer(np.exp(j * simlab._BRACKET_STEP), 1 + eps * np.arange(-4, 5)).ravel()
+
+    def fit_of(k_hat):
+        return FitResult("gamma", "log", np.ones_like(k_hat), n, k_hat=k_hat,
+                         se_mu=np.full_like(k_hat, 0.1), se_g_mu_model=np.full_like(k_hat, 0.1),
+                         se_k=np.zeros_like(k_hat), cov_mu_k=0.0)
+
+    with np.errstate(all="ignore"):
+        for level in ALL_LEVELS:
+            fit, t = fit_of(shapes), []
+            for prob, mu, k_end in intervals.METHODS[method].ends(fit, level, n_fut, 0.5,
+                                                                  simlab.SE_KIND, simlab.CRIT):
+                shape = fit.k_hat if k_end is None else k_end
+                scale = (fit.mu_hat if mu is None else mu) / shape
+                for b in simlab._bracket(fit, prob, shape, nodes, simlab._gamma_nodes, n_fut):
+                    t += [np.nextafter(b, to) * scale for to in (0.0, b, np.inf)]
+            t, k_hat = np.concatenate(t), np.tile(shapes, len(t))
+            on = np.isfinite(t) & (t > 0)
+            assert on.sum() >= shapes.size * 6 or level == ALL_LEVELS[-1]
+            t, fit = t[on], fit_of(k_hat[on])
+            args = (method, fit, np.ones(t.size, dtype=bool), level, n_fut, 0.5, (t, t), nodes)
+            held, use = simlab._SCORERS[method](*args)
+            want_held, want_use = simlab._build_holds(*args)
+            np.testing.assert_array_equal(use, want_use)
+            np.testing.assert_array_equal(held & use, want_held & want_use)
+
+
 def test_a_sweep_of_levels_keeps_the_node_store_within_its_cap(monkeypatch):
     # 1000 distinct levels through one process: each adds its own F pivot
     # and plugin tables, more values in all than the store's cap, which it
@@ -897,6 +934,31 @@ def test_a_cell_computes_each_table_node_once(monkeypatch):
     assert repr(run_coverage(spec)) == cells
 
 
+def test_a_chunk_computes_each_shape_lattice_once(monkeypatch):
+    # a k4_n20 chunk scoring all 8 methods at two levels computes the
+    # lattice of k_hat once, for the F pivot, plugin, eq2 and eq3 alike, and
+    # that of eq5's lower shape limit once per level, for both its ends
+    computed, fits, real = [], [], simlab._lattice
+
+    def lattice(fit, k):
+        if fit._memo.get(id(k), (None,))[0] is not k:
+            computed.append((fit, k))
+        return real(fit, k)
+
+    monkeypatch.setattr(simlab, "_lattice", lattice)
+    monkeypatch.setattr(simlab, "fit_gamma_rows", lambda y: fits.append(fit_gamma_rows(y)) or fits[-1])
+    spec = gamma_spec(methods=simlab.METHOD_ORDER, levels=(0.8, 0.95), n_runs=2048)
+    keys = [(m, level) for m in spec.methods for level in spec.levels]
+    target = simlab.PROCESSES["gamma_fixed"].tolerance_target(spec)
+    simlab._chunk_counts(spec, keys, *draw_runs(spec), target, simlab._node_tables())
+    (fit, _), = fits
+    assert [f for f, _ in computed] == [fit] * 3 and computed[0][1] is fit.k_hat
+    for level, (_, k_lower) in zip(spec.levels, computed[1:]):
+        (*_, want), _ = intervals.METHODS["eq5"].ends(fit, level, spec.N - spec.n, spec.content_p,
+                                                      simlab.SE_KIND, simlab.CRIT)
+        np.testing.assert_array_equal(k_lower, want)
+
+
 def _node_values(key, j):
     return np.array([np.sqrt(j + 100.0) + key, j * 0.5])
 
@@ -969,7 +1031,8 @@ def test_bracket_holds_the_gamma_quantile(a, p):
     # 101 shapes over 20 nodes keep a table; each shape's bracket holds its
     # quantile, and a quantile the nodes resolve is bounded on both sides
     a = a * np.exp(np.linspace(-0.1, 0.1, 101))
-    lo, hi = simlab._bracket(FitResult("gamma", "log", 1.0, 2), p, a, simlab._node_tables())
+    lo, hi = simlab._bracket(FitResult("gamma", "log", 1.0, 2), p, a, simlab._node_tables(),
+                            simlab._gamma_nodes, 1)
     x = gammaincinv(a, p)
     assert np.all(lo <= x) and np.all(x <= hi)
     if p * (1 + simlab._BRACKET_SLACK) < 1 and x.min() > 1e-290:
