@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  unused; perfbench/layers.py:98 times its import
 
 from .dist import critical_value
 
@@ -506,29 +506,9 @@ def _profile_deviance(y: np.ndarray, mu_hat: float, k_hat: float):
     return lambda mu, k: float(at_mu(mu)[0] if k is None else at_k(k)[0])
 
 
-def _bracketed_limit(profile, center: float, target: float, direction: int) -> float:
-    """The profile limit on one side (``direction`` -1 or +1) of ``center``,
-    solved in u = log(x / center): steps of 0.5, 0.8, 1.28, ... out from
-    u = 0 until the deviance exceeds ``target``, then brentq to 1e-12 in u.
-    The fallback of :func:`profile_lr_ci`'s Newton.
-    """
-    dev = lambda u: float(profile(center * np.exp(u))[0]) - target
-    u, step = 0.0, 0.5
-    with np.errstate(all="ignore"):   # a step out of the domain ends the search
-        for _ in range(200):
-            u_new = u + direction * step
-            d = dev(u_new)
-            if not math.isfinite(d):
-                break
-            if d > 0:
-                return float(center * np.exp(brentq(dev, min(u, u_new), max(u, u_new),
-                                                     xtol=1e-12)))
-            u, step = u_new, step * 1.6
-    raise NonConvergenceError("profile deviance never crossed the target")
-
-
-# profile_lr_ci's Newton: its step cap and its stop on |step| in log x
-PROFILE_MAX_ITER, PROFILE_TOL = 12, 1e-11
+# profile_lr_ci's step cap, room for the doublings out to an outer end and
+# the halvings of a bracket down to its stop on |step| in log x
+PROFILE_MAX_ITER, PROFILE_TOL = 100, 1e-11
 
 
 def profile_lr_ci(fit: FitResult, param: str, level: float):
@@ -536,17 +516,21 @@ def profile_lr_ci(fit: FitResult, param: str, level: float):
     gamma fit: the two roots of profile deviance == the chi-square(1)
     quantile of ``level``.
 
-    One vectorized Newton iteration solves both limits together in
-    u = log(x / center), from the Wald limits u = -+sqrt(target) * se
-    (se = 1/sqrt(n k_hat) for mu, se_k/k_hat for k), with the closed-form
-    slope of :func:`_profile`; each limit stops after the step taken at its
-    first |step| <= ``PROFILE_TOL``.  A limit still moving after
-    ``PROFILE_MAX_ITER`` steps, not finite, or not on its own side of the
-    center goes to :func:`_bracketed_limit`: at levels near 0 the deviance
-    lies below the rounding error of l_max - l and Newton cannot resolve it.
-    Both solves are in log x, so the limits scale with the data.  A level
-    <= 1e-12 returns (center, center); a NaN level or one outside [0, 1)
-    raises ValueError.
+    One Newton iteration solves both limits together in u = log(x / center),
+    from the Wald limits u = -+sqrt(target) * se (se = 1/sqrt(n k_hat) for
+    mu, se_k/k_hat for k), with the closed-form slope of :func:`_profile`.
+    Each limit keeps a bracket: its last u with deviance below the target
+    (u = 0 at first) and its last u with deviance at or above it, or not
+    finite.  A step goes to the bracket's midpoint, or doubles u while no
+    outer end is known, unless it is within ``PROFILE_TOL`` or it lands
+    inside the bracket under half the step before the last (the guard of
+    Numerical Recipes' rtsafe): at levels near 0 the deviance lies below the
+    rounding error of l_max - l, Newton only creeps, and bisection closes
+    the limit instead.  Each limit stops after its first step within
+    ``PROFILE_TOL``; one still moving after ``PROFILE_MAX_ITER`` steps
+    raises NonConvergenceError.  The solve is in log x, so the limits scale
+    with the data.  A level <= 1e-12 returns (center, center); a NaN level
+    or one outside [0, 1) raises ValueError.
     """
     if fit.family != "gamma":
         raise FitError("profile LR CI implemented for gamma fits")
@@ -561,17 +545,27 @@ def profile_lr_ci(fit: FitResult, param: str, level: float):
     target = 2 * special.gammaincinv(0.5, level)
     se = 1.0 / math.sqrt(fit.n_obs * fit.k_hat) if param == "mu" else fit.se_k / fit.k_hat
     profile = _profile(fit.data[0], fit.mu_hat, fit.k_hat, param)
-    side = np.array([-1.0, 1.0])
-    u, going = side * math.sqrt(target) * se, np.ones(2, dtype=bool)
-    with np.errstate(all="ignore"):   # a step that leaves the domain is NaN and falls back
+    u = np.array([-1.0, 1.0]) * math.sqrt(target) * se
+    inner, outer, going = [0.0, 0.0], [None, None], [0, 1]
+    steps = [[math.inf, math.inf], [math.inf, math.inf]]   # each limit's last two |steps|
+    with np.errstate(all="ignore"):   # a step out of the domain is NaN: an outer end
         for _ in range(PROFILE_MAX_ITER):
             dev, slope = profile(center * np.exp(u[going]))
-            step = (dev - target) / slope
-            u[going] -= step
-            going[going] = ~(np.abs(step) <= PROFILE_TOL)
-            if not going.any():
-                break
-    solved = ~going & np.isfinite(u) & (side * u > 0)
-    return tuple(float(center * np.exp(u[i])) if solved[i]
-                 else _bracketed_limit(profile, center, target, int(side[i]))
-                 for i in range(2))
+            moving = []
+            for i, d, g in zip(going, dev - target, slope):
+                if d < 0:
+                    inner[i] = u[i]
+                else:
+                    outer[i] = u[i]
+                a, b, step = inner[i], outer[i], d / g
+                new = u[i] - step   # inside the bracket: (new - a) (b - new) > 0
+                if not (abs(step) <= PROFILE_TOL or abs(step) < steps[i][0] / 2 and
+                        (new - a) * (2 * i - 1 if b is None else b - new) > 0):
+                    step = u[i] - (2 * a if b is None else (a + b) / 2)
+                steps[i] = [steps[i][1], abs(step)]
+                u[i] -= step
+                if not abs(step) <= PROFILE_TOL:
+                    moving.append(i)
+            if not (going := moving):
+                return tuple(float(center * np.exp(v)) for v in u)
+    raise NonConvergenceError("profile deviance never crossed the target")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 from scipy.special import betaincinv, fdtr, fdtri, gammainc, gammaincinv, nctdtrit, ndtr, ndtri, stdtr
 
-from .dist import critical_value
+from .dist import _KERNEL, critical_value
 from .fit import FitResult, link_limit
 
 __all__ = [
@@ -476,15 +476,13 @@ def predict_sum_plugin(fit: FitResult, target: PredictionTarget,
 
 def _unit_quantile(family: str, prob: float, n_future: float, k: float) -> float:
     """Quantile of the sum (or single-observation) distribution at unit
-    scale: Gamma(n_future * k, 1), or Weibull(1, k) for one observation."""
-    if family == "gamma":
-        return gammaincinv(n_future * k, prob)
-    if family == "weibull":
-        if n_future != 1:
-            raise UnsupportedTargetError(
-                "weibull sum quantiles only defined for single observations")
-        return (-math.log1p(-prob)) ** (1 / k)
-    raise ValueError(f"no sum distribution for family {family!r}")
+    scale, by the ``dist`` kernel: Gamma(n_future * k, 1), or the Weibull
+    of shape k and scale 1 for one observation."""
+    if family not in ("gamma", "weibull"):
+        raise ValueError(f"no sum distribution for family {family!r}")
+    if family == "weibull" and n_future != 1:
+        raise UnsupportedTargetError("weibull sum quantiles only defined for single observations")
+    return _KERNEL[family].quantile(prob, {"shape": n_future * k, "scale": 1.0})
 
 
 def _sum_quantile(fit: FitResult, prob: float, n_future: float,

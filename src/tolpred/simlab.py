@@ -429,19 +429,23 @@ def _ends_hold(method, fit, ok, level, n_future, p, targets, nodes):
     cdf ``intervals._sum_cdf`` decides: by the end's ``_bracket`` where x = t
     k / mu lies outside it, else (or near overflow) by the cdf of those runs."""
     held, use = True, True
-    ends = intervals.METHODS[method].ends(fit, level, n_future, p, SE_KIND, CRIT)
-    for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
-        mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
-        x = t / (scale := mu / shape)
-        lo, hi = _bracket(fit, prob, shape, nodes, _gamma_nodes, n_future)
-        above, below = x > hi, x < lo
-        holds, usable = above if lower else below, np.ones(np.shape(x), dtype=bool)
-        rows = np.flatnonzero(~((above | below) & (scale * (2 * n_future * shape + 100) <= 1e308)))
-        if rows.size:
-            f = intervals._sum_cdf(fit, t if np.ndim(t) == 0 else t[rows], n_future,
-                                   mu[rows], shape[rows], prob)
-            holds[rows], usable[rows] = prob <= f if lower else f <= prob, np.isfinite(f)
-        held, use = held & holds, use & usable
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # the cdf decides
+        ends = intervals.METHODS[method].ends(fit, level, n_future, p, SE_KIND, CRIT)
+        for t, (prob, mu, k), lower in zip(targets, ends, (True, False)):
+            mu, shape = fit.mu_hat if mu is None else mu, fit.k_hat if k is None else k
+            x = t / (scale := mu / shape)
+            lo, hi = _bracket(fit, prob, shape, nodes, _gamma_nodes, n_future)
+            above, below = x > hi, x < lo
+            holds, usable = above if lower else below, np.ones(np.shape(x), dtype=bool)
+            rows = np.flatnonzero(~((above | below) & (scale * (2 * n_future * shape + 100) <= 1e308)))
+            if rows.size:
+                f = intervals._sum_cdf(fit, t if np.ndim(t) == 0 else t[rows], n_future,
+                                       mu[rows], shape[rows], prob)
+                holds[rows], usable[rows] = prob <= f if lower else f <= prob, np.isfinite(f)
+            held, use = held & holds, use & usable
+    for *_, k in ends:   # a shape limit's lattice is the chunk's length: it goes
+        if k is not None and k is not fit.k_hat:
+            fit._memo.pop(id(k), None)
     return held, use
 
 
@@ -498,9 +502,9 @@ def _eq3_ends(fit, ok, level, n_future, p, targets, nodes):
             m = e_q + c * e_s + 1e-13 * (1 + np.abs(log_end) + c * s + abs(t))
             exact |= ~((np.abs(log_end - t) > m) & (np.abs(log_end) + m < 700))
             ends.append(np.exp(log_end))
-    if (rows := np.flatnonzero(exact & ok)).size:
-        iv = intervals.METHODS["eq3"].build(_rows(fit, rows), level, n_future, p, SE_KIND, CRIT)
-        ends[0][rows], ends[1][rows] = iv.lower, iv.upper
+        if (rows := np.flatnonzero(exact & ok)).size:
+            iv = intervals.METHODS["eq3"].build(_rows(fit, rows), level, n_future, p, SE_KIND, CRIT)
+            ends[0][rows], ends[1][rows] = iv.lower, iv.upper
     return ends
 
 

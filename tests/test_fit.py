@@ -551,10 +551,20 @@ def test_profile_ci_rejects_a_level_outside_0_1(level):
 
 
 def _bracketed_reference(fr, param, level):
+    # steps of 0.5, 0.8, 1.28, ... out from u = log(x / center) = 0 until the
+    # deviance exceeds the target, then brentq to 1e-12 in u
     center = fr.mu_hat if param == "mu" else fr.k_hat
     profile = fit._profile(fr.data[0], fr.mu_hat, fr.k_hat, param)
     target = 2 * special.gammaincinv(0.5, level)
-    return [fit._bracketed_limit(profile, center, target, side) for side in (-1, 1)]
+    dev = lambda u: float(profile(center * np.exp(u))[0]) - target
+    limits = []
+    for side in (-1, 1):
+        u, step = 0.0, 0.5
+        while dev(u + side * step) <= 0:
+            u, step = u + side * step, step * 1.6
+        limits.append(center * math.exp(optimize.brentq(
+            dev, *sorted((u, u + side * step)), xtol=1e-12)))
+    return limits
 
 
 def test_profile_ci_newton_matches_the_bracketed_path():
@@ -569,16 +579,47 @@ def test_profile_ci_newton_matches_the_bracketed_path():
                                 _bracketed_reference(fr, param, level), rtol=1e-9)
 
 
-def test_profile_ci_falls_back_to_brackets_near_level_0(monkeypatch):
+def test_profile_ci_falls_back_to_brackets_near_level_0():
     fr = fit_gamma_intercept(gamma_sample(20, seed=18))
-    fallbacks = []
-    bracketed = fit._bracketed_limit
-    monkeypatch.setattr(fit, "_bracketed_limit",
-                        lambda *args: fallbacks.append(args) or bracketed(*args))
     for param, center in (("mu", fr.mu_hat), ("k", fr.k_hat)):
         lo, hi = profile_lr_ci(fr, param, 1e-6)
         assert math.isfinite(lo) and math.isfinite(hi) and lo < center < hi
-    assert fallbacks
+
+
+def test_profile_ci_closes_limits_below_the_deviance_rounding():
+    # at these levels the target lies below the rounding error of the
+    # deviance, which reads 0 near the center, so Newton steps from the Wald
+    # limits only creep outward; each limit still closes, around the center
+    gen = np.random.default_rng(7)
+    for _ in range(100):
+        k = math.exp(gen.uniform(math.log(0.05), math.log(200)))
+        y = gen.gamma(k, math.exp(gen.uniform(-3, 3)) / k,
+                      size=round(math.exp(gen.uniform(math.log(2), math.log(1000)))))
+        fr = fit_gamma_intercept(y)
+        for level in (1e-11, 1e-9, 1e-6):
+            for param, center in (("mu", fr.mu_hat), ("k", fr.k_hat)):
+                lo, hi = profile_lr_ci(fr, param, level)
+                assert lo < center < hi
+
+
+def test_profile_ci_solves_a_stress_corpus():
+    # n log-uniform in 2-1000, k in 0.05-200, mu in e^-3..e^3, the six
+    # levels in turn: every limit is finite, on its side of the center, and
+    # at the target to the deviance's rounding floor
+    gen = np.random.default_rng(2026)
+    for case in range(600):
+        n = round(math.exp(gen.uniform(math.log(2), math.log(1000))))
+        k, mu = math.exp(gen.uniform(math.log(0.05), math.log(200))), math.exp(gen.uniform(-3, 3))
+        level = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)[case % 6]
+        fr = fit_gamma_intercept(gen.gamma(k, mu / k, size=n))
+        target = 2 * special.gammaincinv(0.5, level)
+        deviance = fit._profile_deviance(fr.data[0], fr.mu_hat, fr.k_hat)
+        for param, center in (("mu", fr.mu_hat), ("k", fr.k_hat)):
+            lo, hi = profile_lr_ci(fr, param, level)
+            assert lo < center < hi
+            for limit in (lo, hi):
+                dev = deviance(limit, None) if param == "mu" else deviance(None, limit)
+                assert abs(dev - target) <= 1e-8 * target
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

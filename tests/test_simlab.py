@@ -232,15 +232,20 @@ def test_lab_endpoints_are_the_table_run_by_run():
 
 
 def record_gammaincinv(monkeypatch, probs=False):
-    """The shapes of every gammaincinv call, in call order, or with
-    ``probs`` their (probability, shapes) pairs."""
+    """The shapes of every gammaincinv call of ``intervals``, and of the
+    ``dist`` kernel at an array of shapes, in call order, or with ``probs``
+    their (probability, shapes) pairs."""
     shapes, real = [], intervals.gammaincinv
 
     def counted(a, p):
         shapes.append((p, np.asarray(a)) if probs else np.asarray(a))
         return real(a, p)
 
+    def kernel(a, p):   # the unit quantiles at shape arrays, not a cell's true quantiles
+        return (counted if np.ndim(a) else real)(a, p)
+
     monkeypatch.setattr(intervals, "gammaincinv", counted)
+    monkeypatch.setattr(dist, "gammaincinv", kernel)
     return shapes
 
 
@@ -501,6 +506,18 @@ def test_workers_run_under_the_callers_errstate(monkeypatch):
     assert seen == ["raise"] * 3
 
 
+@pytest.mark.parametrize("N, methods", [(3, ("eq5",)), (5002, ("plugin", "eq2", "eq3", "eq5"))])
+def test_tiny_shape_cells_run_with_runtime_warnings_as_errors(N, methods):
+    # shape 0.05 from two values: the ends' shape and mean limits overflow,
+    # which the scorers leave to the sum cdf; pytest's own filter makes any
+    # RuntimeWarning an error here
+    spec = gamma_spec(n=2, N=N, k=0.05, methods=methods, levels=(0.8, 0.95, 0.999),
+                      n_runs=2048, seed=1)
+    cells = repr(run_gamma_coverage(spec))
+    with np.errstate(all="ignore"):
+        assert repr(run_gamma_coverage(spec)) == cells
+
+
 def test_chunk_error_propagates_and_stops_the_pool(monkeypatch):
     class ChunkError(RuntimeError):
         pass
@@ -536,6 +553,25 @@ def test_cell_memory_does_not_grow_with_runs():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_eq5_memory_does_not_grow_with_its_levels(monkeypatch):
+    # one warm 12288-run chunk: each level's lattice of eq5's shape limit,
+    # three arrays of the chunk's length, goes once the level is scored
+    monkeypatch.setattr(simlab, "_workers", lambda: 1)
+    peaks = []
+    for count in (2, 100):
+        spec = gamma_spec(methods=("eq5",), levels=tuple(0.5 + 0.004 * np.arange(count)),
+                          n_runs=12 * simlab.BLOCK)
+        assert len(simlab._chunks(spec)) == 1
+        run_gamma_coverage(spec)
+        tracemalloc.start()
+        try:
+            run_gamma_coverage(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("fixed_rates", [False, True])
