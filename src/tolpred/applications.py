@@ -111,8 +111,7 @@ def _read_rows(path, columns):
 
 def load_recruitment_csv(path, schedule_path=None) -> RecruitmentSeries:
     arr = _read_rows(path, ["period", "events", "exposure_days", "active_sites"])
-    order = np.argsort(arr[:, 0])
-    arr = arr[order]
+    arr = arr[np.argsort(arr[:, 0])]
     fut_p = fut_s = None
     if schedule_path is not None:
         sched = _read_rows(schedule_path, ["period", "active_sites"])
@@ -133,11 +132,10 @@ def load_survival_csv(path) -> list[SurvivalSample]:
 def site_day_fit(series: RecruitmentSeries) -> FitResult:
     """Pooled per-site-per-day recruitment rate: total events over total
     site-days, with period-level model and sandwich standard errors."""
-    sd = series.site_days
-    if np.sum(sd > 0) < 2 or series.events.sum() < 1:
+    keep = series.site_days > 0
+    if np.sum(keep) < 2 or series.events.sum() < 1:
         raise InsufficientDataError("need >= 2 periods with active site-days and >= 1 event")
-    keep = sd > 0
-    return fit_quasipoisson(series.events[keep], sd[keep])
+    return fit_quasipoisson(series.events[keep], series.site_days[keep])
 
 
 def predict_sitedays(fit: FitResult, series: RecruitmentSeries,
@@ -191,7 +189,8 @@ def _transform(name: str):
 @dataclass(frozen=True)
 class TrendFit:
     """Single-regressor quasi-Poisson trend for per-period counts (kind
-    'rate') or gamma-type trend for interarrival times (kind 'interarrival')."""
+    'rate') or gamma-type trend for interarrival times (kind 'interarrival'),
+    whose per-period means and gradients all come from ``_period_table``."""
 
     coef: np.ndarray
     cov: np.ndarray
@@ -214,12 +213,14 @@ class TrendFit:
                            f"a log-link trend stays positive (--link log)")
         return out
 
-    def _dmean_dbeta(self, l, mean):
-        """Gradient of ``mean = mean_rate(l)`` in the coefficients: d mean /
-        d eta is the mean itself on the log link and 1 on the identity link."""
-        z = _transform(self.transform)(l)
-        X = np.column_stack([np.ones(np.size(z)), np.atleast_1d(z)])
-        return X * mean[:, None] if self.link == "log" else X
+    def _period_table(self, l, exposure):
+        """Each period's mean at ``exposure`` units, from one ``mean_rate`` call
+        over the 1-d periods ``l``, and its gradient in the coefficients."""
+        rate = self.mean_rate(l)
+        dm = np.empty((rate.size, 2))   # d mean / d eta: the mean (log link) or 1
+        dm[:, 0] = rate if self.link == "log" else 1.0
+        dm[:, 1] = _transform(self.transform)(l) * dm[:, 0]
+        return rate * exposure, dm * exposure
 
 
 def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
@@ -285,8 +286,7 @@ def fit_trend(series_or_y, transform: str = "log", link: str = "identity",
         beta, _, _ = _newton(scoring, np.array([math.log(float(y.mean())), 0.0]), 1e-10)
         mu = np.exp(X @ beta)
         phi = float(np.sum(((y - mu) / mu) ** 2) / max(y.size - 2, 1))
-        cov = phi * np.linalg.inv(X.T @ X)
-        return TrendFit(beta, cov, "log", transform, phi,
+        return TrendFit(beta, phi * np.linalg.inv(X.T @ X), "log", transform, phi,
                         (1, int(y.size)), "interarrival", int(y.size))
     raise ValueError(f"unknown trend kind {kind!r}")
 
@@ -320,13 +320,11 @@ def _sum_prediction(trend: TrendFit, periods, exposure: float,
     if periods.size == 0:
         raise ValueError("empty prediction range")
     with np.errstate(all="ignore"):
-        rate = trend.mean_rate(periods)
-        m = rate * exposure      # mean contribution per period
+        m, dm = trend._period_table(periods, exposure)
         total = np.sum(m)
-        grad = (trend._dmean_dbeta(periods, rate) * exposure).sum(axis=0)
         # quasi-Poisson: var = phi * mean; interarrival: phi * mean^2 per time
         spread = total if trend.kind == "rate" else np.sum(m ** 2)
-        lower, upper = _pivot_limits(trend, total, grad, spread, level)
+        lower, upper = _pivot_limits(trend, total, dm.sum(axis=0), spread, level)
     if not np.isfinite([total, lower, upper]).all():
         raise _not_finite(periods.size)
     return IntervalEstimate(float(lower), float(upper), level, "link_pivot", "future_sum")
@@ -365,15 +363,13 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float):
     target (the point), and the first h whose interval upper (h_lo) and
     lower (h_hi) limit reaches it.
 
-    One pass doubles h.  At each h, ``np.cumsum`` of the future means gives
-    the total of every window up to h; once the last total reaches the
-    target, the cumulative mean gradient and ``_pivot_limits`` give every
-    window's limits as well, and the pass stops when the last lower limit
-    reaches it.  Each answer is the first window of its table that reaches
-    the target, checked against its definition at h and h-1 (the cumulative
-    mean, ``predict_sum_rate``'s limits) and stepped by one where
-    running-sum rounding disagrees, so it matches ``recruit --mode trend``
-    and a solve makes at most four ``predict_sum_rate`` calls.
+    One pass doubles h and grows one ``_period_table`` by only the periods
+    each doubling adds.  Its cumulative sums give every window's total up to
+    h, and once the last reaches the target, its cumulative gradients give
+    every window's limits; the pass stops when the last lower limit reaches
+    the target.  Each answer, the first such window, is stepped by one until
+    its definition reaches the target at h and not at h - 1: the point's is
+    the table's prefix sum, the limits' ``predict_sum_rate`` (four calls at most).
 
     Raises ``FitError`` when the target is not reached within
     ``MAX_HORIZON`` periods, at the first period the doubling reaches whose
@@ -385,16 +381,21 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float):
     if target_subjects == 0:
         return 0, (0, 0)
     d, e = trend.fit_window[1], trend.exposure_per_period
-    h = 1
+
+    def grow(h):   # the table's first h means, evaluating only the periods it lacks
+        nonlocal m, dm
+        if h > m.size:
+            more = trend._period_table(np.arange(d + m.size + 1.0, d + h + 1.0), e)
+            m, dm = np.concatenate([m, more[0]]), np.concatenate([dm, more[1]])
+        return m[:h]
+
+    h, m, dm = 1, np.empty(0), np.empty((0, 2))
     while True:
-        l = np.arange(d + 1.0, d + h + 1.0)
         with np.errstate(all="ignore"):
-            rate = trend.mean_rate(l)
-            total = np.cumsum(rate * e)
+            total = np.cumsum(grow(h))
             reached = total[-1] >= target_subjects
             if reached:     # the limits only once the mean reaches the target
-                grad = np.cumsum(trend._dmean_dbeta(l, rate) * e, axis=0)
-                lower, upper = _pivot_limits(trend, total, grad, total, level)
+                lower, upper = _pivot_limits(trend, total, np.cumsum(dm, axis=0), total, level)
         if not math.isfinite(total[-1]) or (reached and not math.isfinite(lower[-1])):
             raise _not_finite(h)
         if reached and lower[-1] >= target_subjects:
@@ -414,10 +415,9 @@ def solve_target_window(trend: TrendFit, target_subjects: float, level: float):
             h -= 1
         return h
 
-    mean = lambda h: float(np.sum(trend.mean_rate(np.arange(d + 1, d + h + 1)) * e))
     window = lambda h: predict_sum_rate(trend, range(d + 1, d + h + 1), level)
-    return first(total, mean), (first(upper, lambda h: window(h).upper),
-                                first(lower, lambda h: window(h).lower))
+    return first(total, lambda h: np.sum(grow(h))), (first(upper, lambda h: window(h).upper),
+                                                     first(lower, lambda h: window(h).lower))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +446,9 @@ def weibull_band_at(fit: FitResult, p: float, level: float,
         if events_future is None or events_future < 1:
             raise ValueError("repeated-experiment band needs events_future >= 1")
         c = c * intervals._combined_se(1.0, n, events_future)   # sqrt(n) * sqrt(1/n + 1/m)
-        target = "observable_estimate"
-        method = "percentile_prediction"
+        target, method = "observable_estimate", "percentile_prediction"
     elif band == "tolerance":
-        target = "population_percentile"
-        method = "percentile_tolerance"
+        target, method = "population_percentile", "percentile_tolerance"
     else:
         raise ValueError(f"unknown band {band!r}")
     return IntervalEstimate(intervals._delta_limit(fit, p, 1, -c),

@@ -12,6 +12,7 @@ from tolpred import intervals
 from tolpred.fit import (FitError, InsufficientDataError, SurvivalSample,
                          fit_gamma_intercept, fit_weibull_censored)
 
+import recruit_coverage
 from recruitment_fixture import make_recruitment_fixture
 
 
@@ -343,6 +344,63 @@ def test_solve_target_window(monkeypatch, link, transform, target):
     for h, value in definitions:   # each horizon is the first that reaches
         assert value(h) >= target
         assert h == 1 or value(h - 1) < target
+
+
+@pytest.mark.parametrize("target", [10.0, 300.0, 5000.0])
+@pytest.mark.parametrize("transform", app.TRANSFORMS)
+@pytest.mark.parametrize("link", ["identity", "log"])
+def test_window_solve_evaluates_each_future_period_once(monkeypatch, link, transform, target):
+    """Outside its ``predict_sum_rate`` checks, a solve's own ``mean_rate``
+    calls receive distinct periods, which fill its one table from the first
+    future period to the last one its doubling reached."""
+    tr = app.fit_trend(make_recruitment_fixture(), transform=transform, link=link)
+    periods, inside = [], []
+    mean_rate, predict = app.TrendFit.mean_rate, app.predict_sum_rate
+
+    def spied_mean_rate(self, l):
+        if not inside:
+            periods.extend(np.ravel(l).tolist())
+        return mean_rate(self, l)
+
+    def checked_predict(*args, **kwargs):
+        inside.append(True)
+        try:
+            return predict(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(app.TrendFit, "mean_rate", spied_mean_rate)
+    monkeypatch.setattr(app, "predict_sum_rate", checked_predict)
+    point, (h_lo, h_hi) = app.solve_target_window(tr, target, 0.95)
+    monkeypatch.undo()
+    d, size = tr.fit_window[1], len(periods)
+    assert len(set(periods)) == size
+    assert sorted(periods) == list(np.arange(d + 1.0, d + size + 1.0))
+    assert size & (size - 1) == 0 and size // 2 <= h_hi <= size   # a doubled table
+    assert point <= size
+
+
+def test_window_point_past_the_doubled_table():
+    """With no spread the lower limit is the running sum itself, so the pass
+    stops at 16 periods, where the running sum of the means reaches the
+    target and their pairwise sum does not.  The point's check then grows
+    the table by the one period its definition needs."""
+    flat = app.TrendFit(np.array([math.log(0.1), 0.0]), np.zeros((2, 2)), "log", "log",
+                        0.0, (1, 6), "rate", 6)
+    m = flat.mean_rate(np.arange(7.0, 23.0))
+    target = float(np.cumsum(m)[-1])
+    assert np.sum(m) < target and np.cumsum(m)[-2] < target
+    assert app.solve_target_window(flat, target, 0.95) == (17, (17, 17))
+
+
+def test_recruit_coverage_loop_tallies_each_run_once():
+    """The recruit coverage loop (``tests/recruit_coverage.py``) tallies each
+    run once per mode, the same on a second call with the same seed."""
+    for index, cell in enumerate(recruit_coverage.CELLS):
+        tallies = recruit_coverage.run_cell(cell, 4, 1, index)
+        for tally in tallies:
+            assert tally.covered + tally.below + tally.above + sum(tally.failures.values()) == 4
+        assert repr(recruit_coverage.run_cell(cell, 4, 1, index)) == repr(tallies)
 
 
 @settings(max_examples=100, deadline=None)
